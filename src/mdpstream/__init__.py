@@ -47,7 +47,6 @@ from .mdp import (
     InfeasibleModelError,
     PolicyTable,
     backward_induction,
-    extract_policy,
     feasible_actions,
 )
 from .metrics import SessionSummary, aggregate_runs, summarize
@@ -86,7 +85,6 @@ __all__ = [
     "backward_induction",
     "derive_constants",
     "enumerate_states",
-    "extract_policy",
     "feasible_actions",
     "map_bandwidth_to_state",
     "run_session",

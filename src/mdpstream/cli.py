@@ -21,6 +21,7 @@ from .mdp import (
     PolicyTable,
     backward_induction,
     feasible_actions,
+    scenario_fingerprint,
 )
 from .metrics import SessionSummary, aggregate_runs, summarize
 from .model import (
@@ -220,14 +221,20 @@ def run_experiment(
             table_path = os.path.join(tables_dir, table_filename(
                 config.name, scenario.profit.total_rate_cap_kbps, scenario.horizon
             ))
+            fix = (
+                f"create it with: mdpstream solve --config {spec.scenario_path} "
+                f"--rate-cap {scenario.profit.total_rate_cap_kbps:g} "
+                f"--horizon {scenario.horizon} --out {table_path}"
+            )
             if not os.path.exists(table_path):
-                raise ConfigurationError(
-                    f"missing policy table {table_path}; create it with: "
-                    f"mdpstream solve --config <scenario> "
-                    f"--rate-cap {scenario.profit.total_rate_cap_kbps:g} "
-                    f"--horizon {scenario.horizon} --out {table_path}"
-                )
+                raise ConfigurationError(f"missing policy table {table_path}; {fix}")
             table = PolicyTable.load(table_path)
+            if table.fingerprint != scenario_fingerprint(
+                scenario.ladder, scenario.channel, scenario.profit, scenario.horizon
+            ):
+                raise ConfigurationError(
+                    f"policy table {table_path} was solved for another scenario; {fix}"
+                )
 
         for arm in spec.arms:
             if arm == "proposed":

@@ -4,10 +4,11 @@ induction producing a time-indexed policy table."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import reduce
 
 import numpy as np
@@ -24,7 +25,7 @@ from .model import (
     state_space_size,
 )
 
-POLICY_TABLE_FORMAT = "mdpstream-policy-table"
+POLICY_TABLE_FORMAT = "mdpstream-policy-table-npy"
 CANONICAL_ORDER_VERSION = 1
 
 
@@ -55,6 +56,23 @@ def transition_prob(
     return channel_transition_prob(
         state.channel_indices, next_state.channel_indices, channel
     )
+
+
+def scenario_fingerprint(
+    ladder: QualityLadder, channel: ChannelModel, params: ProfitParams, horizon: int
+) -> str:
+    """SHA-256 of everything ``backward_induction`` solves from, so a table
+    can be matched to the scenario it was solved for.  Rates are taken as
+    floats, so ``350`` and ``350.0`` give the same fingerprint."""
+    inputs = (
+        [float(r) for r in ladder.rates],
+        channel.transition.tolist(),
+        [float(b) for b in channel.state_bandwidth],
+        [float(b) for b in channel.boundaries],
+        astuple(params),
+        horizon,
+    )
+    return hashlib.sha256(repr(inputs).encode()).hexdigest()
 
 
 def feasible_actions(
@@ -259,6 +277,7 @@ def backward_induction(
         num_channel_states=channel.num_states,
         num_users=n,
         horizon=horizon,
+        fingerprint=scenario_fingerprint(ladder, channel, params, horizon),
         values=values,
         action_rate_indices=actions,
     )
@@ -276,11 +295,12 @@ class PolicyTable:
     num_channel_states: int
     num_users: int
     horizon: int
+    fingerprint: str  # scenario_fingerprint of the solver's inputs
     values: np.ndarray  # (horizon + 1, states); terminal row is all zero
     action_rate_indices: np.ndarray  # (horizon, states, users)
 
     def __post_init__(self) -> None:
-        size = (self.ladder_size * self.num_channel_states) ** self.num_users
+        size = self.num_states
         if self.values.shape != (self.horizon + 1, size):
             raise ValueError(
                 f"values shaped {self.values.shape}, expected {(self.horizon + 1, size)}"
@@ -321,90 +341,63 @@ class PolicyTable:
         return Action(rate_indices=tuple(int(d) for d in digits))
 
     def save(self, path: str) -> None:
-        """Write the table as a documented flat text file.
-
-        Header: format name with the canonical ordering version, then the
-        dimensions.  Body: one record per (epoch, state) holding the
-        per-user rate indices and the state's value, in canonical order.
-        Floats are written with repr and round-trip exactly.
+        """Write three ASCII header lines (format tag and ordering version,
+        dimensions, ``fingerprint=``), then ``values`` (float64) and
+        ``action_rate_indices`` (int64) as two ``np.save`` blocks.  Raw float
+        bits make load(save(x)) exact and a re-save byte-identical.  Text
+        tables from older versions are refused and must be solved again.
         """
-        lines = [
-            f"{POLICY_TABLE_FORMAT} ordering={CANONICAL_ORDER_VERSION}",
-            (
-                f"ladder_size={self.ladder_size} "
-                f"channel_states={self.num_channel_states} "
-                f"users={self.num_users} horizon={self.horizon}"
-            ),
-            "# record: epoch state_index rate_index_per_user... value",
-        ]
-        for t in range(self.horizon):
-            rows = self.action_rate_indices[t]
-            vals = self.values[t]
-            for s in range(self.num_states):
-                digits = " ".join(str(int(d)) for d in rows[s])
-                lines.append(f"{t} {s} {digits} {float(vals[s])!r}")
+        header = (
+            f"{POLICY_TABLE_FORMAT} ordering={CANONICAL_ORDER_VERSION}\n"
+            f"ladder_size={self.ladder_size} "
+            f"channel_states={self.num_channel_states} "
+            f"users={self.num_users} horizon={self.horizon}\n"
+            f"fingerprint={self.fingerprint}\n"
+        )
         tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            np.save(fh, self.values, allow_pickle=False)
+            np.save(fh, self.action_rate_indices, allow_pickle=False)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "PolicyTable":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if not header or header[0] != POLICY_TABLE_FORMAT:
-                raise ConfigurationError(f"{path}: not a policy table file")
-            if header[1:] != [f"ordering={CANONICAL_ORDER_VERSION}"]:
-                raise ConfigurationError(
-                    f"{path}: unsupported ordering version (have {header[1:]})"
+        """Read a table written by ``save``.  Anything else, truncated or
+        extended files included, raises ``ConfigurationError``."""
+        try:
+            with open(path, "rb") as fh:
+                header = fh.readline().decode("ascii").split()
+                if header[:1] != [POLICY_TABLE_FORMAT]:
+                    raise ValueError("not a policy table file")
+                if header[1:] != [f"ordering={CANONICAL_ORDER_VERSION}"]:
+                    raise ValueError(f"unsupported ordering version (have {header[1:]})")
+                fields = dict(
+                    item.split("=")
+                    for line in (fh.readline(), fh.readline())
+                    for item in line.decode("ascii").split()
                 )
-            dims = dict(item.split("=") for item in fh.readline().split())
-            try:
-                m = int(dims["ladder_size"])
-                k = int(dims["channel_states"])
-                n = int(dims["users"])
-                horizon = int(dims["horizon"])
-            except KeyError as missing:
-                raise ConfigurationError(f"{path}: header missing {missing}") from None
-            size = (m * k) ** n
-            values = np.zeros((horizon + 1, size))
-            actions = np.zeros((horizon, size, n), dtype=np.int64)
-            seen = 0
-            for line in fh:
-                if line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 2 + n + 1:
-                    raise ConfigurationError(f"{path}: malformed record {line!r}")
-                try:
-                    t, s = int(parts[0]), int(parts[1])
-                    digits = [int(d) for d in parts[2:2 + n]]
-                    value = float(parts[-1])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{path}: malformed record {line!r}"
-                    ) from None
-                if not (0 <= t < horizon and 0 <= s < size):
-                    raise ConfigurationError(f"{path}: record out of range {line!r}")
-                actions[t, s] = digits
-                values[t, s] = value
-                seen += 1
-            if seen != horizon * size:
-                raise ConfigurationError(
-                    f"{path}: expected {horizon * size} records, found {seen}"
-                )
-        values.setflags(write=False)
-        actions.setflags(write=False)
-        return cls(
-            ladder_size=m,
-            num_channel_states=k,
-            num_users=n,
-            horizon=horizon,
-            values=values,
-            action_rate_indices=actions,
-        )
-
-
-def extract_policy(table: PolicyTable, t: int, state: SystemState) -> Action:
-    """Optimal action at decision epoch ``t`` in ``state``."""
-    return table.action(t, state)
+                # read_array takes only the .npy format that save writes;
+                # np.load would also open a zip archive here.
+                values = np.lib.format.read_array(fh, allow_pickle=False)
+                actions = np.lib.format.read_array(fh, allow_pickle=False)
+                if fh.read(1):
+                    raise ValueError("trailing bytes after the action array")
+            if (values.dtype, actions.dtype) != (np.float64, np.int64):
+                raise ValueError(f"arrays hold {values.dtype}/{actions.dtype}, not float64/int64")
+            values.setflags(write=False)
+            actions.setflags(write=False)
+            return cls(
+                ladder_size=int(fields["ladder_size"]),
+                num_channel_states=int(fields["channel_states"]),
+                num_users=int(fields["users"]),
+                horizon=int(fields["horizon"]),
+                fingerprint=fields["fingerprint"],
+                values=values,
+                action_rate_indices=actions,
+            )
+        except KeyError as missing:
+            why = f"header missing {missing}"
+        except (ValueError, EOFError) as err:  # UnicodeDecodeError is a ValueError
+            why = str(err)
+        raise ConfigurationError(f"{path}: {why}; solve it again with mdpstream solve")

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .economics import DerivedConstants, ProfitParams
-from .mdp import PolicyTable, _ActionTables, extract_policy
+from .mdp import PolicyTable, _ActionTables
 from .model import Action, ChannelModel, QualityLadder, SystemState
 
 
@@ -59,7 +59,7 @@ class Proposed:
 
     def decide(self, epoch: int, state: SystemState) -> Action:
         t = 0 if self.stationary else epoch
-        return extract_policy(self.table, t, state)
+        return self.table.action(t, state)
 
 
 @dataclass(frozen=True)

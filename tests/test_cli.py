@@ -120,6 +120,35 @@ def test_missing_table_names_the_fix(workspace, capsys):
     assert "mdpstream solve" in err
 
 
+def test_table_for_another_scenario_is_refused(workspace, capsys):
+    tmp, scenario_path, spec_path, tables = workspace
+    data = yaml.safe_load(scenario_path.read_text(encoding="utf-8"))
+    data["profit"]["user_priorities"] = [0.6, 0.4]
+    scenario_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    rc = main([
+        "run", "--spec", str(spec_path),
+        "--out-dir", str(tmp / "out"), "--tables-dir", str(tables),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "solved for another scenario" in err
+    assert (
+        f"mdpstream solve --config {scenario_path} --rate-cap 850 --horizon 6 "
+        f"--out {tables / table_filename('small', 850.0, 6)}"
+    ) in err
+
+
+def test_corrupt_table_is_a_configuration_error(workspace, capsys):
+    tmp, _, spec_path, tables = workspace
+    (tables / table_filename("small", 850.0, 6)).write_bytes(bytes(range(256)))
+    rc = main([
+        "run", "--spec", str(spec_path),
+        "--out-dir", str(tmp / "out"), "--tables-dir", str(tables),
+    ])
+    assert rc == 1
+    assert "mdpstream solve" in capsys.readouterr().err
+
+
 def test_rate_cap_sweep(workspace):
     tmp, scenario_path, _, tables = workspace
     rc = main([

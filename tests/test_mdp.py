@@ -1,5 +1,6 @@
 """Transition model, backward-induction solver, and the policy table."""
 
+import io
 import itertools
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import (
+    POLICY_TABLE_FORMAT,
     InfeasibleModelError,
     PolicyTable,
     backward_induction,
     channel_transition_prob,
-    extract_policy,
     feasible_actions,
+    scenario_fingerprint,
     transition_prob,
 )
 from mdpstream.model import Action, ConfigurationError, SystemState, enumerate_states
@@ -251,7 +253,6 @@ def test_solver_rejects_bad_horizon_and_cap():
 
 def test_table_lookup_matches_extract(fair_config, fair_table):
     state = SystemState((2, 1), (3, 0))
-    assert extract_policy(fair_table, 0, state) == fair_table.action(0, state)
     with pytest.raises(ValueError):
         fair_table.action(200, state)  # decision epochs end at horizon - 1
     with pytest.raises(ValueError):
@@ -269,35 +270,115 @@ def test_table_save_load_round_trip(tmp_path):
     path = str(tmp_path / "small.ptab")
     table.save(path)
     loaded = PolicyTable.load(path)
+    assert (loaded.ladder_size, loaded.num_channel_states) == (2, 2)
     assert loaded.horizon == 3
     assert loaded.num_users == 2
-    for t in range(3):
-        np.testing.assert_array_equal(loaded.values[t], table.values[t])
-        np.testing.assert_array_equal(
-            loaded.action_rate_indices[t], table.action_rate_indices[t]
-        )
-    # byte-identical on re-save: repr round-trips every float
-    table.save(str(tmp_path / "again.ptab"))
+    assert loaded.fingerprint == table.fingerprint
+    assert loaded.values.dtype == np.float64
+    assert loaded.action_rate_indices.dtype == np.int64
+    # bit-exact, terminal row included
+    assert loaded.values.tobytes() == table.values.tobytes()
+    np.testing.assert_array_equal(loaded.action_rate_indices, table.action_rate_indices)
+    # byte-identical on re-save, also from the loaded copy
+    loaded.save(str(tmp_path / "again.ptab"))
     assert (tmp_path / "small.ptab").read_bytes() == (tmp_path / "again.ptab").read_bytes()
+
+
+def test_scenario_fingerprint_tracks_solver_inputs():
+    ladder, channel, params, _ = small_model()
+    fingerprint = scenario_fingerprint(ladder, channel, params, 3)
+    assert scenario_fingerprint(make_ladder((100, 240)), channel, params, 3) == fingerprint
+    assert scenario_fingerprint(ladder, channel, params, 4) != fingerprint
+    assert scenario_fingerprint(
+        ladder, channel, make_params(cap=650.0, threshold=120.0), 3
+    ) != fingerprint
+    assert scenario_fingerprint(
+        ladder, make_channel([[0.6, 0.4], [0.4, 0.6]], (90.0, 300.0), (200.0,)), params, 3
+    ) != fingerprint
+
+
+def saved_small_table(tmp_path, name="table.ptab"):
+    ladder, channel, params, consts = small_model()
+    path = tmp_path / name
+    backward_induction(ladder, channel, params, consts, 2).save(str(path))
+    return path
+
+
+def assert_refused(path, match=None):
+    with pytest.raises(ConfigurationError, match=match) as err:
+        PolicyTable.load(str(path))
+    assert str(path) in str(err.value)
+    assert "mdpstream solve" in str(err.value)
 
 
 def test_table_load_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.ptab"
     bad.write_text("something else entirely\n")
-    with pytest.raises(ConfigurationError):
-        PolicyTable.load(str(bad))
+    assert_refused(bad)
     versioned = tmp_path / "vers.ptab"
-    versioned.write_text("mdpstream-policy-table ordering=99\n")
-    with pytest.raises(ConfigurationError, match="ordering"):
-        PolicyTable.load(str(versioned))
+    versioned.write_text(f"{POLICY_TABLE_FORMAT} ordering=99\n")
+    assert_refused(versioned, match="ordering")
+    binary = tmp_path / "binary.ptab"
+    binary.write_bytes(bytes(range(256)) * 4)
+    assert_refused(binary)
+    # a text-body table as older versions wrote it
+    old = tmp_path / "old.ptab"
+    old.write_text(
+        "mdpstream-policy-table ordering=1\n"
+        "ladder_size=2 channel_states=2 users=1 horizon=1\n"
+        "# record: epoch state_index rate_index_per_user... value\n"
+        "0 0 0 0.5\n0 1 1 0.75\n0 2 0 0.25\n0 3 1 1.0\n"
+    )
+    assert_refused(old, match="not a policy table")
 
 
-def test_table_load_rejects_truncation(tmp_path):
-    ladder, channel, params, consts = small_model()
-    table = backward_induction(ladder, channel, params, consts, 2)
-    path = tmp_path / "trunc.ptab"
-    table.save(str(path))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(ConfigurationError):
-        PolicyTable.load(str(path))
+@pytest.mark.parametrize("damage", [
+    "dims_without_equals", "dims_not_integer", "dims_disagree",
+    "fingerprint_missing", "values_float32", "actions_float64", "npz_body",
+])
+def test_table_load_rejects_malformed_tables(tmp_path, damage):
+    path = saved_small_table(tmp_path)
+    tag, dims, fingerprint, body = path.read_bytes().split(b"\n", 3)
+    if damage == "dims_without_equals":
+        dims = dims.replace(b"users=2", b"users")
+    elif damage == "dims_not_integer":
+        dims = dims.replace(b"users=2", b"users=two")
+    elif damage == "dims_disagree":
+        dims = dims.replace(b"horizon=2", b"horizon=3")
+    elif damage == "fingerprint_missing":
+        fingerprint = b""
+    else:
+        table = PolicyTable.load(str(path))
+        buf = io.BytesIO()
+        if damage == "values_float32":
+            np.save(buf, table.values.astype(np.float32))
+            np.save(buf, table.action_rate_indices)
+        elif damage == "npz_body":
+            np.savez(buf, table.values, table.action_rate_indices)
+        else:
+            np.save(buf, table.values)
+            np.save(buf, table.action_rate_indices.astype(np.float64))
+        body = buf.getvalue()
+    path.write_bytes(b"\n".join([tag, dims, fingerprint, body]))
+    assert_refused(path)
+
+
+@pytest.mark.parametrize("cut", [
+    "inside_header", "before_values", "inside_values", "inside_actions",
+    "last_byte", "trailing_byte",
+])
+def test_table_load_rejects_truncation(tmp_path, cut):
+    path = saved_small_table(tmp_path)
+    data = path.read_bytes()
+    values_at = data.index(b"\x93NUMPY")
+    actions_at = data.index(b"\x93NUMPY", values_at + 1)
+    data = {
+        "inside_header": data[:values_at // 2],
+        "before_values": data[:values_at],
+        "inside_values": data[:(values_at + actions_at) // 2],
+        "inside_actions": data[:(actions_at + len(data)) // 2],
+        "last_byte": data[:-1],
+        "trailing_byte": data + b"\0",
+    }[cut]
+    path.write_bytes(data)
+    assert_refused(path)
