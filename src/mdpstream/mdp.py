@@ -19,7 +19,6 @@ from .model import (
     Action,
     ChannelModel,
     ConfigurationError,
-    DEFAULT_STATE_SPACE_CAP,
     QualityLadder,
     SystemState,
     state_space_size,
@@ -27,6 +26,7 @@ from .model import (
 
 POLICY_TABLE_FORMAT = "mdpstream-policy-table-npy"
 CANONICAL_ORDER_VERSION = 1
+DEFAULT_MEMORY_CAP_BYTES = 2 << 30
 
 
 class InfeasibleModelError(RuntimeError):
@@ -165,10 +165,10 @@ class _ActionTables:
         self.bottleneck = np.array(charges)
 
         prio = np.array(params.user_priorities)
-        # Priority-weighted variation penalty for each (rate vector, action).
+        # Priority-weighted variation penalty, (rate vectors, actions).
         shape_r = (m,) * n
         self.variation_by_action = np.empty(
-            (len(order), self.num_rate_vectors)
+            (self.num_rate_vectors, len(order))
         )
         for pos, digits in enumerate(self.action_digits):
             acc = np.zeros(shape_r)
@@ -176,7 +176,7 @@ class _ActionTables:
                 axis_shape = [1] * n
                 axis_shape[u] = m
                 acc = acc + prio[u] * self.variation[:, digits[u]].reshape(axis_shape)
-            self.variation_by_action[pos] = acc.reshape(-1)
+            self.variation_by_action[:, pos] = acc.reshape(-1)
 
 
 class _SolverTables(_ActionTables):
@@ -192,8 +192,9 @@ class _SolverTables(_ActionTables):
 
         prio = np.array(params.user_priorities)
         shape_c = (k,) * n
+        # (channel vectors, actions), like every sweep's q block.
         self.expected_playbuf_by_action = np.empty(
-            (len(self.actions), self.num_chan_vectors)
+            (self.num_chan_vectors, len(self.actions))
         )
         for pos, digits in enumerate(self.action_digits):
             acc = np.zeros(shape_c)
@@ -201,7 +202,7 @@ class _SolverTables(_ActionTables):
                 axis_shape = [1] * n
                 axis_shape[u] = k
                 acc = acc + prio[u] * exp_playbuf[digits[u]].reshape(axis_shape)
-            self.expected_playbuf_by_action[pos] = acc.reshape(-1)
+            self.expected_playbuf_by_action[:, pos] = acc.reshape(-1)
 
         self.joint_channel = reduce(np.kron, [channel.transition] * n)
 
@@ -216,21 +217,35 @@ class _SolverTables(_ActionTables):
         self.canonical_index = digit @ place
 
 
+# Floats per q block (8 MB); a block always holds at least one rate vector.
+_BLOCK_FLOATS = 1 << 20
+
+
 def _backup(tables: _SolverTables, v_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep: epoch-t values and chosen actions from epoch-t+1
     values.  ``v_next`` has shape (rate vectors, channel vectors); reads and
-    writes touch separate buffers, so within-sweep updates cannot leak."""
-    num_actions = len(tables.actions)
-    q = np.empty((num_actions, tables.num_rate_vectors, tables.num_chan_vectors))
-    for pos in range(num_actions):
-        future = tables.joint_channel @ v_next[tables.action_multi[pos]]
-        q[pos] = (
-            (tables.expected_playbuf_by_action[pos] + future)[None, :]
-            - tables.variation_by_action[pos][:, None]
-            - tables.bottleneck[pos]
-        )
-    values = q.max(axis=0)
-    choice = q.argmax(axis=0)  # first maximizer wins, i.e. the tie-break order
+    writes touch separate buffers, so within-sweep updates cannot leak.
+
+    q is reduced over actions one block of rate vectors at a time, so the
+    (actions x rate vectors x channel vectors) tensor never exists.  Every
+    element is still ``((playbuf + future) - variation) - bottleneck``, and
+    each future term is its own matvec (a single gemm rounds differently),
+    so values and first-maximizer choices match a full-tensor reduction
+    (``tests/support.full_tensor_backup``) bit for bit.
+    """
+    future = np.stack(
+        [tables.joint_channel @ v_next[i] for i in tables.action_multi], axis=1
+    )
+    gain = tables.expected_playbuf_by_action + future  # (channel vectors, actions)
+    rows = max(1, _BLOCK_FLOATS // gain.size)
+    shape = (tables.num_rate_vectors, tables.num_chan_vectors)
+    values, choice = np.empty(shape), np.empty(shape, dtype=np.int64)
+    for lo in range(0, tables.num_rate_vectors, rows):
+        q = gain[None] - tables.variation_by_action[lo:lo + rows, None, :]
+        q -= tables.bottleneck
+        best = q.argmax(axis=2)  # first maximizer wins, i.e. the tie-break order
+        choice[lo:lo + rows] = best
+        values[lo:lo + rows] = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
     return values, choice
 
 
@@ -241,7 +256,7 @@ def backward_induction(
     consts: DerivedConstants,
     horizon: int,
     *,
-    state_space_cap: int = DEFAULT_STATE_SPACE_CAP,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> PolicyTable:
     """Solve the finite-horizon adaptation problem by backward induction.
 
@@ -249,14 +264,19 @@ def backward_induction(
     only, then the buffers swap.  Ties between equally valued actions
     resolve to the smallest aggregate rate and then the lexicographically
     smallest rate vector, so solves are fully deterministic.
+
+    A sweep's working memory is bounded; the returned table grows with
+    states x horizon, so one over ``memory_cap_bytes`` is refused up front.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be at least 1, got {horizon}")
     n = params.num_users
     size = state_space_size(ladder, channel, n)
-    if size > state_space_cap:
+    needed = 8 * size * ((horizon + 1) + horizon * n)  # float64 values, int64 actions
+    if needed > memory_cap_bytes:
         raise ConfigurationError(
-            f"state space has {size} states, exceeding the cap of {state_space_cap}"
+            f"policy table needs {needed} bytes ({size} states x horizon {horizon}), over "
+            f"the memory cap of {memory_cap_bytes} bytes; use fewer users or a shorter horizon"
         )
 
     tables = _SolverTables(ladder, channel, params, consts, n)

@@ -133,7 +133,7 @@ def solve_ideal(
     for t in range(horizon - 1, -1, -1):
         pay = tables.playbuf[tables.action_digits, paths[:, t + 1]] @ prio
         base = pay - tables.bottleneck + v_next[tables.action_multi]
-        q = base[None, :] - tables.variation_by_action.T  # (rate vectors, actions)
+        q = base[None, :] - tables.variation_by_action  # (rate vectors, actions)
         plan[t] = q.argmax(axis=1)
         v_next = q.max(axis=1)
 

@@ -218,3 +218,25 @@ def fixed_plan_value(ladder, channel, params, consts, plan, rates, chans):
         cur_rates = action.rate_indices
     assert isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
     return total
+
+
+# --------------------- reference solver sweep ---------------------
+
+
+def full_tensor_backup(tables, v_next):
+    """One backward sweep through the full (actions x rate vectors x channel
+    vectors) q tensor: the reference the blocked ``mdp._backup`` must match
+    bit for bit.  Returns the values, the first-maximizer choices and the
+    number of states whose maximum is reached by more than one action."""
+    num_actions = len(tables.actions)
+    q = np.empty((num_actions, tables.num_rate_vectors, tables.num_chan_vectors))
+    for pos in range(num_actions):
+        future = tables.joint_channel @ v_next[tables.action_multi[pos]]
+        q[pos] = (
+            (tables.expected_playbuf_by_action[:, pos] + future)[None, :]
+            - tables.variation_by_action[:, pos][:, None]
+            - tables.bottleneck[pos]
+        )
+    values = q.max(axis=0)
+    ties = int(np.count_nonzero((q == values).sum(axis=0) > 1))
+    return values, q.argmax(axis=0), ties

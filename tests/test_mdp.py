@@ -1,11 +1,14 @@
 """Transition model, backward-induction solver, and the policy table."""
 
+import dataclasses
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mdpstream import mdp
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import (
     POLICY_TABLE_FORMAT,
@@ -21,6 +24,7 @@ from mdpstream.model import Action, ConfigurationError, SystemState, enumerate_s
 from support import (
     expectimax_value,
     fixed_plan_value,
+    full_tensor_backup,
     make_channel,
     make_ladder,
     make_params,
@@ -239,13 +243,105 @@ def test_solver_rejects_bad_horizon_and_cap():
     ladder, channel, params, consts = small_model()
     with pytest.raises(ConfigurationError):
         backward_induction(ladder, channel, params, consts, 0)
-    with pytest.raises(ConfigurationError):
-        backward_induction(ladder, channel, params, consts, 2, state_space_cap=3)
+    # 16 states x horizon 2: 3 value rows of 8 bytes, 2 x 2 action digits of 8
+    needed = 16 * (3 * 8 + 2 * 2 * 8)
+    with pytest.raises(ConfigurationError, match=f"needs {needed} bytes"):
+        backward_induction(ladder, channel, params, consts, 2, memory_cap_bytes=needed - 1)
+    backward_induction(ladder, channel, params, consts, 2, memory_cap_bytes=needed)
     tight = make_params(cap=150.0)
     with pytest.raises(InfeasibleModelError):
         backward_induction(
             ladder, channel, tight, derive_constants(ladder, channel, tight), 2
         )
+
+
+def test_memory_cap_refuses_five_users_before_allocating(monkeypatch):
+    ladder, channel = make_ladder(), make_channel()
+    five = make_params(cap=5000.0, priorities=(0.2,) * 5)
+    consts = derive_constants(ladder, channel, five)
+    states = 20 ** 5
+    needed = states * (201 * 8 + 200 * 5 * 8)  # about 31 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError) as err:
+            backward_induction(ladder, channel, five, consts, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert f"needs {needed} bytes" in message
+    assert f"{states} states x horizon 200" in message
+    assert f"cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes" in message
+    assert peak < 1 << 20
+
+    # the default admits 4 users x horizon 200 (about 1.28 GB); stop the
+    # solve right after the guard instead of running it
+    class PassedGuard(Exception):
+        pass
+
+    def stop(*args):
+        raise PassedGuard
+
+    monkeypatch.setattr(mdp, "_SolverTables", stop)
+    four = make_params(cap=5000.0, priorities=(0.25,) * 4)
+    with pytest.raises(PassedGuard):
+        backward_induction(ladder, channel, four, derive_constants(ladder, channel, four), 200)
+
+
+def _symmetric_instance():
+    # equal priorities; at this seed every sweep has exact ties
+    ladder, channel, params, _ = random_instance(np.random.default_rng(7), 4, 3, 3, False)
+    params = dataclasses.replace(params, user_priorities=(1 / 3,) * 3)
+    return ladder, channel, params, derive_constants(ladder, channel, params)
+
+
+def _finite_price_instance():
+    # a low enough price that many chosen actions pay the congestion charge
+    return random_instance(np.random.default_rng(6), 4, 3, 3, True)
+
+
+@pytest.mark.parametrize("one_rate_vector_per_block", [False, True])
+@pytest.mark.parametrize("instance", [_symmetric_instance, _finite_price_instance])
+def test_blocked_backup_matches_full_tensor_bit_for_bit(
+    monkeypatch, instance, one_rate_vector_per_block
+):
+    ladder, channel, params, consts = instance()
+    tables = mdp._SolverTables(ladder, channel, params, consts, params.num_users)
+    if one_rate_vector_per_block:
+        monkeypatch.setattr(
+            mdp, "_BLOCK_FLOATS", tables.num_chan_vectors * len(tables.actions)
+        )
+    v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
+    ties = charged = 0
+    for _ in range(4):
+        values, choice = mdp._backup(tables, v_next)
+        ref_values, ref_choice, ref_ties = full_tensor_backup(tables, v_next)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(choice, ref_choice)
+        ties += ref_ties
+        charged += np.count_nonzero(tables.bottleneck[choice])
+        v_next = values
+    # neither case may pass vacuously
+    assert ties > 0 if instance is _symmetric_instance else charged > 0
+
+
+def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch):
+    params = dataclasses.replace(
+        fair_config.profit, user_priorities=(1 / 3,) * 3, total_rate_cap_kbps=1275.0
+    )
+    consts = derive_constants(fair_config.ladder, fair_config.channel, params)
+    tables = mdp._SolverTables(fair_config.ladder, fair_config.channel, params, consts, 3)
+    rates, chans = tables.num_rate_vectors, tables.num_chan_vectors
+    assert (len(tables.actions), rates * chans) == (78, 8000)
+    monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * len(tables.actions))
+    v_next = np.zeros((rates, chans))
+    tracemalloc.start()
+    try:
+        mdp._backup(tables, v_next)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(tables.actions) * rates * chans * 8 / 2
 
 
 # ------------------------------- policy table ------------------------------
