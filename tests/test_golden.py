@@ -6,9 +6,16 @@ line.  The solved action arrays and the written CSVs must match the
 digests below bit for bit.  These are the same figures the benchmark
 pins for its ``paper-2u`` workload; a change that moves one of them
 changes the experiment's results and must say why.
+
+Further digests pin the simulator branches the bundled scenarios never
+reach: a finite congestion price, no bottleneck sharing, the
+``--stationary`` flag and a myopic client with a moving-average
+estimator.  Each case also checks that its branch is actually taken.
 """
 
+import csv
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +24,8 @@ import yaml
 
 from mdpstream.cli import main, table_filename
 from mdpstream.mdp import PolicyTable
+from mdpstream.policies import EwmaEstimator, Myopic
+from mdpstream.sim import run_session
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CAPS = (600.0, 850.0)
@@ -96,3 +105,119 @@ def test_csv_outputs_match_golden(experiment, name):
         for rel in OUTPUT_DIGESTS[name]
     }
     assert got == OUTPUT_DIGESTS[name]
+
+
+# Combined digests (see ``tree_digest``) of all 90 trace files per scenario.
+TRACE_SET_DIGESTS = {
+    "fair": "73597544d4d2b46f3c427ef47895bd2e48f5346df87e75a02502a2b1351615b5",
+    "diff": "bdd172dc27d6c9c3267fd6bd9095f9f81788a1a0d1fa8dbc69310b7185e5a817",
+}
+
+# Whole output directories of the branch cases, at horizon 20 and 15 runs.
+BRANCH_DIGESTS = {
+    "finite_price": "f9796236caddc0c43c87eb06a1c9dff4d61b47332b45db9b921af12a18477c5a",
+    "no_sharing": "019e9f72a79fe757a26429a53fef2b946d6744714373cd9ceb3f223e141a4f67",
+    "stationary": "5db05f574dbad16ffe379ae89fbfaca42e339b311b049b9ac6daf44da11edf5b",
+}
+
+EWMA_DIGEST = "aa51c59f36a8279ea00f1d1b982aca4453eae2dbe5cc32121f9d2025f0b1c171"
+
+
+def tree_digest(directory: Path) -> str:
+    """SHA-256 over every file below ``directory`` in sorted relative-path
+    order: each file's path, a newline, its own SHA-256 and a newline."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        rel = path.relative_to(directory).as_posix()
+        digest.update(f"{rel}\n{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+def records_digest(traces) -> str:
+    """SHA-256 of session traces with every field as ``repr(float(x))``, so
+    each float's exact bits, signed zeros included, count."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        for rec in trace:
+            fields = [rec.epoch]
+            for name in ("rate_kbps", "channel_state", "effective_bw_kbps", "download_s",
+                         "rebuffer_s", "buffer_s", "income", "buffering_cost",
+                         "variation_cost"):
+                fields.extend(getattr(rec, name))
+            fields += [rec.bottleneck_cost, rec.stage_profit]
+            digest.update((",".join(repr(float(f)) for f in fields) + "\n").encode())
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+def trace_rows(out_dir: Path):
+    """Every row of every trace CSV under ``out_dir``, as dicts of floats."""
+    for path in sorted((out_dir / "traces").glob("*.csv")):
+        with open(path, newline="", encoding="ascii") as fh:
+            for row in csv.DictReader(fh):
+                yield {key: float(value) for key, value in row.items()}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SET_DIGESTS))
+def test_every_trace_matches_golden(experiment, name):
+    _, outputs = experiment
+    assert len(list((outputs[name] / "traces").glob("*.csv"))) == 90
+    assert tree_digest(outputs[name] / "traces") == TRACE_SET_DIGESTS[name]
+
+
+def _branch_run(root: Path, case: str, changes: dict, arms, flags=()) -> Path:
+    """Solve and run a horizon-20 copy of fair.cfg with ``changes``."""
+    data = yaml.safe_load((SCENARIOS / "fair.cfg").read_text(encoding="utf-8"))
+    data["horizon"] = 20
+    for key, value in changes.items():
+        section = data["profit"] if key == "congestion_price" else data
+        section[key] = value
+    scenario = root / f"{case}.cfg"
+    scenario.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    tables = root / f"{case}_tables"
+    rc = main(["solve", "--config", str(scenario),
+               "--out", str(tables / table_filename("fair", 850.0, 20))])
+    assert rc == 0
+    spec = root / f"{case}.yaml"
+    spec.write_text(yaml.safe_dump({"scenario": str(scenario), "arms": list(arms)}),
+                    encoding="utf-8")
+    out = root / f"{case}_out"
+    rc = main(["run", "--spec", str(spec), "--out-dir", str(out),
+               "--tables-dir", str(tables), *flags])
+    assert rc == 0
+    return out
+
+
+ARMS = ("proposed", "myopic", "ideal")
+
+
+def test_finite_congestion_price_matches_golden(tmp_path):
+    out = _branch_run(tmp_path, "finite_price", {"congestion_price": 0.0005}, ARMS)
+    assert any(row["bottleneck_cost"] > 0 for row in trace_rows(out))  # billed, not rationed
+    assert tree_digest(out) == BRANCH_DIGESTS["finite_price"]
+
+
+def test_no_sharing_matches_golden(tmp_path):
+    out = _branch_run(tmp_path, "no_sharing", {"sharing_mode": "none"}, ARMS)
+    # without a shared bottleneck, delivered traffic may exceed the cap
+    assert any(
+        sum(min(row[f"u{u}_effective_bw_kbps"], row[f"u{u}_rate_kbps"]) for u in (1, 2)) > 850
+        for row in trace_rows(out)
+    )
+    assert tree_digest(out) == BRANCH_DIGESTS["no_sharing"]
+
+
+def test_stationary_flag_matches_golden(tmp_path):
+    out = _branch_run(tmp_path, "stationary", {}, ["proposed"], ["--stationary"])
+    timed = _branch_run(tmp_path, "time_indexed", {}, ["proposed"])
+    assert tree_digest(out / "traces") != tree_digest(timed / "traces")
+    assert tree_digest(out) == BRANCH_DIGESTS["stationary"]
+
+
+def test_myopic_ewma_sessions_match_golden(fair_config):
+    ewma = Myopic(fair_config.ladder, estimator_factory=lambda: EwmaEstimator(0.3))
+    traces = [run_session(fair_config, ewma, run) for run in range(3)]
+    last = [run_session(fair_config, Myopic(fair_config.ladder), run) for run in range(3)]
+    assert records_digest(traces) != records_digest(last)
+    assert all(math.isfinite(rec.stage_profit) for trace in traces for rec in trace)
+    assert records_digest(traces) == EWMA_DIGEST
