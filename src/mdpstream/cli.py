@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .configfile import load_scenario, read_yaml
 from .economics import derive_constants
 from .mdp import (
@@ -32,7 +34,8 @@ from .model import (
     state_space_size,
 )
 from .policies import IdealOracle, Myopic, Proposed
-from .sim import ScenarioConfig, run_session
+from .sim import USER_COLUMNS, ScenarioConfig, Trace, channel_paths, simulate
+from .sim import run_session  # noqa: F401  (perfbench traces the sessions under this name)
 
 ARMS = ("proposed", "myopic", "ideal", "client_centric")
 SWEEP_AXES = ("none", "rate_cap", "horizon")
@@ -130,29 +133,22 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     os.replace(tmp, path)
 
 
-def _write_trace(path: str, trace, num_users: int) -> None:
-    header = ["epoch"]
-    for u in range(1, num_users + 1):
-        header += [
-            f"u{u}_rate_kbps", f"u{u}_channel_state", f"u{u}_effective_bw_kbps",
-            f"u{u}_download_s", f"u{u}_rebuffer_s", f"u{u}_buffer_s",
-            f"u{u}_income", f"u{u}_buffering_cost", f"u{u}_variation_cost",
-        ]
-    header += ["bottleneck_cost", "stage_profit"]
-    rows = []
-    for rec in trace:
-        row = [str(rec.epoch)]
-        for u in range(num_users):
-            row += [
-                _fmt(rec.rate_kbps[u]), str(rec.channel_state[u]),
-                _fmt(rec.effective_bw_kbps[u]), _fmt(rec.download_s[u]),
-                _fmt(rec.rebuffer_s[u]), _fmt(rec.buffer_s[u]),
-                _fmt(rec.income[u]), _fmt(rec.buffering_cost[u]),
-                _fmt(rec.variation_cost[u]),
-            ]
-        row += [_fmt(rec.bottleneck_cost), _fmt(rec.stage_profit)]
-        rows.append(row)
-    _write_csv(path, header, rows)
+def _write_trace(path: str, trace: Trace, run: int) -> None:
+    """Write one run of ``trace`` as CSV, one ``%`` format per row: the bytes
+    ``csv.writer`` writes from ``format(x, ".12g")`` cells."""
+    horizon, num_users = trace.rate_kbps.shape[1:]
+    header = ["epoch"] + [
+        f"u{u}_{name}" for u in range(1, num_users + 1) for name in USER_COLUMNS
+    ] + ["bottleneck_cost", "stage_profit"]
+    row_format = "%d," + ("%.12g,%d," + "%.12g," * 7) * num_users + "%.12g,%.12g\r\n"
+    per_user = np.stack([getattr(trace, name)[run] for name in USER_COLUMNS], axis=-1)
+    rows = np.column_stack([np.arange(horizon), per_user.reshape(horizon, -1),
+                            trace.bottleneck_cost[run], trace.stage_profit[run]])
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(row_format % tuple(row) for row in rows.tolist()))
+    os.replace(tmp, path)
 
 
 def _summary_header(num_users: int) -> list[str]:
@@ -236,6 +232,7 @@ def run_experiment(
                     f"policy table {table_path} was solved for another scenario; {fix}"
                 )
 
+        paths = channel_paths(scenario, range(scenario.num_runs))  # shared by every arm
         for arm in spec.arms:
             if arm == "proposed":
                 policy = Proposed(table=table, stationary=stationary)
@@ -244,14 +241,11 @@ def run_experiment(
             else:  # myopic and client_centric share the client rule
                 policy = Myopic(ladder=scenario.ladder)
 
+            trace = simulate(scenario, policy, paths)
             summaries = []
             for run in range(scenario.num_runs):
-                trace = run_session(scenario, policy, run)
                 tag = _cell_tag(arm, spec.sweep_axis, value, run)
-                _write_trace(
-                    os.path.join(traces_dir, f"trace_{tag}.csv"),
-                    trace, scenario.num_users,
-                )
+                _write_trace(os.path.join(traces_dir, f"trace_{tag}.csv"), trace, run)
                 summary = summarize(trace, scenario, arm=arm, run_index=run)
                 summaries.append(summary)
                 summary_rows.append(_summary_row(summary, spec.sweep_axis, value))

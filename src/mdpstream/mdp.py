@@ -105,6 +105,14 @@ def feasible_actions(
 # ----------------------------- solver internals -----------------------------
 
 
+def variation_table(
+    ladder: QualityLadder, params: ProfitParams, consts: DerivedConstants
+) -> np.ndarray:
+    """``smoothness_cost`` for every (previous rung, next rung) pair."""
+    rates = ladder.rates
+    return np.array([[economics.smoothness_cost(p, q, params, consts) for q in rates] for p in rates])
+
+
 class _ActionTables:
     """Per-action profit pieces shared by the solver and the hindsight planner.
 
@@ -134,10 +142,7 @@ class _ActionTables:
             ]
             for r in ladder.rates
         ])
-        self.variation = np.array([
-            [economics.smoothness_cost(prev, nxt, params, consts) for nxt in ladder.rates]
-            for prev in ladder.rates
-        ])
+        self.variation = variation_table(ladder, params, consts)
 
         self.rate_digits = np.array(
             list(itertools.product(range(m), repeat=n)), dtype=np.int64
@@ -335,30 +340,32 @@ class PolicyTable:
     def num_states(self) -> int:
         return (self.ladder_size * self.num_channel_states) ** self.num_users
 
-    def state_index(self, state: SystemState) -> int:
-        if state.num_users != self.num_users:
-            raise ValueError(
-                f"table solved for {self.num_users} users, state has {state.num_users}"
-            )
-        idx = 0
-        for r, c in zip(state.rate_indices, state.channel_indices):
-            if r >= self.ladder_size or c >= self.num_channel_states:
-                raise ValueError(f"state {state} out of range for this table")
-            idx = idx * (self.ladder_size * self.num_channel_states) + (
-                r * self.num_channel_states + c
-            )
-        return idx
+    def state_index(self, rate_indices, channel_indices):
+        """Canonical state index of (..., users) arrays of rate and channel
+        indices (a scalar for one state's tuples)."""
+        rates, chans = np.asarray(rate_indices), np.asarray(channel_indices)
+        if rates.shape[-1:] != (self.num_users,) or chans.shape != rates.shape:
+            raise ValueError(f"table solved for {self.num_users} users, got states shaped "
+                             f"{rates.shape} and {chans.shape}")
+        k = self.num_channel_states
+        if np.any(rates >= self.ladder_size) or np.any(chans >= k):
+            raise ValueError("state out of range for this table")
+        return (rates * k + chans) @ (self.ladder_size * k) ** np.arange(self.num_users - 1, -1, -1)
 
     def value(self, t: int, state: SystemState) -> float:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"epoch {t} outside [0, {self.horizon}]")
-        return float(self.values[t, self.state_index(state)])
+        return float(self.values[t, self.state_index(state.rate_indices, state.channel_indices)])
 
-    def action(self, t: int, state: SystemState) -> Action:
+    def actions(self, t: int, rate_indices, channel_indices) -> np.ndarray:
+        """Epoch-t rate indices for (..., users) arrays of states."""
         if not 0 <= t < self.horizon:
             raise ValueError(f"decision epoch {t} outside [0, {self.horizon})")
-        digits = self.action_rate_indices[t, self.state_index(state)]
-        return Action(rate_indices=tuple(int(d) for d in digits))
+        return self.action_rate_indices[t, self.state_index(rate_indices, channel_indices)]
+
+    def action(self, t: int, state: SystemState) -> Action:
+        digits = self.actions(t, state.rate_indices, state.channel_indices)
+        return Action(rate_indices=tuple(digits.tolist()))
 
     def save(self, path: str) -> None:
         """Write three ASCII header lines (format tag and ordering version,

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .sim import ScenarioConfig, SegmentRecord
+from .sim import ScenarioConfig, SegmentRecord, Trace
 
 
 @dataclass(frozen=True)
@@ -31,22 +31,29 @@ class SessionSummary:
 
 
 def summarize(
-    trace: Sequence[SegmentRecord],
+    trace: Sequence[SegmentRecord] | Trace,
     config: ScenarioConfig,
     arm: str = "",
     run_index: int = 0,
 ) -> SessionSummary:
-    if not trace:
+    """Summarize one session: a list of records, or run ``run_index`` of a
+    columnar ``Trace``.  Sums run left to right over Python floats."""
+    names = ("rate_kbps", "rebuffer_s", "stage_profit")
+    if isinstance(trace, Trace):
+        rate_rows, stall_rows, profits = (getattr(trace, f)[run_index].tolist() for f in names)
+    else:
+        rate_rows, stall_rows, profits = ([getattr(rec, f) for rec in trace] for f in names)
+    if not profits:
         raise ValueError("cannot summarize an empty trace")
     n = config.num_users
-    horizon = len(trace)
+    horizon = len(profits)
     nominal = horizon * config.segment_seconds
     threshold = config.profit.variation_threshold_kbps
 
     avg_bitrate, ratios, events, frames, variations = [], [], [], [], []
     for u in range(n):
-        rates = [rec.rate_kbps[u] for rec in trace]
-        stalls = [rec.rebuffer_s[u] for rec in trace]
+        rates = [row[u] for row in rate_rows]
+        stalls = [row[u] for row in stall_rows]
         total_stall = sum(stalls)
         wall = nominal + total_stall
         avg_bitrate.append(sum(rates) / horizon)
@@ -67,7 +74,7 @@ def summarize(
         stall_events_per_second=tuple(events),
         stalled_frames_per_second=tuple(frames),
         significant_variations=tuple(variations),
-        profit=sum(rec.stage_profit for rec in trace),
+        profit=sum(profits),
     )
 
 

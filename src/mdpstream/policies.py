@@ -4,6 +4,7 @@ against a fully known bandwidth path."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .economics import DerivedConstants, ProfitParams
 from .mdp import PolicyTable, _ActionTables
-from .model import Action, ChannelModel, QualityLadder, SystemState
+from .model import ChannelModel, QualityLadder
 
 
 # ----------------------------- throughput estimators -----------------------------
@@ -57,9 +58,10 @@ class Proposed:
     table: PolicyTable
     stationary: bool = False
 
-    def decide(self, epoch: int, state: SystemState) -> Action:
-        t = 0 if self.stationary else epoch
-        return self.table.action(t, state)
+    def decide(self, epoch: int, rate_indices, channel_indices) -> np.ndarray:
+        """Rate indices for the states given as (..., users) arrays of the
+        previous rate indices and the observed channel states."""
+        return self.table.actions(0 if self.stationary else epoch, rate_indices, channel_indices)
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,12 @@ class Myopic:
     ladder: QualityLadder
     estimator_factory: Callable[[], object] = LastSampleEstimator
 
-    def decide(self, estimates_kbps: Sequence[float | None]) -> Action:
-        indices = []
-        for est in estimates_kbps:
-            if est is None:
-                indices.append(0)
-                continue
-            idx = self.ladder.highest_at_most(est)
-            indices.append(0 if idx is None else idx)
-        return Action(rate_indices=tuple(indices))
+    def decide(self, estimates_kbps) -> np.ndarray:
+        """Rate indices for (..., users) throughput estimates, where None
+        (or NaN) means no estimate yet."""
+        estimates = np.asarray(estimates_kbps, dtype=float)
+        idx = np.searchsorted(self.ladder.rates, estimates, side="right") - 1
+        return np.where(np.isnan(estimates) | (idx < 0), 0, idx)
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,8 @@ class IdealOracle:
     """Marker arm: plan with hindsight against each session's sampled path."""
 
 
-@dataclass(frozen=True)
-class IdealPlan:
-    """Precomputed hindsight-optimal decisions for one realized path."""
-
-    actions: tuple[Action, ...]
-
-    def decide(self, epoch: int) -> Action:
-        return self.actions[epoch]
+# One scenario's sessions run back to back; they share the tables read-only.
+_action_tables = functools.lru_cache(maxsize=1)(_ActionTables)
 
 
 def solve_ideal(
@@ -105,8 +98,9 @@ def solve_ideal(
     channel: ChannelModel,
     params: ProfitParams,
     consts: DerivedConstants,
-) -> IdealPlan:
-    """Plan against a fully known bandwidth path.
+) -> np.ndarray:
+    """Plan against a fully known bandwidth path; returns the planned rate
+    indices, shaped (horizon, users).
 
     ``channel_paths`` holds each user's realized channel state indices with
     shape (users, horizon + 1); entry t is the state during segment t, so
@@ -124,7 +118,7 @@ def solve_ideal(
     if horizon < 1:
         raise ValueError("need at least one decision epoch")
 
-    tables = _ActionTables(ladder, channel, params, consts, n)
+    tables = _action_tables(ladder, channel, params, consts, n)
     num_rate_vectors = tables.num_rate_vectors
 
     plan = np.empty((horizon, num_rate_vectors), dtype=np.int64)
@@ -146,9 +140,8 @@ def solve_ideal(
             raise ValueError(f"initial rate index {d} outside the ladder")
         multi = multi * len(ladder) + d
 
-    chosen: list[Action] = []
+    chosen = np.empty(horizon, dtype=np.int64)
     for t in range(horizon):
-        pos = int(plan[t, multi])
-        chosen.append(tables.actions[pos])
-        multi = int(tables.action_multi[pos])
-    return IdealPlan(actions=tuple(chosen))
+        chosen[t] = plan[t, multi]
+        multi = tables.action_multi[chosen[t]]
+    return tables.action_digits[chosen]

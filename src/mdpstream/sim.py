@@ -1,25 +1,26 @@
-"""Seeded session simulator: Markov bandwidth paths, per-segment policy
-decisions, proportional sharing of the bottleneck, and fluid playback
-buffers."""
+"""Seeded session simulator: Markov bandwidth paths, policy decisions,
+proportional sharing of the bottleneck, and fluid playback buffers.  All
+runs of a cell step together, held as (runs, users) arrays."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import economics
 from .economics import DerivedConstants, ProfitParams, derive_constants
+from .mdp import variation_table
 from .model import (
     ChannelModel,
     ConfigurationError,
     QualityLadder,
-    SystemState,
     map_bandwidth_to_state,
     _require,
 )
-from .policies import IdealOracle, IdealPlan, Myopic, Proposed, solve_ideal
+from .policies import IdealOracle, Myopic, Proposed, solve_ideal
 
 SHARING_PROPORTIONAL = "proportional"
 SHARING_NONE = "none"
@@ -99,12 +100,58 @@ class SegmentRecord:
     stage_profit: float
 
 
+# The per-user trace columns, in CSV order.
+USER_COLUMNS = (
+    "rate_kbps", "channel_state", "effective_bw_kbps", "download_s", "rebuffer_s",
+    "buffer_s", "income", "buffering_cost", "variation_cost",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Every run of a cell, one array per trace column: (runs, horizon, users)
+    per user, (runs, horizon) for the shared charge and the stage profit.
+    Epoch t of run r holds what a ``SegmentRecord`` holds."""
+
+    rate_kbps: np.ndarray
+    channel_state: np.ndarray
+    effective_bw_kbps: np.ndarray
+    download_s: np.ndarray
+    rebuffer_s: np.ndarray
+    buffer_s: np.ndarray
+    income: np.ndarray
+    buffering_cost: np.ndarray
+    variation_cost: np.ndarray
+    bottleneck_cost: np.ndarray
+    stage_profit: np.ndarray
+
+    def records(self, run: int) -> list[SegmentRecord]:
+        """One ``SegmentRecord`` per segment of run ``run``."""
+        per_user = [map(tuple, getattr(self, name)[run].tolist()) for name in USER_COLUMNS]
+        shared = (self.bottleneck_cost[run].tolist(), self.stage_profit[run].tolist())
+        return [SegmentRecord(t, *row) for t, row in enumerate(zip(*per_user, *shared))]
+
+
 def user_rngs(seed: int, run_index: int, num_users: int) -> list[np.random.Generator]:
     """Independent, reproducible per-user generators for one (seed, run)."""
     return [
         np.random.default_rng(np.random.SeedSequence([seed, run_index, user]))
         for user in range(num_users)
     ]
+
+
+def _walk(channel: ChannelModel, first: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Markov paths from the states ``first`` (any shape), one step per draw
+    along the last axis of ``draws``; shaped ``first.shape + (steps + 1,)``."""
+    cumulative = np.cumsum(channel.transition, axis=1)
+    path = np.empty(draws.shape[:-1] + (draws.shape[-1] + 1,), dtype=np.int64)
+    path[..., 0] = state = first
+    for step in range(draws.shape[-1]):
+        # the count of row entries <= draw is searchsorted(row, draw, "right")
+        count = (cumulative[state] <= draws[..., step, None]).sum(axis=-1)
+        state = np.minimum(count, channel.num_states - 1)  # guard the top edge
+        path[..., step + 1] = state
+    return path
 
 
 def sample_channel_path(
@@ -117,16 +164,35 @@ def sample_channel_path(
     ``initial_state``."""
     if not 0 <= initial_state < channel.num_states:
         raise ValueError(f"initial state {initial_state} out of range")
-    cumulative = np.cumsum(channel.transition, axis=1)
-    path = np.empty(num_steps + 1, dtype=np.int64)
-    path[0] = initial_state
-    state = initial_state
-    for step in range(1, num_steps + 1):
-        draw = rng.random()
-        state = int(np.searchsorted(cumulative[state], draw, side="right"))
-        state = min(state, channel.num_states - 1)  # guard the top edge
-        path[step] = state
-    return path
+    return _walk(channel, np.int64(initial_state), rng.random(num_steps))
+
+
+def channel_paths(config: ScenarioConfig, runs: Sequence[int]) -> np.ndarray:
+    """Realized channel states of the given runs, (runs, horizon + 1, users).
+
+    A path depends only on (seed, run, user), never on the policy, so arms
+    compared at the same run index face identical bandwidth realizations.
+    Each user's generator draws the initial state from the stationary
+    distribution, then one uniform per step.
+    """
+    channel = config.channel
+    draws = np.array([
+        [rng.random(config.horizon + 1) for rng in user_rngs(config.rng_seed, run, config.num_users)]
+        for run in runs
+    ])  # (runs, users, horizon + 1)
+    stationary_cum = np.cumsum(channel.stationary_distribution())
+    first = np.searchsorted(stationary_cum, draws[..., 0], side="right")
+    first = np.minimum(first, channel.num_states - 1)
+    return np.swapaxes(_walk(channel, first, draws[..., 1:]), 1, 2)
+
+
+def _sum_users(values: np.ndarray) -> np.ndarray:
+    """Sum over the last (user) axis left to right from 0.0, as ``sum``
+    does over a tuple; ``np.sum`` may pair the terms differently."""
+    total = 0.0
+    for u in range(values.shape[-1]):
+        total = total + values[..., u]
+    return total
 
 
 def effective_bandwidth(
@@ -134,8 +200,9 @@ def effective_bandwidth(
     raw_bw_kbps,
     rate_cap_kbps: float,
     sharing_mode: str,
-) -> tuple[float, ...]:
-    """Per-user delivered bandwidth after the shared bottleneck.
+) -> np.ndarray:
+    """Per-user delivered bandwidth after the shared bottleneck, for arrays
+    shaped (..., users); each leading index is its own bottleneck.
 
     Proportional mode models a scheduler that, whenever aggregate demand
     exceeds the cap, splits the cap in proportion to the requested video
@@ -144,156 +211,114 @@ def effective_bandwidth(
     bandwidth and its requested rate.  Mode "none" bypasses the bottleneck
     entirely.
     """
-    raw = tuple(float(b) for b in raw_bw_kbps)
+    raw = np.asarray(raw_bw_kbps, dtype=float)
     if sharing_mode == SHARING_NONE:
         return raw
     if sharing_mode != SHARING_PROPORTIONAL:
         raise ConfigurationError(f"unknown sharing mode {sharing_mode!r}")
-    rates = tuple(float(r) for r in chosen_rates_kbps)
-    if len(rates) != len(raw):
+    rates = np.asarray(chosen_rates_kbps, dtype=float)
+    if rates.shape != raw.shape:
         raise ValueError("need one chosen rate per user")
-    demand = sum(min(b, r) for b, r in zip(raw, rates))
-    if demand <= rate_cap_kbps:
-        return raw
-    total_rate = sum(rates)
-    return tuple(
-        min(b, rate_cap_kbps * r / total_rate) for b, r in zip(raw, rates)
-    )
+    demand = _sum_users(np.where(rates < raw, rates, raw))
+    share = rate_cap_kbps * rates / _sum_users(rates)[..., None]
+    squeezed = np.where(share < raw, share, raw)
+    return np.where((demand <= rate_cap_kbps)[..., None], raw, squeezed)
 
 
-def step_buffer(
-    buffer_s: float, segment_s: float, download_s: float
-) -> tuple[float, float]:
-    """Advance one user's fluid playback buffer across one download.
+def step_buffer(buffer_s, segment_s: float, download_s):
+    """Advance fluid playback buffers across one download, elementwise.
 
     The buffer drains one second of content per wall-clock second while the
     download runs; if it empties, playback stalls for the remainder.  On
     completion the new segment's duration is credited.  Returns the new
-    buffer level and the stall time.
+    buffer levels and the stall times.
     """
-    if buffer_s < 0 or segment_s <= 0 or download_s < 0:
+    buffer_s = np.asarray(buffer_s, dtype=float)
+    download_s = np.asarray(download_s, dtype=float)
+    if np.any(buffer_s < 0) or segment_s <= 0 or np.any(download_s < 0):
         raise ValueError("buffer and download times must be nonnegative, segment positive")
-    rebuffer = max(0.0, download_s - buffer_s)
-    remaining = max(0.0, buffer_s - download_s)
+    # max(0.0, x) exactly, +0.0 at equality
+    rebuffer = np.where(download_s > buffer_s, download_s - buffer_s, 0.0)
+    remaining = np.where(buffer_s > download_s, buffer_s - download_s, 0.0)
     return remaining + segment_s, rebuffer
 
 
-def run_session(
-    config: ScenarioConfig,
-    policy: Proposed | Myopic | IdealOracle | IdealPlan,
-    run_index: int = 0,
-) -> list[SegmentRecord]:
-    """Simulate one seeded session under one policy arm.
+def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
+             paths: np.ndarray) -> Trace:
+    """Simulate the runs whose ``channel_paths`` are given, all under one
+    policy arm and all stepping together.
 
-    The channel paths depend only on (seed, run, user), never on the
-    policy, so arms compared at the same run index face identical
-    bandwidth realizations.  Realized profit is scored against the
-    bandwidth each user's connection actually delivered; with an infinite
-    congestion price the bottleneck charge is zero because the cap is
-    enforced by rationing, not billed.
+    Realized profit is scored against the bandwidth each user's connection
+    actually delivered.  Sums over users run left to right from 0.0 and
+    costs come from the scalar economics functions, so a run's numbers do
+    not depend on which other runs step with it.
     """
     consts = config.derived_constants()
-    params = config.profit
-    ladder = config.ladder
-    channel = config.channel
-    n = config.num_users
+    params, ladder, channel = config.profit, config.ladder, config.channel
+    runs, n = len(paths), config.num_users
+    if paths.shape != (runs, config.horizon + 1, n):
+        raise ValueError(f"paths shaped {paths.shape}, expected (runs, {config.horizon + 1}, {n})")
 
-    rngs = user_rngs(config.rng_seed, run_index, n)
-    stationary = channel.stationary_distribution()
-    stationary_cum = np.cumsum(stationary)
-    paths = np.empty((n, config.horizon + 1), dtype=np.int64)
-    for u in range(n):
-        first = int(np.searchsorted(stationary_cum, rngs[u].random(), side="right"))
-        first = min(first, channel.num_states - 1)
-        paths[u] = sample_channel_path(channel, first, config.horizon, rngs[u])
-
-    if isinstance(policy, IdealOracle):
-        policy = solve_ideal(
-            paths, (config.initial_rate_index,) * n, ladder, channel, params, consts
-        )
-
-    estimators = None
     if isinstance(policy, Myopic):
-        estimators = [policy.estimator_factory() for _ in range(n)]
+        estimators = [[policy.estimator_factory() for _ in range(n)] for _ in range(runs)]
+    elif isinstance(policy, IdealOracle):
+        initial = (config.initial_rate_index,) * n
+        plan = np.array([
+            solve_ideal(path.T, initial, ladder, channel, params, consts) for path in paths
+        ])
+    elif not isinstance(policy, Proposed):
+        raise TypeError(f"unknown policy {policy!r}")
 
-    charge_overload = math.isfinite(params.congestion_price)
-    prev_rates = (config.initial_rate_index,) * n
-    buffers = [config.initial_buffer_seconds] * n
-    records: list[SegmentRecord] = []
+    rate_of = np.array(ladder.rates)
+    bandwidth_of = np.array(channel.state_bandwidth)
+    observed = np.array([map_bandwidth_to_state(b, channel) for b in channel.state_bandwidth])
+    # playback_income depends on the rate alone once the rate is carried
+    income_of = np.array([economics.playback_income(r, r, params, consts) for r in ladder.rates])
+    variation = variation_table(ladder, params, consts)
+    priorities = np.array(params.user_priorities)
 
+    prev = np.full((runs, n), config.initial_rate_index)
+    buffers = np.full((runs, n), config.initial_buffer_seconds)
+    steps = []
     for t in range(config.horizon):
         if isinstance(policy, Proposed):
-            observed = tuple(
-                map_bandwidth_to_state(channel.bandwidth_of(int(paths[u, t])), channel)
-                for u in range(n)
-            )
-            action = policy.decide(t, SystemState(prev_rates, observed))
+            chosen = policy.decide(t, prev, observed[paths[:, t]])
         elif isinstance(policy, Myopic):
-            action = policy.decide([est.value for est in estimators])
+            chosen = policy.decide([[est.value for est in row] for row in estimators])
         else:
-            action = policy.decide(t)
-        if action.num_users != n:
-            raise ValueError(f"policy returned {action.num_users} rates for {n} users")
-
-        rates = action.rates_kbps(ladder)
-        raw_next = tuple(channel.bandwidth_of(int(s)) for s in paths[:, t + 1])
-        effective = effective_bandwidth(
-            rates, raw_next, params.total_rate_cap_kbps, config.sharing_mode
-        )
-
-        downloads, rebuffers, levels = [], [], []
-        for u in range(n):
-            download = rates[u] * config.segment_seconds / effective[u]
-            buffers[u], stall = step_buffer(
-                buffers[u], config.segment_seconds, download
+            chosen = plan[:, t]
+        rates = rate_of[chosen]
+        raw = bandwidth_of[paths[:, t + 1]]
+        effective = effective_bandwidth(rates, raw, params.total_rate_cap_kbps, config.sharing_mode)
+        download = rates * config.segment_seconds / effective
+        buffers, stall = step_buffer(buffers, config.segment_seconds, download)
+        short = rates > effective
+        income = np.where(short, 0.0, income_of[chosen])
+        buffering = np.zeros((runs, n))
+        for i in np.flatnonzero(short):  # np.log may round unlike math.log
+            buffering.flat[i] = economics.buffering_cost(
+                rates.flat[i], effective.flat[i], params, consts
             )
-            downloads.append(download)
-            rebuffers.append(stall)
-            levels.append(buffers[u])
+        var_cost = variation[prev, chosen]
+        charge = np.zeros(runs)  # an infinite price rations the cap, never bills it
+        if math.isfinite(params.congestion_price):
+            excess = _sum_users(rates) - params.total_rate_cap_kbps
+            charge = np.where(excess <= 0.0, 0.0, params.congestion_price * excess)
+        profit = _sum_users(priorities * ((income - buffering) - var_cost)) - charge
+        if isinstance(policy, Myopic):
+            for row, samples in zip(estimators, effective.tolist()):
+                for est, sample in zip(row, samples):
+                    est.add(sample)
+        steps.append((rates, effective, download, stall, buffers, income, buffering,
+                      var_cost, charge, profit))
+        prev = chosen
 
-        incomes, buf_costs, var_costs = [], [], []
-        for u in range(n):
-            prev_kbps = ladder.rates[prev_rates[u]]
-            incomes.append(
-                economics.playback_income(rates[u], effective[u], params, consts)
-            )
-            buf_costs.append(
-                economics.buffering_cost(rates[u], effective[u], params, consts)
-            )
-            var_costs.append(
-                economics.smoothness_cost(prev_kbps, rates[u], params, consts)
-            )
-        if charge_overload:
-            charge = economics.bottleneck_cost(rates, params)
-        else:
-            charge = 0.0  # infinite price: the cap is rationed, never billed
-        profit = (
-            sum(
-                params.user_priorities[u]
-                * (incomes[u] - buf_costs[u] - var_costs[u])
-                for u in range(n)
-            )
-            - charge
-        )
+    rate_kbps, effective_bw, *rest = (np.stack(column, axis=1) for column in zip(*steps))
+    return Trace(rate_kbps, paths[:, 1:], effective_bw, *rest)
 
-        if estimators is not None:
-            for u in range(n):
-                estimators[u].add(effective[u])
 
-        records.append(SegmentRecord(
-            epoch=t,
-            rate_kbps=rates,
-            channel_state=tuple(int(s) for s in paths[:, t + 1]),
-            effective_bw_kbps=effective,
-            download_s=tuple(downloads),
-            rebuffer_s=tuple(rebuffers),
-            buffer_s=tuple(levels),
-            income=tuple(incomes),
-            buffering_cost=tuple(buf_costs),
-            variation_cost=tuple(var_costs),
-            bottleneck_cost=charge,
-            stage_profit=profit,
-        ))
-        prev_rates = action.rate_indices
-
-    return records
+def run_session(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
+                run_index: int = 0) -> list[SegmentRecord]:
+    """Simulate one seeded session under one policy arm: ``simulate`` for
+    the single run ``run_index``."""
+    return simulate(config, policy, channel_paths(config, [run_index])).records(0)

@@ -5,6 +5,7 @@ dynamic-programming machinery: they walk plain Python structures so that
 agreement with the production solver actually means something.
 """
 
+import csv
 from itertools import product
 from math import isclose, prod
 
@@ -240,3 +241,40 @@ def full_tensor_backup(tables, v_next):
     values = q.max(axis=0)
     ties = int(np.count_nonzero((q == values).sum(axis=0) > 1))
     return values, q.argmax(axis=0), ties
+
+
+# --------------------- reference trace writer ---------------------
+
+
+def reference_write_trace(path, trace, num_users):
+    """Trace CSV written cell by cell: ``format(x, ".12g")`` for floats,
+    ``str`` for integers, rows through ``csv.writer``.  The CLI's
+    one-format-per-row writer must match it byte for byte."""
+    def fmt(x):
+        return format(float(x), ".12g")
+
+    header = ["epoch"]
+    for u in range(1, num_users + 1):
+        header += [
+            f"u{u}_rate_kbps", f"u{u}_channel_state", f"u{u}_effective_bw_kbps",
+            f"u{u}_download_s", f"u{u}_rebuffer_s", f"u{u}_buffer_s",
+            f"u{u}_income", f"u{u}_buffering_cost", f"u{u}_variation_cost",
+        ]
+    header += ["bottleneck_cost", "stage_profit"]
+    rows = []
+    for rec in trace:
+        row = [str(rec.epoch)]
+        for u in range(num_users):
+            row += [
+                fmt(rec.rate_kbps[u]), str(rec.channel_state[u]),
+                fmt(rec.effective_bw_kbps[u]), fmt(rec.download_s[u]),
+                fmt(rec.rebuffer_s[u]), fmt(rec.buffer_s[u]),
+                fmt(rec.income[u]), fmt(rec.buffering_cost[u]),
+                fmt(rec.variation_cost[u]),
+            ]
+        row += [fmt(rec.bottleneck_cost), fmt(rec.stage_profit)]
+        rows.append(row)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

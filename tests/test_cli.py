@@ -3,18 +3,23 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from mdpstream.cli import (
     ExperimentSpec,
+    _write_trace,
     load_experiment_spec,
     main,
     table_filename,
 )
 from mdpstream.configfile import save_scenario
 from mdpstream.model import ConfigurationError
+from mdpstream.policies import IdealOracle, Myopic
 from mdpstream.presets import fair_scenario
+from mdpstream.sim import Trace, channel_paths, simulate
+from support import reference_write_trace
 
 BUNDLED = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -44,6 +49,38 @@ def workspace(tmp_path):
 def read_rows(path):
     with open(path, newline="", encoding="ascii") as fh:
         return list(csv.reader(fh))
+
+
+def test_trace_writer_matches_reference(tmp_path):
+    config = fair_scenario(horizon=20)
+    paths = channel_paths(config, range(2))
+    for policy in (Myopic(config.ladder), IdealOracle()):
+        trace = simulate(config, policy, paths)
+        for run in range(2):
+            _write_trace(str(tmp_path / "got.csv"), trace, run)
+            reference_write_trace(str(tmp_path / "want.csv"), trace.records(run), 2)
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            assert got.count(b"\r\n") == 21
+
+
+def test_trace_writer_formats_edge_values_like_reference(tmp_path):
+    special = [0.0, -0.0, 1e16, 1e-7, 123456789012.5, -1e16, 5e-324, 0.1]
+    floats = np.array(special).reshape(1, 4, 2)  # one run, 4 epochs, 2 users
+    trace = Trace(
+        **{name: floats for name in ("rate_kbps", "effective_bw_kbps", "download_s",
+                                     "rebuffer_s", "buffer_s", "income",
+                                     "buffering_cost", "variation_cost")},
+        channel_state=np.array([[[0, 3], [2, 1], [1, 1], [3, 0]]]),
+        bottleneck_cost=np.array([[-0.0, 1e16, 1e-7, 0.0]]),
+        stage_profit=np.array([[123456789012.5, 0.0, -0.0, -1e16]]),
+    )
+    _write_trace(str(tmp_path / "got.csv"), trace, 0)
+    reference_write_trace(str(tmp_path / "want.csv"), trace.records(0), 2)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    for text in (b"-0,", b"1e+16", b"1e-07", b"123456789012,", b"4.94065645841e-324"):
+        assert text in got
 
 
 def test_table_filename_layout():

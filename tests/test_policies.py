@@ -7,10 +7,9 @@ import pytest
 
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction, feasible_actions
-from mdpstream.model import SystemState
+from mdpstream.model import Action, SystemState, enumerate_states
 from mdpstream.policies import (
     EwmaEstimator,
-    IdealPlan,
     LastSampleEstimator,
     Myopic,
     Proposed,
@@ -46,46 +45,72 @@ def test_ewma_estimator():
 
 def test_myopic_picks_highest_sustainable_rate():
     policy = Myopic(make_ladder())
-    assert policy.decide([520.0, 520.0]).rate_indices == (3, 3)  # 493.02 fits
-    assert policy.decide([900.0, 100.0]).rate_indices == (4, 0)
+    assert tuple(policy.decide([520.0, 520.0])) == (3, 3)  # 493.02 fits, 798.09 does not
+    assert tuple(policy.decide([900.0, 100.0])) == (4, 0)
+    assert tuple(policy.decide([95.11, 10_000.0])) == (0, 4)  # exact rung counts
+    # one row per run: every run decides at once
+    assert policy.decide([[520.0, 520.0], [900.0, 100.0]]).tolist() == [[3, 3], [4, 0]]
 
 
 def test_myopic_defaults_to_lowest():
     policy = Myopic(make_ladder())
-    assert policy.decide([None, None]).rate_indices == (0, 0)  # no sample yet
-    assert policy.decide([50.0, 50.0]).rate_indices == (0, 0)  # below the ladder
+    assert tuple(policy.decide([None, None])) == (0, 0)  # no sample yet
+    assert tuple(policy.decide([50.0, 50.0])) == (0, 0)  # below the ladder
+    assert tuple(policy.decide([None, 520.0])) == (0, 3)
 
 
 def test_myopic_ignores_the_shared_cap():
     policy = Myopic(make_ladder())
-    action = policy.decide([5000.0, 5000.0])
+    action = Action(tuple(policy.decide([5000.0, 5000.0])))
     assert sum(action.rates_kbps(make_ladder())) > 850.0
 
 
 # ----------------------------- proposed policy -----------------------------
 
 
+def all_states(config):
+    """Every joint state as (rate indices, channel indices) arrays."""
+    states = enumerate_states(config.ladder, config.channel, config.num_users)
+    return (
+        states,
+        np.array([s.rate_indices for s in states]),
+        np.array([s.channel_indices for s in states]),
+    )
+
+
 def test_proposed_looks_up_table(fair_config, fair_table):
     policy = Proposed(fair_table)
+    states, rates, chans = all_states(fair_config)
+    for epoch in (0, 150, 199):
+        got = policy.decide(epoch, rates, chans)
+        want = [fair_table.action(epoch, state).rate_indices for state in states]
+        assert [tuple(row) for row in got.tolist()] == want
     state = SystemState((0, 0), (2, 2))
-    assert policy.decide(0, state) == fair_table.action(0, state)
-    assert policy.decide(150, state) == fair_table.action(150, state)
+    assert tuple(policy.decide(0, [0, 0], [2, 2])) == fair_table.action(0, state).rate_indices
+    with pytest.raises(ValueError):
+        policy.decide(200, rates, chans)  # past the table's horizon
+    with pytest.raises(ValueError):
+        policy.decide(0, [5, 0], [0, 0])  # rate index outside the ladder
+    with pytest.raises(ValueError):
+        policy.decide(0, [0, 0, 0], [0, 0, 0])  # three users, two-user table
 
 
 def test_proposed_stationary_reuses_epoch_zero(fair_config, fair_table):
     policy = Proposed(fair_table, stationary=True)
-    state = SystemState((1, 3), (0, 2))
-    for epoch in (0, 50, 199):
-        assert policy.decide(epoch, state) == fair_table.action(0, state)
+    states, rates, chans = all_states(fair_config)
+    want = [fair_table.action(0, state).rate_indices for state in states]
+    for epoch in (0, 50, 199, 500):
+        assert [tuple(row) for row in policy.decide(epoch, rates, chans).tolist()] == want
 
 
 # ----------------------------- hindsight planner ---------------------------
 
 
 def ideal_score(plan, paths, ladder, channel, params, consts, init):
+    """Realized profit of a sequence of rate-index vectors on ``paths``."""
     total, prev = 0.0, tuple(init)
     for t in range(paths.shape[1] - 1):
-        action = plan.decide(t) if isinstance(plan, IdealPlan) else plan[t]
+        action = Action(tuple(int(i) for i in plan[t]))
         total += stage_value(
             ladder, channel, params, consts, prev, action,
             tuple(int(s) for s in paths[:, t + 1]),
@@ -105,7 +130,8 @@ def test_ideal_matches_brute_force_on_short_paths():
         plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
         got = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         best = max(
-            ideal_score(list(seq), paths, ladder, channel, params, consts, (0, 0))
+            ideal_score([a.rate_indices for a in seq], paths, ladder, channel, params,
+                        consts, (0, 0))
             for seq in itertools.product(actions, repeat=3)
         )
         assert got == pytest.approx(best, abs=1e-9)
@@ -151,6 +177,17 @@ def test_ideal_equals_solved_policy_when_channel_is_deterministic():
 
 
 def test_ideal_plan_bounds():
-    plan = IdealPlan(actions=tuple())
+    ladder, channel = make_ladder(), make_channel()
+    params = make_params()
+    consts = derive_constants(ladder, channel, params)
+    paths = np.random.default_rng(3).integers(0, 4, size=(2, 8))  # horizon 7
+    plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+    assert plan.shape == (7, 2) and plan.dtype == np.int64
+    feasible = {a.rate_indices for a in feasible_actions(2, ladder, params)}
+    assert {tuple(row) for row in plan.tolist()} <= feasible
     with pytest.raises(IndexError):
-        plan.decide(0)
+        plan[7]
+    with pytest.raises(ValueError):
+        solve_ideal(paths[:, :1], (0, 0), ladder, channel, params, consts)  # no epoch
+    with pytest.raises(ValueError):
+        solve_ideal(paths, (0, 5), ladder, channel, params, consts)  # off the ladder

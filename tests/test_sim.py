@@ -9,12 +9,15 @@ import pytest
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream.model import ConfigurationError
-from mdpstream.policies import IdealOracle, Myopic, Proposed
+from mdpstream.policies import EwmaEstimator, IdealOracle, Myopic, Proposed
 from mdpstream.sim import (
+    USER_COLUMNS,
     ScenarioConfig,
+    channel_paths,
     effective_bandwidth,
     run_session,
     sample_channel_path,
+    simulate,
     step_buffer,
     user_rngs,
 )
@@ -98,14 +101,14 @@ def test_sample_path_empirical_frequencies_match_matrix():
 
 
 def test_effective_bandwidth_no_contention():
-    assert effective_bandwidth(
+    assert tuple(effective_bandwidth(
         (364.63, 364.63), (896.0, 896.0), 850.0, "proportional"
-    ) == (896.0, 896.0)
+    )) == (896.0, 896.0)
 
 
 def test_effective_bandwidth_proportional_split():
     got = effective_bandwidth((493.02, 493.02), (5000.0, 5000.0), 850.0, "proportional")
-    assert got == (pytest.approx(425.0), pytest.approx(425.0))
+    assert tuple(got) == (pytest.approx(425.0), pytest.approx(425.0))
 
 
 def test_effective_bandwidth_share_capped_by_raw():
@@ -119,7 +122,7 @@ def test_effective_bandwidth_demand_counts_deliverable_traffic():
     # a user whose link cannot carry its request adds only the link to demand,
     # so the aggregate stays under the cap and nobody is squeezed
     got = effective_bandwidth((493.02, 493.02), (200.0, 5000.0), 850.0, "proportional")
-    assert got == (200.0, 5000.0)
+    assert tuple(got) == (200.0, 5000.0)
 
 
 def test_effective_bandwidth_weighted_by_rate():
@@ -130,9 +133,26 @@ def test_effective_bandwidth_weighted_by_rate():
 
 
 def test_effective_bandwidth_none_mode_passes_raw():
-    assert effective_bandwidth(
+    assert tuple(effective_bandwidth(
         (493.02, 493.02), (300.0, 310.0), 850.0, "none"
-    ) == (300.0, 310.0)
+    )) == (300.0, 310.0)
+
+
+def test_effective_bandwidth_one_bottleneck_per_row():
+    # rows are independent bottlenecks: the same rows as one-row calls
+    rates = np.array([[364.63, 364.63], [493.02, 493.02], [493.02, 183.53]])
+    raw = np.array([[896.0, 896.0], [5000.0, 5000.0], [5000.0, 5000.0]])
+    got = effective_bandwidth(rates, raw, 850.0, "proportional")
+    for row in range(3):
+        one = effective_bandwidth(rates[row], raw[row], 850.0, "proportional")
+        assert got[row].tobytes() == one.tobytes()
+
+
+def test_effective_bandwidth_rejects_bad_input():
+    with pytest.raises(ConfigurationError):
+        effective_bandwidth((493.02,), (300.0,), 850.0, "roulette")
+    with pytest.raises(ValueError):
+        effective_bandwidth((493.02, 493.02), (300.0,), 850.0, "proportional")
 
 
 # ------------------------------- buffer model ------------------------------
@@ -148,6 +168,17 @@ def test_step_buffer_partial_stall():
     new, stall = step_buffer(0.4, 1.0, 1.0)
     assert stall == pytest.approx(0.6)
     assert new == 1.0
+
+
+def test_step_buffer_elementwise():
+    new, stall = step_buffer(np.array([[3.33, 0.0], [2.0, 0.4]]), 1.0,
+                             np.array([[0.5, 2.0], [0.0, 1.0]]))
+    assert new.tolist() == [[pytest.approx(3.83), 1.0], [3.0, 1.0]]
+    assert stall.tolist() == [[0.0, 2.0], [0.0, pytest.approx(0.6)]]
+    with pytest.raises(ValueError):
+        step_buffer(np.array([1.0, -0.5]), 1.0, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        step_buffer(1.0, 0.0, 0.5)
 
 
 # -------------------------------- sessions ---------------------------------
@@ -272,3 +303,60 @@ def test_ideal_session_runs(fair_config):
     trace = run_session(fair_config, IdealOracle(), 0)
     assert len(trace) == 200
     assert all(sum(r.rate_kbps) <= 850.0 + 1e-9 for r in trace)
+
+
+# --------------------------- batched equivalence ---------------------------
+
+BRANCHES = {
+    "fair": {},
+    "finite_price": {"congestion_price": 0.0005},
+    "no_sharing": {"sharing_mode": "none"},
+}
+
+
+@pytest.mark.parametrize("arm", ["proposed", "stationary", "myopic", "ewma", "ideal"])
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_single_run_equals_its_batched_run(fair_config, branch, arm):
+    # a run must not depend on which runs step with it: run_session(r)
+    # equals run r of a 3-run batch bit for bit, signed zeros included
+    changes = dict(BRANCHES[branch])
+    profit = replace(fair_config.profit,
+                     congestion_price=changes.pop("congestion_price", math.inf))
+    config = replace(fair_config, profit=profit, horizon=30, **changes)
+    table = backward_induction(config.ladder, config.channel, profit,
+                               config.derived_constants(), config.horizon)
+    policy = {
+        "proposed": Proposed(table),
+        "stationary": Proposed(table, stationary=True),
+        "myopic": Myopic(config.ladder),
+        "ewma": Myopic(config.ladder, estimator_factory=lambda: EwmaEstimator(0.3)),
+        "ideal": IdealOracle(),
+    }[arm]
+    batch = simulate(config, policy, channel_paths(config, range(3)))
+    for run in range(3):
+        single = run_session(config, policy, run)
+        assert batch.records(run) == single
+        for name in USER_COLUMNS + ("bottleneck_cost", "stage_profit"):
+            column = getattr(batch, name)[run]
+            got = np.array([getattr(rec, name) for rec in single], dtype=column.dtype)
+            assert got.tobytes() == column.tobytes(), (name, run)
+    if branch == "finite_price" and arm == "myopic":
+        assert np.any(batch.bottleneck_cost > 0)  # the billing branch is taken
+
+
+def test_channel_paths_match_scalar_draws(fair_config):
+    # reference: one generator per (seed, run, user), one scalar draw for
+    # the stationary start and one per step, each step a searchsorted
+    config = fair_config.with_horizon(40)
+    paths = channel_paths(config, [4, 1])
+    stationary_cum = np.cumsum(config.channel.stationary_distribution())
+    cumulative = np.cumsum(config.channel.transition, axis=1)
+    for row, run in enumerate([4, 1]):
+        for user, rng in enumerate(user_rngs(config.rng_seed, run, 2)):
+            state = min(int(np.searchsorted(stationary_cum, rng.random(), side="right")), 3)
+            path = [state]
+            for _ in range(40):
+                draw = rng.random()
+                state = min(int(np.searchsorted(cumulative[state], draw, side="right")), 3)
+                path.append(state)
+            assert paths[row, :, user].tolist() == path
