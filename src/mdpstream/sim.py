@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -143,15 +144,13 @@ def user_rngs(seed: int, run_index: int, num_users: int) -> list[np.random.Gener
 def _walk(channel: ChannelModel, first: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Markov paths from the states ``first`` (any shape), one step per draw
     along the last axis of ``draws``; shaped ``first.shape + (steps + 1,)``."""
-    cumulative = np.cumsum(channel.transition, axis=1)
-    path = np.empty(draws.shape[:-1] + (draws.shape[-1] + 1,), dtype=np.int64)
-    path[..., 0] = state = first
-    for step in range(draws.shape[-1]):
-        # the count of row entries <= draw is searchsorted(row, draw, "right")
-        count = (cumulative[state] <= draws[..., step, None]).sum(axis=-1)
-        state = np.minimum(count, channel.num_states - 1)  # guard the top edge
-        path[..., step + 1] = state
-    return path
+    k, steps = channel.num_states, draws.shape[-1]
+    # every state's successor at every step: searchsorted(row, draw, "right"), capped
+    below = np.cumsum(channel.transition, axis=1) <= draws[..., None, None]
+    successor = np.minimum(below.sum(axis=-1), k - 1).reshape(-1, steps, k).tolist()
+    paths = [list(accumulate(table, lambda state, row: row[state], initial=start))
+             for start, table in zip(np.ravel(first).tolist(), successor)]
+    return np.array(paths, dtype=np.int64).reshape(np.shape(first) + (steps + 1,))
 
 
 def sample_channel_path(
