@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .economics import DerivedConstants, ProfitParams
+from . import mdp
 from .mdp import PolicyTable, _ActionTables
 from .model import ChannelModel, QualityLadder
 
@@ -87,8 +88,15 @@ class IdealOracle:
     """Marker arm: plan with hindsight against each session's sampled path."""
 
 
-# One scenario's sessions run back to back; they share the tables read-only.
+# Repeated plans for one scenario (run_session per run) share the tables read-only.
 _action_tables = functools.lru_cache(maxsize=1)(_ActionTables)
+
+
+def check_channel_indices(paths: np.ndarray, num_states: int) -> None:
+    """Refuse state indices outside [0, num_states); numpy would wrap -1."""
+    bad = paths[(paths < 0) | (paths >= num_states)]
+    if bad.size:
+        raise ValueError(f"channel index {bad[0]} outside [0, {num_states})")
 
 
 def solve_ideal(
@@ -99,49 +107,51 @@ def solve_ideal(
     params: ProfitParams,
     consts: DerivedConstants,
 ) -> np.ndarray:
-    """Plan against a fully known bandwidth path; returns the planned rate
-    indices, shaped (horizon, users).
+    """Plan every run against its fully known bandwidth path; returns the
+    planned rate indices, shaped (runs, horizon, users).
 
-    ``channel_paths`` holds each user's realized channel state indices with
-    shape (users, horizon + 1); entry t is the state during segment t, so
-    the decision at epoch t is scored against column t + 1.  With the path
-    fixed the only state left is the rate vector, and a deterministic
-    backward recursion over it is exact.  Ties break like the stochastic
-    solver: smallest aggregate rate, then lexicographically smallest
-    vector.
+    ``channel_paths`` holds each run's realized channel state indices with
+    shape (runs, horizon + 1, users), as ``sim.channel_paths`` returns
+    them; entry t is the state during segment t, so the decision at epoch
+    t is scored against entry t + 1.  With the path fixed the only state
+    left is the rate vector, and one deterministic backward recursion over
+    (runs, rate vectors) is exact.  Ties break like the stochastic solver:
+    smallest aggregate rate, then lexicographically smallest vector.
     """
     paths = np.asarray(channel_paths, dtype=np.int64)
     n = params.num_users
-    if paths.ndim != 2 or paths.shape[0] != n:
-        raise ValueError(f"paths shaped {paths.shape}, expected ({n}, horizon + 1)")
-    horizon = paths.shape[1] - 1
+    if paths.ndim != 3 or paths.shape[2] != n:
+        raise ValueError(f"paths shaped {paths.shape}, expected (runs, horizon + 1, {n})")
+    runs, horizon = paths.shape[0], paths.shape[1] - 1
     if horizon < 1:
         raise ValueError("need at least one decision epoch")
+    check_channel_indices(paths, channel.num_states)
+    digits = tuple(int(i) for i in initial_rate_indices)
+    if len(digits) != n or not all(0 <= d < len(ladder) for d in digits):
+        raise ValueError(f"initial rate indices {digits}: need one per user, each on the ladder")
+    multi = int(np.ravel_multi_index(digits, (len(ladder),) * n))
 
     tables = _action_tables(ladder, channel, params, consts, n)
-    num_rate_vectors = tables.num_rate_vectors
-
-    plan = np.empty((horizon, num_rate_vectors), dtype=np.int64)
-    v_next = np.zeros(num_rate_vectors)
+    num_rate_vectors, num_actions = tables.variation_by_action.shape
+    # Priority-weighted pay once per joint channel vector the paths visit.
+    visited, where = np.unique(paths[:, 1:].reshape(-1, n), axis=0, return_inverse=True)
     prio = np.array(params.user_priorities)
-    for t in range(horizon - 1, -1, -1):
-        pay = tables.playbuf[tables.action_digits, paths[:, t + 1]] @ prio
-        base = pay - tables.bottleneck + v_next[tables.action_multi]
-        q = base[None, :] - tables.variation_by_action  # (rate vectors, actions)
-        plan[t] = q.argmax(axis=1)
-        v_next = q.max(axis=1)
+    pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio for c in visited])
+    where = where.reshape(runs, horizon)
 
-    digits = tuple(int(i) for i in initial_rate_indices)
-    if len(digits) != n:
-        raise ValueError("need one initial rate index per user")
-    multi = 0
-    for d in digits:
-        if not 0 <= d < len(ladder):
-            raise ValueError(f"initial rate index {d} outside the ladder")
-        multi = multi * len(ladder) + d
-
-    chosen = np.empty(horizon, dtype=np.int64)
-    for t in range(horizon):
-        chosen[t] = plan[t, multi]
-        multi = tables.action_multi[chosen[t]]
+    chosen = np.empty((runs, horizon), dtype=np.int64)
+    block = max(1, mdp._BLOCK_FLOATS // (num_rate_vectors * num_actions))
+    for lo in range(0, runs, block):
+        ahead = where[lo:lo + block]
+        plan = np.empty((horizon, len(ahead), num_rate_vectors), dtype=np.int64)
+        v_next = np.zeros((len(ahead), num_rate_vectors))
+        for t in range(horizon - 1, -1, -1):
+            base = pay_of[ahead[:, t]] - tables.bottleneck + v_next[:, tables.action_multi]
+            q = base[:, None, :] - tables.variation_by_action  # (runs, rate vectors, actions)
+            plan[t] = q.argmax(axis=2)
+            v_next = q.max(axis=2)
+        at = np.full(len(ahead), multi)
+        for t in range(horizon):
+            chosen[lo:lo + block, t] = plan[t, np.arange(len(ahead)), at]
+            at = tables.action_multi[chosen[lo:lo + block, t]]
     return tables.action_digits[chosen]

@@ -1,6 +1,6 @@
 """Seeded session simulator: Markov bandwidth paths, policy decisions,
 proportional sharing of the bottleneck, and fluid playback buffers.  All
-runs of a cell step together, held as (runs, users) arrays."""
+runs of a cell are held together as (runs, horizon, users) arrays."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .model import (
     map_bandwidth_to_state,
     _require,
 )
-from .policies import IdealOracle, Myopic, Proposed, solve_ideal
+from .policies import IdealOracle, Myopic, Proposed, check_channel_indices, solve_ideal
 
 SHARING_PROPORTIONAL = "proportional"
 SHARING_NONE = "none"
@@ -247,73 +247,76 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     """Simulate the runs whose ``channel_paths`` are given, all under one
     policy arm and all stepping together.
 
-    Realized profit is scored against the bandwidth each user's connection
-    actually delivered.  Sums over users run left to right from 0.0 and
-    costs come from the scalar economics functions, so a run's numbers do
-    not depend on which other runs step with it.
+    Decisions come first: a table gather per epoch (proposed), one plan
+    for all runs (ideal), or an estimator step per epoch (myopic, which
+    needs each epoch's delivered bandwidth).  The rest is one pass over the
+    horizon; only the buffer recurrence steps per epoch.  Profit is scored
+    against the delivered bandwidth.  Sums over users run left to right
+    from 0.0 and costs come from the scalar economics functions, so a run's
+    numbers do not depend on which other runs step with it.
     """
     consts = config.derived_constants()
     params, ladder, channel = config.profit, config.ladder, config.channel
-    runs, n = len(paths), config.num_users
-    if paths.shape != (runs, config.horizon + 1, n):
-        raise ValueError(f"paths shaped {paths.shape}, expected (runs, {config.horizon + 1}, {n})")
-
-    if isinstance(policy, Myopic):
-        estimators = [[policy.estimator_factory() for _ in range(n)] for _ in range(runs)]
-    elif isinstance(policy, IdealOracle):
-        initial = (config.initial_rate_index,) * n
-        plan = np.array([
-            solve_ideal(path.T, initial, ladder, channel, params, consts) for path in paths
-        ])
-    elif not isinstance(policy, Proposed):
-        raise TypeError(f"unknown policy {policy!r}")
+    runs, horizon, n = len(paths), config.horizon, config.num_users
+    if paths.shape != (runs, horizon + 1, n):
+        raise ValueError(f"paths shaped {paths.shape}, expected (runs, {horizon + 1}, {n})")
+    check_channel_indices(paths, channel.num_states)
 
     rate_of = np.array(ladder.rates)
-    bandwidth_of = np.array(channel.state_bandwidth)
-    observed = np.array([map_bandwidth_to_state(b, channel) for b in channel.state_bandwidth])
-    # playback_income depends on the rate alone once the rate is carried
-    income_of = np.array([economics.playback_income(r, r, params, consts) for r in ladder.rates])
-    variation = variation_table(ladder, params, consts)
-    priorities = np.array(params.user_priorities)
-
-    prev = np.full((runs, n), config.initial_rate_index)
-    buffers = np.full((runs, n), config.initial_buffer_seconds)
-    steps = []
-    for t in range(config.horizon):
-        if isinstance(policy, Proposed):
-            chosen = policy.decide(t, prev, observed[paths[:, t]])
-        elif isinstance(policy, Myopic):
-            chosen = policy.decide([[est.value for est in row] for row in estimators])
-        else:
-            chosen = plan[:, t]
-        rates = rate_of[chosen]
-        raw = bandwidth_of[paths[:, t + 1]]
-        effective = effective_bandwidth(rates, raw, params.total_rate_cap_kbps, config.sharing_mode)
-        download = rates * config.segment_seconds / effective
-        buffers, stall = step_buffer(buffers, config.segment_seconds, download)
-        short = rates > effective
-        income = np.where(short, 0.0, income_of[chosen])
-        buffering = np.zeros((runs, n))
-        for i in np.flatnonzero(short):  # np.log may round unlike math.log
-            buffering.flat[i] = economics.buffering_cost(
-                rates.flat[i], effective.flat[i], params, consts
-            )
-        var_cost = variation[prev, chosen]
-        charge = np.zeros(runs)  # an infinite price rations the cap, never bills it
-        if math.isfinite(params.congestion_price):
-            excess = _sum_users(rates) - params.total_rate_cap_kbps
-            charge = np.where(excess <= 0.0, 0.0, params.congestion_price * excess)
-        profit = _sum_users(priorities * ((income - buffering) - var_cost)) - charge
-        if isinstance(policy, Myopic):
-            for row, samples in zip(estimators, effective.tolist()):
+    raw = np.array(channel.state_bandwidth)[paths[:, 1:]]
+    cap = params.total_rate_cap_kbps
+    chosen = np.empty((runs, horizon, n), dtype=np.int64)
+    if isinstance(policy, Myopic):
+        estimators = [[policy.estimator_factory() for _ in range(n)] for _ in range(runs)]
+        effective = np.empty((runs, horizon, n))
+        for t in range(horizon):
+            chosen[:, t] = policy.decide([[est.value for est in row] for row in estimators])
+            effective[:, t] = effective_bandwidth(rate_of[chosen[:, t]], raw[:, t], cap,
+                                                  config.sharing_mode)
+            for row, samples in zip(estimators, effective[:, t].tolist()):
                 for est, sample in zip(row, samples):
                     est.add(sample)
-        steps.append((rates, effective, download, stall, buffers, income, buffering,
-                      var_cost, charge, profit))
-        prev = chosen
+    else:
+        if isinstance(policy, IdealOracle):
+            chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
+                                 ladder, channel, params, consts)
+        elif isinstance(policy, Proposed):
+            observed = np.array([map_bandwidth_to_state(b, channel) for b in channel.state_bandwidth])
+            prev = np.full((runs, n), config.initial_rate_index)
+            for t in range(horizon):
+                chosen[:, t] = prev = policy.decide(t, prev, observed[paths[:, t]])
+        else:
+            raise TypeError(f"unknown policy {policy!r}")
+        effective = effective_bandwidth(rate_of[chosen], raw, cap, config.sharing_mode)
 
-    rate_kbps, effective_bw, *rest = (np.stack(column, axis=1) for column in zip(*steps))
-    return Trace(rate_kbps, paths[:, 1:], effective_bw, *rest)
+    rates = rate_of[chosen]
+    download = rates * config.segment_seconds / effective
+    short = rates > effective
+    # playback_income depends on the rate alone once the rate is carried
+    income_of = np.array([economics.playback_income(r, r, params, consts) for r in ladder.rates])
+    income = np.where(short, 0.0, income_of[chosen])
+    # one scalar buffering_cost per distinct (rate, delivered) bit pair;
+    # np.log may round unlike math.log
+    buffering = np.zeros((runs, horizon, n))
+    pairs = np.stack([rates[short], effective[short]], axis=1)
+    keys, which = np.unique(pairs.view(np.int64), axis=0, return_inverse=True)
+    costs = [economics.buffering_cost(r, e, params, consts) for r, e in keys.view(float).tolist()]
+    buffering[short] = np.array(costs)[which.reshape(-1)]
+    prev = np.concatenate([np.full((runs, 1, n), config.initial_rate_index), chosen[:, :-1]], axis=1)
+    var_cost = variation_table(ladder, params, consts)[prev, chosen]
+    charge = np.zeros((runs, horizon))  # an infinite price rations the cap, never bills it
+    if math.isfinite(params.congestion_price):
+        excess = _sum_users(rates) - cap
+        charge = np.where(excess <= 0.0, 0.0, params.congestion_price * excess)
+    profit = _sum_users(np.array(params.user_priorities) * ((income - buffering) - var_cost)) - charge
+
+    buffers, stalls = [np.full((runs, n), config.initial_buffer_seconds)], []
+    for t in range(horizon):
+        level, stall = step_buffer(buffers[-1], config.segment_seconds, download[:, t])
+        buffers.append(level)
+        stalls.append(stall)
+    return Trace(rates, paths[:, 1:], effective, download, np.stack(stalls, axis=1),
+                 np.stack(buffers[1:], axis=1), income, buffering, var_cost, charge, profit)
 
 
 def run_session(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,

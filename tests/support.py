@@ -20,7 +20,7 @@ from mdpstream.economics import (
     smoothness_cost,
     bottleneck_cost,
 )
-from mdpstream.mdp import feasible_actions
+from mdpstream.mdp import _ActionTables, feasible_actions
 from mdpstream.model import ChannelModel, QualityLadder
 
 
@@ -241,6 +241,38 @@ def full_tensor_backup(tables, v_next):
     values = q.max(axis=0)
     ties = int(np.count_nonzero((q == values).sum(axis=0) > 1))
     return values, q.argmax(axis=0), ties
+
+
+# --------------------- reference hindsight planner ---------------------
+
+
+def reference_solve_ideal(paths, initial_rate_indices, ladder, channel, params, consts):
+    """One run's hindsight plan, (horizon, users), from its channel path
+    shaped (users, horizon + 1): a backward recursion over the rate vectors
+    alone, one epoch at a time.  The batched ``policies.solve_ideal`` must
+    match it bit for bit on every run."""
+    paths = np.asarray(paths, dtype=np.int64)
+    n = params.num_users
+    horizon = paths.shape[1] - 1
+    tables = _ActionTables(ladder, channel, params, consts, n)
+    plan = np.empty((horizon, tables.num_rate_vectors), dtype=np.int64)
+    v_next = np.zeros(tables.num_rate_vectors)
+    prio = np.array(params.user_priorities)
+    for t in range(horizon - 1, -1, -1):
+        pay = tables.playbuf[tables.action_digits, paths[:, t + 1]] @ prio
+        base = pay - tables.bottleneck + v_next[tables.action_multi]
+        q = base[None, :] - tables.variation_by_action  # (rate vectors, actions)
+        plan[t] = q.argmax(axis=1)
+        v_next = q.max(axis=1)
+
+    multi = 0
+    for d in initial_rate_indices:
+        multi = multi * len(ladder) + int(d)
+    chosen = np.empty(horizon, dtype=np.int64)
+    for t in range(horizon):
+        chosen[t] = plan[t, multi]
+        multi = tables.action_multi[chosen[t]]
+    return tables.action_digits[chosen]
 
 
 # --------------------- reference trace writer ---------------------

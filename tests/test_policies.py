@@ -1,10 +1,13 @@
 """Decision policies: table lookup, client throughput rule, hindsight planner."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mdpstream import mdp
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction, feasible_actions
 from mdpstream.model import Action, SystemState, enumerate_states
@@ -13,9 +16,11 @@ from mdpstream.policies import (
     LastSampleEstimator,
     Myopic,
     Proposed,
+    _action_tables,
     solve_ideal,
 )
-from support import make_channel, make_ladder, make_params, stage_value
+from mdpstream.sim import channel_paths
+from support import make_channel, make_ladder, make_params, reference_solve_ideal, stage_value
 
 
 # ------------------------------- estimators --------------------------------
@@ -127,7 +132,7 @@ def test_ideal_matches_brute_force_on_short_paths():
     rng = np.random.default_rng(19)
     for _ in range(3):
         paths = rng.integers(0, 4, size=(2, 4))  # horizon 3
-        plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+        plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
         got = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         best = max(
             ideal_score([a.rate_indices for a in seq], paths, ladder, channel, params,
@@ -146,7 +151,7 @@ def test_ideal_dominates_solved_policy_per_path(fair_config, fair_table):
     for _ in range(3):
         horizon = 40
         paths = rng.integers(0, 4, size=(2, horizon + 1))
-        plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+        plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
         ideal_total = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         prev, total = (0, 0), 0.0
         for t in range(horizon):
@@ -169,7 +174,7 @@ def test_ideal_equals_solved_policy_when_channel_is_deterministic():
     horizon = 12
     table = backward_induction(ladder, channel, params, consts, horizon)
     paths = np.zeros((2, horizon + 1), dtype=np.int64)
-    plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+    plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
     ideal_total = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
     assert table.value(0, SystemState((0, 0), (0, 0))) == pytest.approx(
         ideal_total, abs=1e-9
@@ -180,14 +185,58 @@ def test_ideal_plan_bounds():
     ladder, channel = make_ladder(), make_channel()
     params = make_params()
     consts = derive_constants(ladder, channel, params)
-    paths = np.random.default_rng(3).integers(0, 4, size=(2, 8))  # horizon 7
+    paths = np.random.default_rng(3).integers(0, 4, size=(3, 8, 2))  # 3 runs, horizon 7
     plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
-    assert plan.shape == (7, 2) and plan.dtype == np.int64
+    assert plan.shape == (3, 7, 2) and plan.dtype == np.int64
     feasible = {a.rate_indices for a in feasible_actions(2, ladder, params)}
-    assert {tuple(row) for row in plan.tolist()} <= feasible
+    assert {tuple(row) for row in plan.reshape(-1, 2).tolist()} <= feasible
     with pytest.raises(IndexError):
-        plan[7]
+        plan[:, 7]
     with pytest.raises(ValueError):
         solve_ideal(paths[:, :1], (0, 0), ladder, channel, params, consts)  # no epoch
     with pytest.raises(ValueError):
         solve_ideal(paths, (0, 5), ladder, channel, params, consts)  # off the ladder
+    with pytest.raises(ValueError):
+        solve_ideal(paths, (0,), ladder, channel, params, consts)  # one index, two users
+    with pytest.raises(ValueError):
+        solve_ideal(paths[0].T, (0, 0), ladder, channel, params, consts)  # one run's (users, horizon + 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_ideal_refuses_channel_index_out_of_range(bad):
+    # numpy would wrap -1 to the last state and reject 4 without naming it
+    ladder, channel = make_ladder(), make_channel()
+    params = make_params()
+    consts = derive_constants(ladder, channel, params)
+    paths = np.zeros((2, 6, 2), dtype=np.int64)
+    paths[1, 3, 0] = bad
+    with pytest.raises(ValueError, match=rf"channel index {bad} outside \[0, 4\)"):
+        solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+
+
+def planner_instances(fair_config, diff_config):
+    """(name, config) pairs the batched planner is checked on."""
+    for config in (fair_config, diff_config):
+        for cap in (600.0, 850.0):
+            yield f"{config.name} cap {cap:g}", config.with_rate_cap(cap)
+    three = replace(fair_config.profit, user_priorities=(0.5, 0.3, 0.2), total_rate_cap_kbps=1275.0)
+    yield "three users", replace(fair_config, profit=three, num_users=3, horizon=60)
+    finite = replace(fair_config.profit, congestion_price=0.0005)
+    yield "finite price", replace(fair_config, profit=finite)
+
+
+def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeypatch):
+    # one recursion over all runs must plan every run exactly like a
+    # recursion over that run alone, however the runs are blocked
+    for name, config in planner_instances(fair_config, diff_config):
+        params, n = config.profit, config.num_users
+        args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params,
+                config.derived_constants())
+        paths = channel_paths(config, range(15))
+        want = np.array([reference_solve_ideal(path.T, *args) for path in paths])
+        if math.isfinite(params.congestion_price):  # the charge must bite somewhere
+            assert np.any(np.array(config.ladder.rates)[want].sum(axis=2) > params.total_rate_cap_kbps)
+        q_floats = _action_tables(*args[1:], n).variation_by_action.size
+        for block_floats in (mdp._BLOCK_FLOATS, q_floats, 2 * q_floats):  # default, 1 and 2 runs
+            monkeypatch.setattr(mdp, "_BLOCK_FLOATS", block_floats)
+            assert np.array_equal(solve_ideal(paths, *args), want), (name, block_floats)

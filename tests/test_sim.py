@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
+from mdpstream import sim
 from mdpstream.model import ConfigurationError
 from mdpstream.policies import EwmaEstimator, IdealOracle, Myopic, Proposed
 from mdpstream.sim import (
@@ -360,3 +362,47 @@ def test_channel_paths_match_scalar_draws(fair_config):
                 state = min(int(np.searchsorted(cumulative[state], draw, side="right")), 3)
                 path.append(state)
             assert paths[row, :, user].tolist() == path
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_simulate_refuses_channel_index_out_of_range(fair_config, fair_table, bad):
+    # numpy would wrap -1 to the last state and reject 4 without naming it
+    config = fair_config.with_horizon(5)
+    paths = channel_paths(config, range(2))
+    paths[1, 3, 0] = bad
+    for policy in (Proposed(fair_table), Myopic(config.ladder), IdealOracle()):
+        with pytest.raises(ValueError, match=rf"channel index {bad} outside \[0, 4\)"):
+            simulate(config, policy, paths)
+
+
+def test_buffer_column_comes_from_step_buffer(fair_config, fair_table, monkeypatch):
+    # the benchmark's smoke test corrupts step_buffer to credit 1% too much
+    # content; every arm's buffer levels must show it, so the buffer
+    # recurrence cannot bypass step_buffer unnoticed
+    config = fair_config.with_horizon(30)
+    paths = channel_paths(config, range(3))
+    arms = (Proposed(fair_table), Myopic(config.ladder), IdealOracle())
+    plain = [simulate(config, policy, paths).buffer_s for policy in arms]
+    original = sim.step_buffer
+    monkeypatch.setattr(sim, "step_buffer", lambda buffer_s, segment_s, download_s:
+                        original(buffer_s, 1.01 * segment_s, download_s))
+    for policy, before in zip(arms, plain):
+        assert np.all(simulate(config, policy, paths).buffer_s > before), policy
+
+
+@pytest.mark.parametrize("scenario", ["fair", "diff"])
+def test_proposed_profit_matches_solved_value(request, scenario):
+    # under the hard cap the proposed arm is never rationed, so each stage
+    # profit is an MDP reward and the mean session profit estimates the
+    # table's value at the start state, weighted over stationary channels
+    config = request.getfixturevalue(f"{scenario}_config")
+    table = request.getfixturevalue(f"{scenario}_table")
+    totals = simulate(config, Proposed(table), channel_paths(config, range(400))).stage_profit.sum(axis=1)
+    pi = config.channel.stationary_distribution()
+    start = (config.initial_rate_index,) * config.num_users
+    expected = sum(
+        np.prod(pi[list(chans)]) * table.values[0, table.state_index(start, chans)]
+        for chans in product(range(config.channel.num_states), repeat=config.num_users)
+    )
+    z = (totals.mean() - expected) / (totals.std(ddof=1) / math.sqrt(len(totals)))
+    assert abs(z) < 3.0, f"mean {totals.mean():.4f} vs solved {expected:.4f}, z = {z:.2f}"
