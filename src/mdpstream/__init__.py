@@ -10,9 +10,10 @@ favored.
 
 The pieces:
 
-- ``model``: bitrate ladders, Markov channel models, joint states/actions
+- ``model``: bitrate ladders, Markov channel models, state and action types
 - ``economics``: the profit terms and their normalization constants
-- ``mdp``: transition structure, feasibility filtering, backward induction
+- ``mdp``: the canonical state index, feasibility filtering, backward
+  induction and the policy table
 - ``policies``: solved-table lookup, the client throughput rule, and a
   hindsight planner used as a non-causal upper bound
 - ``sim``: seeded multi-user session simulator with proportional
@@ -24,7 +25,7 @@ The pieces:
 
 Typical library use::
 
-    from mdpstream import presets, economics, mdp, sim, metrics
+    from mdpstream import presets, mdp, policies, sim, metrics
 
     config = presets.fair_scenario()
     consts = config.derived_constants()
@@ -56,7 +57,6 @@ from .model import (
     ConfigurationError,
     QualityLadder,
     SystemState,
-    enumerate_states,
     map_bandwidth_to_state,
 )
 from .policies import IdealOracle, Myopic, Proposed, solve_ideal
@@ -84,7 +84,6 @@ __all__ = [
     "aggregate_runs",
     "backward_induction",
     "derive_constants",
-    "enumerate_states",
     "feasible_actions",
     "map_bandwidth_to_state",
     "run_session",

@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    Action,
-    ChannelModel,
-    QualityLadder,
-    SystemState,
-    _require,
-)
+from .model import ChannelModel, QualityLadder, _require
 
 _WEIGHT_TOL = 1e-9
 
@@ -242,46 +236,3 @@ def bottleneck_cost(
     if math.isinf(params.congestion_price):
         return INFEASIBLE
     return params.congestion_price * excess
-
-
-def stage_profit(
-    state: SystemState,
-    action: Action,
-    next_state: SystemState,
-    ladder: QualityLadder,
-    channel: ChannelModel,
-    params: ProfitParams,
-    consts: DerivedConstants,
-) -> float | Infeasible:
-    """One-period operator profit for the transition ``state -> next_state``
-    under ``action``.
-
-    Priority-weighted sum over users of income minus buffering and
-    smoothness penalties, less the shared bottleneck charge.  The next
-    state's rate vector must equal the action (that is what an action
-    means); a mismatch is a programming error, not a zero-probability
-    event.
-    """
-    if next_state.rate_indices != action.rate_indices:
-        raise ValueError(
-            "next state's rates must equal the action "
-            f"(got {next_state.rate_indices} vs {action.rate_indices})"
-        )
-    n = params.num_users
-    if not (state.num_users == action.num_users == next_state.num_users == n):
-        raise ValueError("state, action, and params disagree on the number of users")
-
-    charge = bottleneck_cost(action.rates_kbps(ladder), params)
-    if isinstance(charge, Infeasible):
-        return INFEASIBLE
-
-    total = 0.0
-    for u in range(n):
-        prev_rate = ladder.rates[state.rate_indices[u]]
-        rate = ladder.rates[action.rate_indices[u]]
-        bw = channel.bandwidth_of(next_state.channel_indices[u])
-        income = playback_income(rate, bw, params, consts)
-        buffering = buffering_cost(rate, bw, params, consts)
-        smoothness = smoothness_cost(prev_rate, rate, params, consts)
-        total += params.user_priorities[u] * (income - buffering - smoothness)
-    return total - charge

@@ -1,5 +1,6 @@
-"""Finite-horizon solver: transition structure over joint states,
-feasibility filtering under an infinite congestion price, and backward
+"""Finite-horizon solver: the canonical joint-state index, feasibility
+filtering under an infinite congestion price, per-action profit tables,
+the one q reduction shared with the hindsight planner, and backward
 induction producing a time-indexed policy table."""
 
 from __future__ import annotations
@@ -33,29 +34,12 @@ class InfeasibleModelError(RuntimeError):
     """No joint action satisfies the aggregate rate cap."""
 
 
-def channel_transition_prob(
-    from_states, to_states, channel: ChannelModel
-) -> float:
-    """Probability that every user's channel moves as given, assuming the
-    per-user chains evolve independently."""
-    if len(from_states) != len(to_states):
-        raise ValueError("need one source and one destination state per user")
-    prob = 1.0
-    for f, t in zip(from_states, to_states):
-        prob *= channel.transition[f, t]
-    return float(prob)
-
-
-def transition_prob(
-    state: SystemState, action: Action, next_state: SystemState, channel: ChannelModel
-) -> float:
-    """Joint transition probability.  Rates move deterministically to the
-    action's assignment; channels factor across users."""
-    if next_state.rate_indices != action.rate_indices:
-        return 0.0
-    return channel_transition_prob(
-        state.channel_indices, next_state.channel_indices, channel
-    )
+def state_index(rates, chans, m: int, k: int):
+    """Canonical index of (..., users) arrays of rate and channel indices on
+    an m-rung ladder with k channel states: base-(m*k) digits
+    ``rate * k + channel``, user 0 most significant."""
+    n = np.shape(rates)[-1]
+    return (np.asarray(rates) * k + chans) @ (m * k) ** np.arange(n - 1, -1, -1)
 
 
 def scenario_fingerprint(
@@ -111,6 +95,16 @@ def variation_table(
     """``smoothness_cost`` for every (previous rung, next rung) pair."""
     rates = ladder.rates
     return np.array([[economics.smoothness_cost(p, q, params, consts) for q in rates] for p in rates])
+
+
+def _by_action(per_user, vector_digits, action_digits, params) -> np.ndarray:
+    """Priority-weighted per-user terms, (vectors, actions): entry (v, a) is
+    the sum over users u of ``priority[u] * per_user[v's digit u, a's digit
+    u]``, taken left to right from 0.0."""
+    total = np.zeros((len(vector_digits), len(action_digits)))
+    for u, weight in enumerate(params.user_priorities):
+        total += weight * per_user[vector_digits[:, u, None], action_digits[None, :, u]]
+    return total
 
 
 class _ActionTables:
@@ -169,19 +163,9 @@ class _ActionTables:
             charges.append(c)
         self.bottleneck = np.array(charges)
 
-        prio = np.array(params.user_priorities)
-        # Priority-weighted variation penalty, (rate vectors, actions).
-        shape_r = (m,) * n
-        self.variation_by_action = np.empty(
-            (self.num_rate_vectors, len(order))
+        self.variation_by_action = _by_action(
+            self.variation, self.rate_digits, self.action_digits, params
         )
-        for pos, digits in enumerate(self.action_digits):
-            acc = np.zeros(shape_r)
-            for u in range(n):
-                axis_shape = [1] * n
-                axis_shape[u] = m
-                acc = acc + prio[u] * self.variation[:, digits[u]].reshape(axis_shape)
-            self.variation_by_action[:, pos] = acc.reshape(-1)
 
 
 class _SolverTables(_ActionTables):
@@ -190,40 +174,47 @@ class _SolverTables(_ActionTables):
     def __init__(self, ladder, channel, params, consts, num_users):
         super().__init__(ladder, channel, params, consts, num_users)
         m, k, n = len(ladder), channel.num_states, num_users
-
-        # Expected income-minus-buffering for each (chosen rate, current
-        # channel state), taken over the next channel state.
-        exp_playbuf = self.playbuf @ channel.transition.T
-
-        prio = np.array(params.user_priorities)
-        shape_c = (k,) * n
-        # (channel vectors, actions), like every sweep's q block.
-        self.expected_playbuf_by_action = np.empty(
-            (self.num_chan_vectors, len(self.actions))
-        )
-        for pos, digits in enumerate(self.action_digits):
-            acc = np.zeros(shape_c)
-            for u in range(n):
-                axis_shape = [1] * n
-                axis_shape[u] = k
-                acc = acc + prio[u] * exp_playbuf[digits[u]].reshape(axis_shape)
-            self.expected_playbuf_by_action[:, pos] = acc.reshape(-1)
-
-        self.joint_channel = reduce(np.kron, [channel.transition] * n)
-
-        # Canonical state index for each (rate vector, channel vector) pair.
         chan_digits = np.array(
             list(itertools.product(range(k), repeat=n)), dtype=np.int64
         ).reshape(self.num_chan_vectors, n)
-        digit = (
-            self.rate_digits[:, None, :] * k + chan_digits[None, :, :]
-        )  # (R, C, n)
-        place = (m * k) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self.canonical_index = digit @ place
+
+        # Expected income-minus-buffering for each (current channel state,
+        # chosen rate), taken over the next channel state.
+        exp_playbuf = (self.playbuf @ channel.transition.T).T
+        # (channel vectors, actions), like every sweep's q block.
+        self.expected_playbuf_by_action = _by_action(
+            exp_playbuf, chan_digits, self.action_digits, params
+        )
+        self.joint_channel = reduce(np.kron, [channel.transition] * n)
+        # Canonical state index for each (rate vector, channel vector) pair.
+        self.canonical_index = state_index(
+            self.rate_digits[:, None, :], chan_digits[None, :, :], m, k
+        )
 
 
 # Floats per q block (8 MB); a block always holds at least one rate vector.
 _BLOCK_FLOATS = 1 << 20
+
+
+def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarray]:
+    """Best value and action for every (rate vector, row of ``gain``), where
+    ``gain`` is (rows, actions) of everything in q but the variation
+    penalty and the bottleneck charge; both results are (rate vectors, rows).
+
+    q is ``(gain - variation) - bottleneck``, reduced over actions one block
+    of rate vectors at a time, so the (rate vectors x rows x actions) tensor
+    never exists.  The first maximizer wins: actions are in tie-break order.
+    """
+    rows = max(1, _BLOCK_FLOATS // gain.size)
+    shape = (tables.num_rate_vectors, len(gain))
+    values, choice = np.empty(shape), np.empty(shape, dtype=np.int64)
+    for lo in range(0, tables.num_rate_vectors, rows):
+        q = gain[None] - tables.variation_by_action[lo:lo + rows, None, :]
+        q -= tables.bottleneck
+        best = q.argmax(axis=2)
+        choice[lo:lo + rows] = best
+        values[lo:lo + rows] = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
+    return values, choice
 
 
 def _backup(tables: _SolverTables, v_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,27 +222,15 @@ def _backup(tables: _SolverTables, v_next: np.ndarray) -> tuple[np.ndarray, np.n
     values.  ``v_next`` has shape (rate vectors, channel vectors); reads and
     writes touch separate buffers, so within-sweep updates cannot leak.
 
-    q is reduced over actions one block of rate vectors at a time, so the
-    (actions x rate vectors x channel vectors) tensor never exists.  Every
-    element is still ``((playbuf + future) - variation) - bottleneck``, and
-    each future term is its own matvec (a single gemm rounds differently),
-    so values and first-maximizer choices match a full-tensor reduction
-    (``tests/support.full_tensor_backup``) bit for bit.
+    Every q element is ``((playbuf + future) - variation) - bottleneck``,
+    and each future term is its own matvec (a single gemm rounds
+    differently), so values and first-maximizer choices match a
+    full-tensor reduction (``tests/support.full_tensor_backup``) bit for bit.
     """
     future = np.stack(
         [tables.joint_channel @ v_next[i] for i in tables.action_multi], axis=1
     )
-    gain = tables.expected_playbuf_by_action + future  # (channel vectors, actions)
-    rows = max(1, _BLOCK_FLOATS // gain.size)
-    shape = (tables.num_rate_vectors, tables.num_chan_vectors)
-    values, choice = np.empty(shape), np.empty(shape, dtype=np.int64)
-    for lo in range(0, tables.num_rate_vectors, rows):
-        q = gain[None] - tables.variation_by_action[lo:lo + rows, None, :]
-        q -= tables.bottleneck
-        best = q.argmax(axis=2)  # first maximizer wins, i.e. the tie-break order
-        choice[lo:lo + rows] = best
-        values[lo:lo + rows] = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
-    return values, choice
+    return _best(tables.expected_playbuf_by_action + future, tables)
 
 
 def backward_induction(
@@ -348,9 +327,9 @@ class PolicyTable:
             raise ValueError(f"table solved for {self.num_users} users, got states shaped "
                              f"{rates.shape} and {chans.shape}")
         k = self.num_channel_states
-        if np.any(rates >= self.ladder_size) or np.any(chans >= k):
+        if np.any((rates < 0) | (rates >= self.ladder_size) | (chans < 0) | (chans >= k)):
             raise ValueError("state out of range for this table")
-        return (rates * k + chans) @ (self.ladder_size * k) ** np.arange(self.num_users - 1, -1, -1)
+        return state_index(rates, chans, self.ladder_size, k)
 
     def value(self, t: int, state: SystemState) -> float:
         if not 0 <= t <= self.horizon:

@@ -101,15 +101,12 @@ def aggregate_runs(
 
     out: dict[str, tuple[float, float]] = {}
     per_user_fields = (
-        ("avg_bitrate_kbps", "avg_bitrate_kbps"),
-        ("buffering_ratio", "buffering_ratio"),
-        ("stall_events_per_second", "stall_events_per_second"),
-        ("stalled_frames_per_second", "stalled_frames_per_second"),
-        ("significant_variations", "significant_variations"),
+        "avg_bitrate_kbps", "buffering_ratio", "stall_events_per_second",
+        "stalled_frames_per_second", "significant_variations",
     )
-    for attr, label in per_user_fields:
+    for name in per_user_fields:
         for u in range(n):
-            values = [float(getattr(s, attr)[u]) for s in summaries]
-            out[f"u{u + 1}_{label}"] = stats(values)
+            values = [float(getattr(s, name)[u]) for s in summaries]
+            out[f"u{u + 1}_{name}"] = stats(values)
     out["profit"] = stats([s.profit for s in summaries])
     return out

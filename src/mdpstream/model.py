@@ -1,15 +1,12 @@
 """Core domain types: bitrate ladders, Markov bandwidth models, and the
-joint multi-user state and action space."""
+joint multi-user state and action types."""
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_STATE_SPACE_CAP = 10_000_000
 
 _ROW_SUM_TOL = 1e-9
 _ENTRY_TOL = 1e-12
@@ -185,62 +182,3 @@ def map_bandwidth_to_state(measured_kbps: float, channel: ChannelModel) -> int:
 def state_space_size(ladder: QualityLadder, channel: ChannelModel, num_users: int) -> int:
     _require(num_users >= 1, "need at least one user")
     return (len(ladder) * channel.num_states) ** num_users
-
-
-def enumerate_states(
-    ladder: QualityLadder,
-    channel: ChannelModel,
-    num_users: int,
-    cap: int = DEFAULT_STATE_SPACE_CAP,
-) -> list[SystemState]:
-    """All joint states in canonical order.
-
-    Canonical order is lexicographic over user index, with each user's
-    (rate index, channel index) pair ordered rate-major.  ``state_index``
-    agrees with positions in this list.
-    """
-    size = state_space_size(ladder, channel, num_users)
-    if size > cap:
-        raise ConfigurationError(
-            f"state space has {size} states, exceeding the cap of {cap}"
-        )
-    per_user = list(itertools.product(range(len(ladder)), range(channel.num_states)))
-    states = []
-    for combo in itertools.product(per_user, repeat=num_users):
-        states.append(SystemState(
-            rate_indices=tuple(r for r, _ in combo),
-            channel_indices=tuple(c for _, c in combo),
-        ))
-    return states
-
-
-def state_index(state: SystemState, ladder: QualityLadder, channel: ChannelModel) -> int:
-    """Canonical index of ``state``; inverse of ``state_from_index``."""
-    m, k = len(ladder), channel.num_states
-    idx = 0
-    for r, c in zip(state.rate_indices, state.channel_indices):
-        if r >= m:
-            raise ValueError(f"rate index {r} out of range for a {m}-rung ladder")
-        if c >= k:
-            raise ValueError(f"channel index {c} out of range for {k} states")
-        idx = idx * (m * k) + (r * k + c)
-    return idx
-
-
-def state_from_index(
-    index: int, ladder: QualityLadder, channel: ChannelModel, num_users: int
-) -> SystemState:
-    m, k = len(ladder), channel.num_states
-    size = state_space_size(ladder, channel, num_users)
-    if not 0 <= index < size:
-        raise ValueError(f"state index {index} out of range for {size} states")
-    digits = []
-    rest = index
-    for _ in range(num_users):
-        rest, digit = divmod(rest, m * k)
-        digits.append(divmod(digit, k))
-    digits.reverse()
-    return SystemState(
-        rate_indices=tuple(r for r, _ in digits),
-        channel_indices=tuple(c for _, c in digits),
-    )

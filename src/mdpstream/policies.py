@@ -115,8 +115,9 @@ def solve_ideal(
     them; entry t is the state during segment t, so the decision at epoch
     t is scored against entry t + 1.  With the path fixed the only state
     left is the rate vector, and one deterministic backward recursion over
-    (runs, rate vectors) is exact.  Ties break like the stochastic solver:
-    smallest aggregate rate, then lexicographically smallest vector.
+    (runs, rate vectors) is exact.  Each epoch reduces q with the solver's
+    own ``mdp._best``, so ties break the same way: smallest aggregate rate,
+    then lexicographically smallest vector.
     """
     paths = np.asarray(channel_paths, dtype=np.int64)
     n = params.num_users
@@ -143,15 +144,12 @@ def solve_ideal(
     block = max(1, mdp._BLOCK_FLOATS // (num_rate_vectors * num_actions))
     for lo in range(0, runs, block):
         ahead = where[lo:lo + block]
-        plan = np.empty((horizon, len(ahead), num_rate_vectors), dtype=np.int64)
-        v_next = np.zeros((len(ahead), num_rate_vectors))
+        plan = np.empty((horizon, num_rate_vectors, len(ahead)), dtype=np.int64)
+        v_next = np.zeros((num_rate_vectors, len(ahead)))
         for t in range(horizon - 1, -1, -1):
-            base = pay_of[ahead[:, t]] - tables.bottleneck + v_next[:, tables.action_multi]
-            q = base[:, None, :] - tables.variation_by_action  # (runs, rate vectors, actions)
-            plan[t] = q.argmax(axis=2)
-            v_next = q.max(axis=2)
+            v_next, plan[t] = mdp._best(pay_of[ahead[:, t]] + v_next[tables.action_multi].T, tables)
         at = np.full(len(ahead), multi)
         for t in range(horizon):
-            chosen[lo:lo + block, t] = plan[t, np.arange(len(ahead)), at]
+            chosen[lo:lo + block, t] = plan[t, at, np.arange(len(ahead))]
             at = tables.action_multi[chosen[lo:lo + block, t]]
     return tables.action_digits[chosen]

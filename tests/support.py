@@ -21,7 +21,7 @@ from mdpstream.economics import (
     bottleneck_cost,
 )
 from mdpstream.mdp import _ActionTables, feasible_actions
-from mdpstream.model import ChannelModel, QualityLadder
+from mdpstream.model import ChannelModel, QualityLadder, SystemState
 
 
 def make_ladder(rates=(95.11, 183.53, 364.63, 493.02, 798.09)):
@@ -89,6 +89,14 @@ def random_instance(rng, num_rates, num_channel_states, num_users, finite_price)
         user_priorities=tuple(rng.dirichlet(np.ones(num_users))),
     )
     return ladder, channel, params, derive_constants(ladder, channel, params)
+
+
+def all_states(ladder, channel, num_users):
+    """Every joint state in canonical order: user 0 varies slowest, and each
+    user's (rate index, channel index) pair is ordered rate-major."""
+    per_user = product(range(len(ladder)), range(channel.num_states))
+    return [SystemState(tuple(r for r, _ in combo), tuple(c for _, c in combo))
+            for combo in product(per_user, repeat=num_users)]
 
 
 # --------------------- reference profit and oracles ---------------------

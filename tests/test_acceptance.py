@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 import yaml
 
+from mdpstream import mdp
 from mdpstream.cli import main, table_filename
 from mdpstream.configfile import save_scenario
 from mdpstream.economics import derive_constants
-from mdpstream.mdp import backward_induction, feasible_actions, transition_prob
+from mdpstream.mdp import backward_induction, feasible_actions
 from mdpstream.metrics import aggregate_runs, summarize
-from mdpstream.model import SystemState, enumerate_states
+from mdpstream.model import SystemState
 from mdpstream.policies import IdealOracle, Myopic, Proposed
 from mdpstream.presets import fair_scenario
 from mdpstream.sim import run_session
@@ -182,29 +183,20 @@ def test_differentiated_rates_change_smoothly(diff_batch, diff_config):
 
 
 def test_transition_probabilities_close(fair_config):
-    ladder = fair_config.ladder
-    channel = fair_config.channel
-    states = enumerate_states(ladder, channel, fair_config.num_users)
-    actions = feasible_actions(
-        fair_config.num_users, ladder, fair_config.profit
-    )
-    rng = np.random.default_rng(2024)
-    for _ in range(10_000):
-        state = states[rng.integers(len(states))]
-        action = actions[rng.integers(len(actions))]
-        total = sum(
-            transition_prob(state, action, nxt, channel)
-            for nxt in states
-            if nxt.rate_indices == action.rate_indices
-        )
-        assert total == pytest.approx(1.0, abs=1e-9)
-    # any successor whose rates disagree with the action is unreachable
-    state = states[0]
-    action = actions[-1]
-    mismatched = next(
-        s for s in states if s.rate_indices != action.rate_indices
-    )
-    assert transition_prob(state, action, mismatched, channel) == 0.0
+    # the joint channel matrix the solver takes expectations with: each row
+    # is a distribution, each entry the product of the per-user moves
+    n, k = fair_config.num_users, fair_config.channel.num_states
+    tables = mdp._SolverTables(fair_config.ladder, fair_config.channel, fair_config.profit,
+                               fair_config.derived_constants(), n)
+    joint = tables.joint_channel
+    assert joint.shape == (k ** n, k ** n)
+    np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    per_user = fair_config.channel.transition
+    for src, dst in product(product(range(k), repeat=n), repeat=2):
+        want = per_user[src[0], dst[0]] * per_user[src[1], dst[1]]
+        assert joint[src[0] * k + src[1], dst[0] * k + dst[1]] == want
+    # rates move to the action's vector: its future term reads that row
+    assert np.array_equal(tables.rate_digits[tables.action_multi], tables.action_digits)
 
 
 def test_proposed_never_exceeds_cap(fair_batch, diff_batch, fair_config):

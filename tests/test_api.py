@@ -1,0 +1,36 @@
+"""The package surface: the documented example runs, every exported name
+resolves, and the entry points the benchmark in ``perfbench/`` calls by
+name still exist."""
+
+import re
+import textwrap
+
+import mdpstream
+from mdpstream import cli, configfile, economics, mdp, metrics, model, sim
+
+
+def test_package_docstring_example_runs(capsys):
+    block = re.search(r"Typical library use::\n\n((?:    .*\n|\n)+)", mdpstream.__doc__)
+    exec(textwrap.dedent(block.group(1)), {})
+    assert capsys.readouterr().out.startswith("SessionSummary(arm='proposed', run_index=0,")
+
+
+def test_every_exported_name_resolves():
+    for name in mdpstream.__all__:
+        assert getattr(mdpstream, name) is not None, name
+
+
+def test_benchmark_entry_points_exist():
+    # called directly, or replaced by a timing wrapper in traced runs
+    for owner, name in [
+        (sim, "run_session"), (sim, "SegmentRecord"), (sim.Trace, "records"),
+        (metrics, "summarize"), (cli, "run_session"), (cli, "_write_trace"),
+        (cli, "table_filename"), (mdp, "feasible_actions"), (model, "state_space_size"),
+        (model.QualityLadder, "highest_at_most"), (cli, "main"),
+        (configfile, "load_scenario"), (cli, "load_scenario"),
+        (economics, "derive_constants"), (cli, "derive_constants"), (sim, "derive_constants"),
+        (mdp, "backward_induction"), (cli, "backward_induction"), (sim, "solve_ideal"),
+        (mdp.PolicyTable, "save"), (mdp.PolicyTable, "load"),
+        (metrics, "aggregate_runs"), (cli, "summarize"), (cli, "aggregate_runs"),
+    ]:
+        assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"

@@ -18,10 +18,9 @@ from mdpstream.economics import (
     derive_constants,
     playback_income,
     smoothness_cost,
-    stage_profit,
 )
-from mdpstream.model import Action, ConfigurationError, SystemState
-from support import make_channel, make_ladder, make_params
+from mdpstream.model import Action, ConfigurationError
+from support import make_channel, make_ladder, make_params, stage_value
 
 INCOME_NORM = 2.1271872565509953        # log(798.09 / 95.11)
 MIN_SHORTFALL = 0.10999999999999943     # 95.11 - 95, as floats
@@ -232,23 +231,15 @@ def test_stage_profit_all_quiet_is_zero(defaults):
     ladder, channel, _, _ = defaults
     params = make_params(priorities=(1.0,), cap=850.0)
     consts = derive_constants(ladder, channel, params)
-    state = SystemState((0,), (2,))
-    nxt = SystemState((0,), (1,))
-    assert stage_profit(state, Action((0,)), nxt, ladder, channel, params, consts) == 0.0
+    assert stage_value(ladder, channel, params, consts, (0,), Action((0,)), (1,)) == 0.0
 
 
 def test_stage_profit_symmetric_users(defaults):
     ladder, channel, params, consts = defaults
-    state = SystemState((1, 1), (2, 2))
-    action = Action((2, 2))
-    nxt = SystemState((2, 2), (2, 2))
-    both = stage_profit(state, action, nxt, ladder, channel, params, consts)
+    both = stage_value(ladder, channel, params, consts, (1, 1), Action((2, 2)), (2, 2))
     single_params = make_params(priorities=(1.0,), cap=850.0)
     single_consts = derive_constants(ladder, channel, single_params)
-    single = stage_profit(
-        SystemState((1,), (2,)), Action((2,)), SystemState((2,), (2,)),
-        ladder, channel, single_params, single_consts,
-    )
+    single = stage_value(ladder, channel, single_params, single_consts, (1,), Action((2,)), (2,))
     assert both == pytest.approx(single, rel=1e-12)  # 0.5 + 0.5 of the same term
 
 
@@ -257,31 +248,16 @@ def test_stage_profit_composes_hand_example():
     ladder, channel = make_ladder(), make_channel()
     params = make_params(price=0.001, cap=850.0, priorities=(0.7, 0.3))
     consts = derive_constants(ladder, channel, params)
-    state = SystemState((4, 2), (3, 1))
-    action = Action((4, 2))
-    nxt = SystemState((4, 2), (3, 1))  # user 2: 364.63 against 256 Kbps
-    got = stage_profit(state, action, nxt, ladder, channel, params, consts)
+    # user 2: 364.63 against 256 Kbps
+    got = stage_value(ladder, channel, params, consts, (4, 2), Action((4, 2)), (3, 1))
     buf = 0.5 * math.log((364.63 - 256.0) / MIN_SHORTFALL) / BUFFERING_NORM
     charge = 0.001 * (798.09 + 364.63 - 850.0)
     assert got == pytest.approx(0.7 * 0.3 - 0.3 * buf - charge, rel=1e-12)
 
 
-def test_stage_profit_rejects_mismatched_rates(defaults):
-    ladder, channel, params, consts = defaults
-    state = SystemState((0, 0), (0, 0))
-    with pytest.raises(ValueError):
-        stage_profit(
-            state, Action((1, 1)), SystemState((1, 2), (0, 0)),
-            ladder, channel, params, consts,
-        )
-
-
 def test_stage_profit_propagates_infeasible(defaults):
     ladder, channel, params, consts = defaults
-    state = SystemState((0, 0), (0, 0))
-    action = Action((3, 3))
-    nxt = SystemState((3, 3), (0, 0))
-    assert stage_profit(state, action, nxt, ladder, channel, params, consts) is INFEASIBLE
+    assert stage_value(ladder, channel, params, consts, (0, 0), Action((3, 3)), (0, 0)) is INFEASIBLE
 
 
 def test_stage_profit_upper_bound(defaults):
@@ -290,10 +266,7 @@ def test_stage_profit_upper_bound(defaults):
     ladder, channel = make_ladder(), make_channel()
     params = make_params(cap=5000.0, price=0.001)
     consts = derive_constants(ladder, channel, params)
-    best = stage_profit(
-        SystemState((4, 4), (3, 3)), Action((4, 4)), SystemState((4, 4), (3, 3)),
-        ladder, channel, params, consts,
-    )
+    best = stage_value(ladder, channel, params, consts, (4, 4), Action((4, 4)), (3, 3))
     assert best == pytest.approx(0.3, abs=1e-12)
 
 

@@ -15,13 +15,12 @@ from mdpstream.mdp import (
     InfeasibleModelError,
     PolicyTable,
     backward_induction,
-    channel_transition_prob,
     feasible_actions,
     scenario_fingerprint,
-    transition_prob,
 )
-from mdpstream.model import Action, ConfigurationError, SystemState, enumerate_states
+from mdpstream.model import ConfigurationError, SystemState
 from support import (
+    all_states,
     expectimax_value,
     fixed_plan_value,
     full_tensor_backup,
@@ -42,38 +41,46 @@ def small_model():
 # ----------------------------- transition model ----------------------------
 
 
+def solver_tables(ladder, channel, params):
+    consts = derive_constants(ladder, channel, params)
+    return mdp._SolverTables(ladder, channel, params, consts, params.num_users)
+
+
 def test_channel_transition_product():
     channel = make_channel()
-    assert channel_transition_prob((0, 0), (0, 1), channel) == pytest.approx(0.25)
-    assert channel_transition_prob((1, 2), (2, 3), channel) == pytest.approx(0.2 * 0.2)
-    assert channel_transition_prob((0, 0), (2, 0), channel) == 0.0
+    joint = solver_tables(make_ladder(), channel, make_params()).joint_channel
+    # joint channel vectors are base-4 digits, user 0 most significant
+    assert joint[0, 1] == pytest.approx(0.25)  # (0, 0) -> (0, 1)
+    assert joint[1 * 4 + 2, 2 * 4 + 3] == pytest.approx(0.2 * 0.2)  # (1, 2) -> (2, 3)
+    assert joint[0, 2 * 4] == 0.0  # (0, 0) -> (2, 0)
+    per_user = channel.transition
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        assert joint[a * 4 + b, c * 4 + d] == per_user[a, c] * per_user[b, d]
 
 
 def test_channel_transition_identity():
     channel = make_channel(np.eye(4))
-    for k in range(4):
-        assert channel_transition_prob((k,), (k,), channel) == 1.0
-        assert channel_transition_prob((k,), ((k + 1) % 4,), channel) == 0.0
+    for n in (1, 2):
+        params = make_params(cap=5000.0, priorities=(1 / n,) * n)
+        joint = solver_tables(make_ladder(), channel, params).joint_channel
+        assert np.array_equal(joint, np.eye(4 ** n))
 
 
 def test_transition_requires_matching_rates():
-    channel = make_channel()
-    s = SystemState((0, 0), (0, 0))
-    a = Action((1, 2))
-    hit = SystemState((1, 2), (0, 1))
-    miss = SystemState((1, 1), (0, 1))
-    assert transition_prob(s, a, hit, channel) == pytest.approx(0.25)
-    assert transition_prob(s, a, miss, channel) == 0.0
+    # rates move deterministically to the action's vector: each action's
+    # future term reads the row of exactly that rate vector
+    ladder, channel, params, _ = small_model()
+    tables = solver_tables(ladder, channel, params)
+    for digits, multi in zip(tables.action_digits, tables.action_multi):
+        assert multi == np.ravel_multi_index(tuple(digits), (len(ladder),) * 2)
+        assert np.array_equal(tables.rate_digits[multi], digits)
 
 
 def test_transition_closure_small():
     ladder, channel, params, _ = small_model()
-    states = enumerate_states(ladder, channel, 2)
-    actions = feasible_actions(2, ladder, params)
-    for s in states[:4]:
-        for a in actions:
-            total = sum(transition_prob(s, a, nxt, channel) for nxt in states)
-            assert total == pytest.approx(1.0, abs=1e-9)
+    joint = solver_tables(ladder, channel, params).joint_channel
+    assert joint.min() >= 0.0
+    np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 # ----------------------------- feasible actions ----------------------------
@@ -130,7 +137,7 @@ def test_solver_matches_recursive_oracle_small():
     for finite_price in (False, True):
         ladder, channel, params, consts = random_instance(rng, 2, 2, 2, finite_price)
         table = backward_induction(ladder, channel, params, consts, 3)
-        for state in enumerate_states(ladder, channel, 2):
+        for state in all_states(ladder, channel, 2):
             want = expectimax_value(
                 ladder, channel, params, consts, 3,
                 state.rate_indices, state.channel_indices,
@@ -165,7 +172,7 @@ def test_last_epoch_equals_single_step_optimum():
     ladder, channel, params, consts = small_model()
     deep = backward_induction(ladder, channel, params, consts, 4)
     shallow = backward_induction(ladder, channel, params, consts, 1)
-    for state in enumerate_states(ladder, channel, 2):
+    for state in all_states(ladder, channel, 2):
         assert deep.value(3, state) == shallow.value(0, state)
 
 
@@ -178,7 +185,7 @@ def test_tie_breaking_prefers_smallest_rates():
                          threshold=5000.0, cap=1000.0)
     consts = derive_constants(ladder, channel, params)
     table = backward_induction(ladder, channel, params, consts, 3)
-    for state in enumerate_states(ladder, channel, 2):
+    for state in all_states(ladder, channel, 2):
         for t in range(3):
             assert table.action(t, state).rate_indices == (0, 0)
             assert table.value(t, state) == 0.0
@@ -201,7 +208,7 @@ def test_value_dominates_fixed_plans():
     table = backward_induction(ladder, channel, params, consts, horizon)
     actions = feasible_actions(2, ladder, params)
     rng = np.random.default_rng(3)
-    for state in enumerate_states(ladder, channel, 2)[::5]:
+    for state in all_states(ladder, channel, 2)[::5]:
         for _ in range(4):
             plan = [actions[rng.integers(len(actions))] for _ in range(horizon)]
             fixed = fixed_plan_value(

@@ -1,4 +1,4 @@
-"""Domain types: ladder, channel model, joint state space, bandwidth mapping."""
+"""Domain types: ladder, channel model, canonical state index, bandwidth mapping."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,11 @@ from mdpstream.model import (
     ConfigurationError,
     QualityLadder,
     SystemState,
-    enumerate_states,
     map_bandwidth_to_state,
-    state_from_index,
-    state_index,
     state_space_size,
 )
-from support import make_channel, make_ladder
+from mdpstream.mdp import PolicyTable, state_index
+from support import all_states, make_channel, make_ladder
 
 
 # ------------------------------ QualityLadder ------------------------------
@@ -151,45 +149,39 @@ def test_state_space_sizes():
     assert state_space_size(*small, 2) == 16
 
 
-def test_enumerate_states_counts_and_uniqueness():
-    ladder, channel = make_ladder(), make_channel()
-    states = enumerate_states(ladder, channel, 2)
-    assert len(states) == 400
-    assert len(set(states)) == 400
-
-
-def test_enumerate_states_canonical_order():
+def test_state_index_canonical_order():
     ladder = make_ladder((100.0, 200.0))
     channel = make_channel([[0.5, 0.5], [0.5, 0.5]], (80.0, 300.0), (150.0,))
-    states = enumerate_states(ladder, channel, 2)
+    states = all_states(ladder, channel, 2)
     # user 0 varies slowest; within a user, rate index before channel index
     assert states[0] == SystemState((0, 0), (0, 0))
     assert states[1] == SystemState((0, 0), (0, 1))
     assert states[2] == SystemState((0, 1), (0, 0))
     assert states[4] == SystemState((0, 0), (1, 0))
     assert states[-1] == SystemState((1, 1), (1, 1))
-
-
-def test_enumerate_states_respects_cap():
-    with pytest.raises(ConfigurationError):
-        enumerate_states(make_ladder(), make_channel(), 2, cap=100)
+    for i, s in enumerate(states):
+        assert state_index(s.rate_indices, s.channel_indices, 2, 2) == i
 
 
 def test_state_index_round_trip_full():
     ladder, channel = make_ladder(), make_channel()
-    for i, s in enumerate(enumerate_states(ladder, channel, 2)):
-        assert state_index(s, ladder, channel) == i
-        assert state_from_index(i, ladder, channel, 2) == s
+    states = all_states(ladder, channel, 2)
+    assert len(states) == len(set(states)) == state_space_size(ladder, channel, 2) == 400
+    for i, s in enumerate(states):
+        assert state_index(s.rate_indices, s.channel_indices, 5, 4) == i
+    rates = np.array([s.rate_indices for s in states])
+    chans = np.array([s.channel_indices for s in states])
+    assert np.array_equal(state_index(rates, chans, 5, 4), np.arange(400))
 
 
 def test_state_index_rejects_out_of_range():
-    ladder, channel = make_ladder(), make_channel()
-    with pytest.raises(ValueError):
-        state_index(SystemState((5, 0), (0, 0)), ladder, channel)
-    with pytest.raises(ValueError):
-        state_index(SystemState((0, 0), (0, 4)), ladder, channel)
-    with pytest.raises(ValueError):
-        state_from_index(400, ladder, channel, 2)
+    table = PolicyTable(ladder_size=5, num_channel_states=4, num_users=2, horizon=1,
+                        fingerprint="", values=np.zeros((2, 400)),
+                        action_rate_indices=np.zeros((1, 400, 2), dtype=np.int64))
+    assert table.state_index((4, 4), (3, 3)) == 399
+    for rates, chans in (((5, 0), (0, 0)), ((0, 0), (0, 4)), ((-1, 0), (0, 0)), ((0, 0), (0, -1))):
+        with pytest.raises(ValueError, match="out of range"):
+            table.state_index(rates, chans)
 
 
 # ----------------------------- state and action ----------------------------

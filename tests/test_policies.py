@@ -10,7 +10,7 @@ import pytest
 from mdpstream import mdp
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction, feasible_actions
-from mdpstream.model import Action, SystemState, enumerate_states
+from mdpstream.model import Action, SystemState
 from mdpstream.policies import (
     EwmaEstimator,
     LastSampleEstimator,
@@ -20,7 +20,9 @@ from mdpstream.policies import (
     solve_ideal,
 )
 from mdpstream.sim import channel_paths
-from support import make_channel, make_ladder, make_params, reference_solve_ideal, stage_value
+from support import (
+    all_states, make_channel, make_ladder, make_params, reference_solve_ideal, stage_value,
+)
 
 
 # ------------------------------- estimators --------------------------------
@@ -73,9 +75,9 @@ def test_myopic_ignores_the_shared_cap():
 # ----------------------------- proposed policy -----------------------------
 
 
-def all_states(config):
+def state_arrays(config):
     """Every joint state as (rate indices, channel indices) arrays."""
-    states = enumerate_states(config.ladder, config.channel, config.num_users)
+    states = all_states(config.ladder, config.channel, config.num_users)
     return (
         states,
         np.array([s.rate_indices for s in states]),
@@ -85,7 +87,7 @@ def all_states(config):
 
 def test_proposed_looks_up_table(fair_config, fair_table):
     policy = Proposed(fair_table)
-    states, rates, chans = all_states(fair_config)
+    states, rates, chans = state_arrays(fair_config)
     for epoch in (0, 150, 199):
         got = policy.decide(epoch, rates, chans)
         want = [fair_table.action(epoch, state).rate_indices for state in states]
@@ -97,12 +99,16 @@ def test_proposed_looks_up_table(fair_config, fair_table):
     with pytest.raises(ValueError):
         policy.decide(0, [5, 0], [0, 0])  # rate index outside the ladder
     with pytest.raises(ValueError):
+        policy.decide(0, [-1, 0], [0, 0])  # would wrap to index -80
+    with pytest.raises(ValueError):
+        policy.decide(0, [0, 0], [0, -1])  # would read another state's row
+    with pytest.raises(ValueError):
         policy.decide(0, [0, 0, 0], [0, 0, 0])  # three users, two-user table
 
 
 def test_proposed_stationary_reuses_epoch_zero(fair_config, fair_table):
     policy = Proposed(fair_table, stationary=True)
-    states, rates, chans = all_states(fair_config)
+    states, rates, chans = state_arrays(fair_config)
     want = [fair_table.action(0, state).rate_indices for state in states]
     for epoch in (0, 50, 199, 500):
         assert [tuple(row) for row in policy.decide(epoch, rates, chans).tolist()] == want

@@ -10,7 +10,7 @@ import pytest
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream import sim
-from mdpstream.model import ConfigurationError
+from mdpstream.model import Action, ConfigurationError
 from mdpstream.policies import EwmaEstimator, IdealOracle, Myopic, Proposed
 from mdpstream.sim import (
     USER_COLUMNS,
@@ -23,7 +23,7 @@ from mdpstream.sim import (
     step_buffer,
     user_rngs,
 )
-from support import make_channel, make_ladder, make_params
+from support import make_channel, make_ladder, make_params, stage_value
 
 
 # ------------------------------ configuration ------------------------------
@@ -252,6 +252,31 @@ def test_accounting_identity(fair_config, fair_table):
             for u in range(2)
         ) - rec.bottleneck_cost
         assert rec.stage_profit == pytest.approx(recomputed, abs=1e-9)
+
+
+def test_every_stage_profit_is_the_model_reward(fair_config):
+    # a finite price and no sharing: every arm is billed, never rationed, so
+    # each epoch's stage profit is exactly the reward for (previous rates,
+    # chosen rates, channel state), variation term included
+    config = replace(fair_config, horizon=20, sharing_mode="none",
+                     profit=replace(fair_config.profit, congestion_price=0.001))
+    consts = config.derived_constants()
+    table = backward_induction(config.ladder, config.channel, config.profit, consts, 20)
+    paths = channel_paths(config, range(15))
+    index_of = {rate: i for i, rate in enumerate(config.ladder.rates)}
+    for policy in (Proposed(table), Myopic(config.ladder), IdealOracle()):
+        trace = simulate(config, policy, paths)
+        for run in range(15):
+            prev = (config.initial_rate_index,) * config.num_users
+            for t in range(20):
+                chosen = tuple(index_of[r] for r in trace.rate_kbps[run, t].tolist())
+                want = stage_value(config.ladder, config.channel, config.profit, consts, prev,
+                                   Action(chosen), tuple(trace.channel_state[run, t].tolist()))
+                assert trace.stage_profit[run, t] == pytest.approx(want, rel=0, abs=1e-12)
+                prev = chosen
+        if isinstance(policy, Myopic):  # the terms that must not go unseen
+            assert np.count_nonzero(trace.variation_cost) > 0
+            assert np.count_nonzero(trace.bottleneck_cost) > 0
 
 
 def test_fluid_conservation(fair_config):
