@@ -163,10 +163,17 @@ def test_state_index_canonical_order():
         assert state_index(s.rate_indices, s.channel_indices, 2, 2) == i
 
 
+def test_enumerate_states_counts_and_uniqueness():
+    ladder, channel = make_ladder(), make_channel()
+    states = all_states(ladder, channel, 2)
+    assert len(states) == 400
+    assert len(set(states)) == 400
+    assert state_space_size(ladder, channel, 2) == 400
+
+
 def test_state_index_round_trip_full():
     ladder, channel = make_ladder(), make_channel()
     states = all_states(ladder, channel, 2)
-    assert len(states) == len(set(states)) == state_space_size(ladder, channel, 2) == 400
     for i, s in enumerate(states):
         assert state_index(s.rate_indices, s.channel_indices, 5, 4) == i
     rates = np.array([s.rate_indices for s in states])
