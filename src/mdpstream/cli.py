@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"unknown arm {arm!r}; choose from {', '.join(ARMS)}"
                 )
+            if self.arms.count(arm) > 1:
+                raise ConfigurationError(f"arm {arm!r} is listed twice; list each arm once")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigurationError(
                 f"unknown sweep axis {self.sweep_axis!r}; choose from {', '.join(SWEEP_AXES)}"
@@ -69,6 +72,19 @@ class ExperimentSpec:
             raise ConfigurationError("sweep values given without a sweep axis")
         if self.sweep_axis != "none" and not self.sweep_values:
             raise ConfigurationError(f"sweep over {self.sweep_axis} needs values")
+        if self.sweep_axis == "horizon":
+            for value in self.sweep_values:
+                if not float(value).is_integer():
+                    raise ConfigurationError(
+                        f"horizon sweep value {value:g} is not a whole number of epochs"
+                    )
+        tags = [f"{value:g}" for value in self.sweep_values]  # as in the file names
+        for tag in tags:
+            if tags.count(tag) > 1:
+                raise ConfigurationError(
+                    f"sweep value {tag} is given twice; its runs would overwrite "
+                    "each other's trace files"
+                )
 
 
 def load_experiment_spec(path: str) -> ExperimentSpec:
@@ -80,16 +96,26 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
         )
     try:
         scenario_rel = data["scenario"]
-        arms = tuple(data["arms"])
+        arms = data["arms"]
     except KeyError as missing:
         raise ConfigurationError(f"{path}: experiment needs {missing}") from None
+    if not isinstance(scenario_rel, str):
+        raise ConfigurationError(f"{path}: scenario must be a file path, e.g. scenario: fair.cfg")
+    if not isinstance(arms, list):
+        raise ConfigurationError(f"{path}: write the arms as a list, e.g. arms: [proposed, myopic]")
     sweep = data.get("sweep") or {}
-    axis = sweep.get("axis", "none") if sweep else "none"
-    values = tuple(float(v) for v in sweep.get("values", ())) if sweep else ()
+    sweep_form = "write the sweep as sweep: {axis: rate_cap, values: [600, 850]}"
+    if not isinstance(sweep, dict) or not isinstance(sweep.get("values", []), list):
+        raise ConfigurationError(f"{path}: {sweep_form}")
+    axis = sweep.get("axis", "none")
+    try:
+        values = tuple(float(v) for v in sweep.get("values", []))
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{path}: sweep values must be numbers ({err}); {sweep_form}") from None
     scenario_path = os.path.join(os.path.dirname(os.path.abspath(path)), scenario_rel)
     return ExperimentSpec(
         scenario_path=os.path.normpath(scenario_path),
-        arms=arms,
+        arms=tuple(arms),
         sweep_axis=axis,
         sweep_values=values,
     )
@@ -133,21 +159,58 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     os.replace(tmp, path)
 
 
+@functools.lru_cache(maxsize=1)
+def _trace_text(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Every run of ``trace`` as text, each distinct value of a column
+    formatted once.
+
+    Returns (runs, horizon, CSV columns) int32 codes into a (texts, width)
+    byte table: each text NUL-padded, with at least two NUL bytes left for
+    its separator.  A column's values are keyed by their int64 value
+    (``epoch``, ``channel_state``) or float64 bits (the rest, so ``-0.0``
+    and ``0.0`` stay apart), the users' columns of one name together.  The
+    runs of a cell repeat most values, so the cache keeps one cell (a
+    ``Trace`` hashes by identity); its arrays are read-only.
+    """
+    runs, horizon, _ = trace.rate_kbps.shape
+    names = ("epoch", *USER_COLUMNS, "bottleneck_cost", "stage_profit")
+    columns = (np.broadcast_to(np.arange(horizon)[:, None], (runs, horizon, 1)),
+               *(getattr(trace, name) for name in USER_COLUMNS),
+               trace.bottleneck_cost[..., None], trace.stage_profit[..., None])
+    texts: list[str] = []
+    by_name = []
+    for name, values in zip(names, columns):
+        integer = name in ("epoch", "channel_state")
+        keys = (values.astype(np.int64, copy=False) if integer
+                else values.astype(np.float64, copy=False).view(np.int64))
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        by_name.append(inverse.reshape(values.shape).astype(np.int32) + len(texts))
+        texts += (["%d" % x for x in distinct.tolist()] if integer
+                  else ["%.12g" % x for x in distinct.view(np.float64).tolist()])
+    per_user = np.stack(by_name[1:-2], axis=-1).reshape(runs, horizon, -1)
+    codes = np.concatenate([by_name[0], per_user, *by_name[-2:]], axis=-1)
+    width = max(map(len, texts)) + 2
+    text = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+    codes.flags.writeable = text.flags.writeable = False
+    return codes, text
+
+
 def _write_trace(path: str, trace: Trace, run: int) -> None:
-    """Write one run of ``trace`` as CSV, one ``%`` format per row: the bytes
-    ``csv.writer`` writes from ``format(x, ".12g")`` cells."""
-    horizon, num_users = trace.rate_kbps.shape[1:]
+    """Write one run of ``trace`` as CSV: the bytes ``csv.writer`` writes from
+    ``format(x, ".12g")`` float cells and ``str`` integer cells."""
+    codes, text = _trace_text(trace)
+    num_users = trace.rate_kbps.shape[2]
     header = ["epoch"] + [
         f"u{u}_{name}" for u in range(1, num_users + 1) for name in USER_COLUMNS
     ] + ["bottleneck_cost", "stage_profit"]
-    row_format = "%d," + ("%.12g,%d," + "%.12g," * 7) * num_users + "%.12g,%.12g\r\n"
-    per_user = np.stack([getattr(trace, name)[run] for name in USER_COLUMNS], axis=-1)
-    rows = np.column_stack([np.arange(horizon), per_user.reshape(horizon, -1),
-                            trace.bottleneck_cost[run], trace.stage_profit[run]])
+    cells = text.take(codes[run], axis=0)  # (horizon, columns, width)
+    cells[:, :-1, -2] = ord(",")
+    cells[:, -1, -2:] = (ord("\r"), ord("\n"))
+    raw = cells.ravel()
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(row_format % tuple(row) for row in rows.tolist()))
+    with open(tmp, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("ascii"))
+        fh.write(raw[raw != 0])
     os.replace(tmp, path)
 
 

@@ -288,8 +288,9 @@ def reference_solve_ideal(paths, initial_rate_indices, ladder, channel, params, 
 
 def reference_write_trace(path, trace, num_users):
     """Trace CSV written cell by cell: ``format(x, ".12g")`` for floats,
-    ``str`` for integers, rows through ``csv.writer``.  The CLI's
-    one-format-per-row writer must match it byte for byte."""
+    ``str`` for integers, rows through ``csv.writer``.  The CLI's writer,
+    which formats each distinct value of a cell once and gathers the texts,
+    must match it byte for byte."""
     def fmt(x):
         return format(float(x), ".12g")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mdpstream import cli
 from mdpstream.cli import (
     ExperimentSpec,
     _write_trace,
@@ -18,7 +19,7 @@ from mdpstream.configfile import save_scenario
 from mdpstream.model import ConfigurationError
 from mdpstream.policies import IdealOracle, Myopic
 from mdpstream.presets import fair_scenario
-from mdpstream.sim import Trace, channel_paths, simulate
+from mdpstream.sim import USER_COLUMNS, Trace, channel_paths, simulate
 from support import reference_write_trace
 
 BUNDLED = Path(__file__).resolve().parents[1] / "scenarios"
@@ -81,6 +82,63 @@ def test_trace_writer_formats_edge_values_like_reference(tmp_path):
     assert got == (tmp_path / "want.csv").read_bytes()
     for text in (b"-0,", b"1e+16", b"1e-07", b"123456789012,", b"4.94065645841e-324"):
         assert text in got
+
+
+def _writes_like_reference(tmp_path, trace, run):
+    _write_trace(str(tmp_path / "got.csv"), trace, run)
+    reference_write_trace(str(tmp_path / "want.csv"), trace.records(run),
+                          trace.rate_kbps.shape[2])
+    return (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _float_trace(floats, channel_state, shared):
+    """A Trace with every float column ``floats`` and both shared columns ``shared``."""
+    return Trace(
+        **{name: floats for name in USER_COLUMNS if name != "channel_state"},
+        channel_state=channel_state, bottleneck_cost=shared, stage_profit=shared,
+    )
+
+
+def test_trace_writer_runs_out_of_order_and_interleaved(tmp_path):
+    config = fair_scenario(horizon=20, num_runs=3)
+    paths = channel_paths(config, range(3))
+    myopic, ideal = (simulate(config, policy, paths) for policy in (Myopic(config.ladder),
+                                                                    IdealOracle()))
+    for run in (2, 0, 1):
+        for trace in (myopic, ideal):  # same shape, written in turn
+            assert _writes_like_reference(tmp_path, trace, run), (trace, run)
+
+
+def test_trace_writer_cell_whose_runs_share_no_values(tmp_path):
+    rng = np.random.default_rng(5)
+    runs = np.arange(3)[:, None, None]
+    trace = _float_trace(rng.random((3, 4, 2)) + 10.0 * runs,
+                         np.arange(24).reshape(3, 4, 2), rng.random((3, 4)) - runs[..., 0])
+    for run in range(3):
+        assert _writes_like_reference(tmp_path, trace, run)
+
+
+def test_trace_writer_keeps_zero_signs_and_kinds_apart(tmp_path):
+    one_bits = int(np.float64(1.0).view(np.int64))  # an int equal to a float key
+    floats = np.array([[[0.0, 1.0]], [[-0.0, 1.0]]])  # two runs, one epoch, two users
+    trace = _float_trace(floats, np.array([[[one_bits, 0]], [[1, one_bits]]]),
+                         np.array([[-0.0], [0.0]]))
+    rows = []
+    for run in range(2):
+        assert _writes_like_reference(tmp_path, trace, run)
+        rows.append((tmp_path / "got.csv").read_bytes().split(b"\r\n")[1])
+    assert rows[0].startswith(f"0,0,{one_bits},0,".encode())
+    assert rows[1].startswith(b"0,-0,1,-0,")
+
+
+def test_trace_writer_formats_each_cell_once(tmp_path):
+    config = fair_scenario(horizon=10)
+    trace = simulate(config, IdealOracle(), channel_paths(config, range(15)))
+    cli._trace_text.cache_clear()
+    for run in range(15):
+        _write_trace(str(tmp_path / f"run{run}.csv"), trace, run)
+    assert cli._trace_text.cache_info().misses == 1
+    assert not any(array.flags.writeable for array in cli._trace_text(trace))
 
 
 def test_table_filename_layout():
@@ -286,3 +344,42 @@ def test_experiment_file_parsing(tmp_path):
     spec_path.write_text(yaml.safe_dump({"arms": ["myopic"]}), encoding="utf-8")
     with pytest.raises(ConfigurationError, match="scenario"):
         load_experiment_spec(str(spec_path))
+
+
+@pytest.mark.parametrize("fields, form", [
+    ({"arms": ["myopic"], "sweep": [1, 2]}, "sweep: {axis"),
+    ({"arms": ["myopic"], "sweep": {"axis": "rate_cap", "values": 600}}, "sweep: {axis"),
+    ({"arms": ["myopic"], "sweep": {"axis": "rate_cap", "values": ["fast"]}}, "numbers"),
+    ({"arms": "myopic"}, "arms: ["),
+    ({"arms": ["myopic"], "scenario": ["s.cfg"]}, "scenario: fair.cfg"),
+])
+def test_malformed_experiment_file_names_the_form(tmp_path, capsys, fields, form):
+    save_scenario(fair_scenario(), str(tmp_path / "s.cfg"))
+    spec_path = tmp_path / "exp.yaml"
+    spec_path.write_text(yaml.safe_dump({"scenario": "s.cfg", **fields}), encoding="utf-8")
+    rc = main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert form in capsys.readouterr().err
+
+
+def test_horizon_sweep_values_must_be_whole():
+    ExperimentSpec(scenario_path="x", arms=("myopic",), sweep_axis="horizon",
+                   sweep_values=(5.0,))
+    with pytest.raises(ConfigurationError, match="5.7 is not a whole number"):
+        ExperimentSpec(scenario_path="x", arms=("myopic",), sweep_axis="horizon",
+                       sweep_values=(5.0, 5.7))
+
+
+def test_duplicate_sweep_values_rejected(tmp_path):
+    spec_path = tmp_path / "exp.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "scenario": "s.cfg", "arms": ["myopic"],
+        "sweep": {"axis": "rate_cap", "values": [600, 850, 600.0]},
+    }), encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="600 is given twice"):
+        load_experiment_spec(str(spec_path))
+
+
+def test_duplicate_arms_rejected():
+    with pytest.raises(ConfigurationError, match="'myopic' is listed twice"):
+        ExperimentSpec(scenario_path="x", arms=("myopic", "ideal", "myopic"))

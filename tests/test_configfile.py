@@ -44,7 +44,8 @@ def test_round_trip_differentiated(tmp_path):
 def test_infinite_price_survives_yaml(tmp_path):
     path = str(tmp_path / "fair.yaml")
     save_scenario(fair_scenario(), path)
-    raw = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read()
     assert ".inf" in raw
     assert math.isinf(load_scenario(path).profit.congestion_price)
 
@@ -58,9 +59,11 @@ def test_bundled_scenarios_match_presets():
 def test_unknown_top_level_key_rejected(tmp_path):
     path = str(tmp_path / "s.yaml")
     save_scenario(fair_scenario(), path)
-    data = yaml.safe_load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
     data["bitrate_ladder"] = [1, 2, 3]
-    yaml.safe_dump(data, open(path, "w", encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
     with pytest.raises(ConfigurationError, match="bitrate_ladder"):
         load_scenario(path)
 
@@ -68,9 +71,11 @@ def test_unknown_top_level_key_rejected(tmp_path):
 def test_unknown_profit_key_rejected(tmp_path):
     path = str(tmp_path / "s.yaml")
     save_scenario(fair_scenario(), path)
-    data = yaml.safe_load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
     data["profit"]["discount"] = 0.9
-    yaml.safe_dump(data, open(path, "w", encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
     with pytest.raises(ConfigurationError, match="discount"):
         load_scenario(path)
 
@@ -78,9 +83,11 @@ def test_unknown_profit_key_rejected(tmp_path):
 def test_missing_required_key_rejected(tmp_path):
     path = str(tmp_path / "s.yaml")
     save_scenario(fair_scenario(), path)
-    data = yaml.safe_load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
     del data["ladder_kbps"]
-    yaml.safe_dump(data, open(path, "w", encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
     with pytest.raises(ConfigurationError, match="ladder_kbps"):
         load_scenario(path)
 
@@ -88,9 +95,11 @@ def test_missing_required_key_rejected(tmp_path):
 def test_invalid_model_value_rejected(tmp_path):
     path = str(tmp_path / "s.yaml")
     save_scenario(fair_scenario(), path)
-    data = yaml.safe_load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
     data["channel"]["transition"][0] = [0.9, 0.0, 0.0, 0.0]
-    yaml.safe_dump(data, open(path, "w", encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
     with pytest.raises(ConfigurationError, match="row 0"):
         load_scenario(path)
 
@@ -117,20 +126,24 @@ def test_missing_file_rejected(tmp_path):
 def test_name_defaults_to_file_stem(tmp_path):
     path = str(tmp_path / "weekend_special.yaml")
     save_scenario(fair_scenario(), path)
-    data = yaml.safe_load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
     del data["name"]
-    yaml.safe_dump(data, open(path, "w", encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
     assert load_scenario(path).name == "weekend_special"
 
 
 def test_defaults_fill_optional_session_keys(tmp_path):
     path = str(tmp_path / "s.yaml")
     save_scenario(fair_scenario(), path)
-    data = yaml.safe_load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
     for key in ("segment_seconds", "frames_per_second", "initial_buffer_frames",
                 "initial_rate_index", "num_runs", "rng_seed", "sharing_mode"):
         del data[key]
-    yaml.safe_dump(data, open(path, "w", encoding="utf-8"))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
     loaded = load_scenario(path)
     assert loaded.num_runs == 15
     assert loaded.rng_seed == 101

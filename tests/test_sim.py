@@ -415,14 +415,10 @@ def test_buffer_column_comes_from_step_buffer(fair_config, fair_table, monkeypat
         assert np.all(simulate(config, policy, paths).buffer_s > before), policy
 
 
-@pytest.mark.parametrize("scenario", ["fair", "diff"])
-def test_proposed_profit_matches_solved_value(request, scenario):
-    # under the hard cap the proposed arm is never rationed, so each stage
-    # profit is an MDP reward and the mean session profit estimates the
-    # table's value at the start state, weighted over stationary channels
-    config = request.getfixturevalue(f"{scenario}_config")
-    table = request.getfixturevalue(f"{scenario}_table")
-    totals = simulate(config, Proposed(table), channel_paths(config, range(400))).stage_profit.sum(axis=1)
+def _z_against_solved_value(config, table, trace):
+    """z-score of the mean session profit against the table's value at the
+    start state, weighted over stationary channels."""
+    totals = trace.stage_profit.sum(axis=1)
     pi = config.channel.stationary_distribution()
     start = (config.initial_rate_index,) * config.num_users
     expected = sum(
@@ -430,4 +426,32 @@ def test_proposed_profit_matches_solved_value(request, scenario):
         for chans in product(range(config.channel.num_states), repeat=config.num_users)
     )
     z = (totals.mean() - expected) / (totals.std(ddof=1) / math.sqrt(len(totals)))
-    assert abs(z) < 3.0, f"mean {totals.mean():.4f} vs solved {expected:.4f}, z = {z:.2f}"
+    return z, f"mean {totals.mean():.4f} vs solved {expected:.4f}, z = {z:.2f}"
+
+
+@pytest.mark.parametrize("scenario", ["fair", "diff"])
+def test_proposed_profit_matches_solved_value(request, scenario):
+    # under the hard cap the proposed arm is never rationed, so each stage
+    # profit is an MDP reward and the mean session profit estimates the
+    # table's value at the start state, weighted over stationary channels
+    config = request.getfixturevalue(f"{scenario}_config")
+    table = request.getfixturevalue(f"{scenario}_table")
+    trace = simulate(config, Proposed(table), channel_paths(config, range(400)))
+    z, detail = _z_against_solved_value(config, table, trace)
+    assert abs(z) < 3.0, detail
+
+
+@pytest.mark.parametrize("scenario", ["fair", "diff"])
+def test_priced_proposed_profit_matches_solved_value(request, scenario):
+    # a finite price lets the arm exceed the cap and pay for it; without
+    # sharing nothing is rationed, so each stage profit, charge included,
+    # is still an MDP reward
+    base = request.getfixturevalue(f"{scenario}_config")
+    config = replace(base, profit=replace(base.profit, congestion_price=0.001),
+                     sharing_mode=sim.SHARING_NONE)
+    table = backward_induction(config.ladder, config.channel, config.profit,
+                               config.derived_constants(), config.horizon)
+    trace = simulate(config, Proposed(table), channel_paths(config, range(400)))
+    assert (trace.bottleneck_cost > 0.0).mean() > 0.25  # the charge is exercised
+    z, detail = _z_against_solved_value(config, table, trace)
+    assert abs(z) < 3.0, detail
