@@ -11,9 +11,15 @@ Further digests pin the simulator branches the bundled scenarios never
 reach: a finite congestion price, no bottleneck sharing, the
 ``--stationary`` flag and a myopic client with a moving-average
 estimator.  Each case also checks that its branch is actually taken.
+
+Two larger solves pin the near-tie decisions the paper tables lack: fair
+at 3 users (cap 1275, horizon 60) and at 4 users (cap 1700, horizon 2).
+In them 953 and 511 decisions are won by a margin under 1e-9, so any
+reordered float sum in the solver would flip some of them.
 """
 
 import csv
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -23,7 +29,8 @@ import pytest
 import yaml
 
 from mdpstream.cli import main, table_filename
-from mdpstream.mdp import PolicyTable
+from mdpstream.economics import derive_constants
+from mdpstream.mdp import PolicyTable, backward_induction
 from mdpstream.policies import EwmaEstimator, Myopic
 from mdpstream.sim import run_session
 
@@ -221,3 +228,33 @@ def test_myopic_ewma_sessions_match_golden(fair_config):
     assert records_digest(traces) != records_digest(last)
     assert all(math.isfinite(rec.stage_profit) for trace in traces for rec in trace)
     assert records_digest(traces) == EWMA_DIGEST
+
+
+# (users, cap, horizon): action digest and (epoch, state, value) samples.
+NEAR_TIE_PINS = {
+    (3, 1275.0, 60): (
+        "2bfa4a14df85fdcc88f715f7860414b6f3d9141d7939e0f500dd39ca9ba76ca7",
+        [(0, 0, 7.1539987565080185), (0, 2666, 8.060176829187274),
+         (0, 7999, 8.624662607004609), (30, 5333, 3.639109970160361),
+         (59, 2666, 0.10931509111016552), (59, 7999, 0.1628176655452685)],
+    ),
+    (4, 1700.0, 2): (
+        "982602fceca3686d6420519ef0bad4e4ebc5d1202264a8fc55cc9cee50cf12ce",
+        [(0, 0, 0.0), (0, 53333, 0.17823070837714064), (0, 106666, 0.1782307083771406),
+         (0, 159999, 0.35178449565559633), (1, 53333, 0.08143932464349296),
+         (1, 159999, 0.15686586052206847)],
+    ),
+}
+
+
+@pytest.mark.parametrize("users,cap,horizon", sorted(NEAR_TIE_PINS))
+def test_near_tie_solves_match_golden(fair_config, users, cap, horizon):
+    params = dataclasses.replace(
+        fair_config.profit, user_priorities=(1 / users,) * users, total_rate_cap_kbps=cap
+    )
+    consts = derive_constants(fair_config.ladder, fair_config.channel, params)
+    table = backward_induction(fair_config.ladder, fair_config.channel, params, consts, horizon)
+    digest, samples = NEAR_TIE_PINS[(users, cap, horizon)]
+    assert actions_digest(table) == digest
+    for t, state, value in samples:
+        assert table.values[t, state] == pytest.approx(value, abs=1e-9)
