@@ -55,6 +55,10 @@ def load_scenario(path: str) -> ScenarioConfig:
         profit_raw = data["profit"]
         _check_keys(channel_raw, _CHANNEL_KEYS, "channel")
         _check_keys(profit_raw, _PROFIT_KEYS, "profit")
+        for key in ("num_users", "horizon", "initial_buffer_frames", "initial_rate_index",
+                    "num_runs", "rng_seed"):  # int() would truncate 200.7 or True
+            if isinstance(data.get(key), bool) or not float(data.get(key, 0)).is_integer():
+                raise ConfigurationError(f"{key} must be a whole number, got {data[key]!r}")
         ladder = QualityLadder(rates=tuple(data["ladder_kbps"]))
         channel = ChannelModel(
             transition=channel_raw["transition"],

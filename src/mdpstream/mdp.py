@@ -162,6 +162,7 @@ class _ActionTables:
                 raise AssertionError("feasible_actions let an infeasible action through")
             charges.append(c)
         self.bottleneck = np.array(charges)
+        self.charged = bool(self.bottleneck.view(np.int64).any())  # bits: -0.0 counts
 
         self.variation_by_action = _by_action(
             self.variation, self.rate_digits, self.action_digits, params
@@ -192,8 +193,8 @@ class _SolverTables(_ActionTables):
         )
 
 
-# Floats per q block (8 MB); a block always holds at least one rate vector.
-_BLOCK_FLOATS = 1 << 20
+# Floats per q block (1 MB, to stay in L2); a block holds at least one rate vector.
+_BLOCK_FLOATS = 1 << 17
 
 
 def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarray]:
@@ -201,19 +202,24 @@ def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarr
     ``gain`` is (rows, actions) of everything in q but the variation
     penalty and the bottleneck charge; both results are (rate vectors, rows).
 
-    q is ``(gain - variation) - bottleneck``, reduced over actions one block
-    of rate vectors at a time, so the (rate vectors x rows x actions) tensor
-    never exists.  The first maximizer wins: actions are in tie-break order.
+    q is ``(gain - variation) - bottleneck``, reduced over actions block by
+    block of rate vectors in one reused buffer.  An all-+0.0 charge is
+    skipped (``x - 0.0`` is ``x`` bit for bit), and values are taken once at
+    the choices by the same expression.  The first maximizer wins: actions
+    are in tie-break order.
     """
     rows = max(1, _BLOCK_FLOATS // gain.size)
-    shape = (tables.num_rate_vectors, len(gain))
-    values, choice = np.empty(shape), np.empty(shape, dtype=np.int64)
+    choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
+    buf = np.empty((min(rows, tables.num_rate_vectors),) + gain.shape)
     for lo in range(0, tables.num_rate_vectors, rows):
-        q = gain[None] - tables.variation_by_action[lo:lo + rows, None, :]
-        q -= tables.bottleneck
-        best = q.argmax(axis=2)
-        choice[lo:lo + rows] = best
-        values[lo:lo + rows] = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
+        q = buf[:len(choice[lo:lo + rows])]
+        np.subtract(gain, tables.variation_by_action[lo:lo + rows, None, :], out=q)
+        if tables.charged:
+            q -= tables.bottleneck
+        q.argmax(axis=2, out=choice[lo:lo + rows])
+    values = gain[np.arange(len(gain)), choice]
+    values -= tables.variation_by_action[np.arange(len(choice))[:, None], choice]
+    values -= tables.bottleneck[choice]
     return values, choice
 
 

@@ -114,10 +114,10 @@ def solve_ideal(
     shape (runs, horizon + 1, users), as ``sim.channel_paths`` returns
     them; entry t is the state during segment t, so the decision at epoch
     t is scored against entry t + 1.  With the path fixed the only state
-    left is the rate vector, and one deterministic backward recursion over
-    (runs, rate vectors) is exact.  Each epoch reduces q with the solver's
-    own ``mdp._best``, so ties break the same way: smallest aggregate rate,
-    then lexicographically smallest vector.
+    left is the rate vector, and one backward recursion over (runs, rate
+    vectors) is exact; it runs in blocks whose q fits ``mdp._BLOCK_FLOATS``
+    (13 runs at 3 users and 78 actions, 1 at 4 users).  Each epoch reduces q
+    with the solver's own ``mdp._best``, so ties break the same way.
     """
     paths = np.asarray(channel_paths, dtype=np.int64)
     n = params.num_users

@@ -161,3 +161,27 @@ def test_variation_penalty_key_round_trips(tmp_path):
     path = str(tmp_path / "down.yaml")
     save_scenario(config, path)
     assert load_scenario(path).profit.variation_penalty == "downward_only"
+
+
+@pytest.mark.parametrize("key,fraction", [
+    ("num_users", 2.5), ("horizon", 200.7), ("num_runs", 2.9), ("rng_seed", 101.5),
+    ("initial_buffer_frames", 80.25), ("initial_rate_index", 0.5),
+])
+def test_fractional_or_boolean_count_rejected(tmp_path, key, fraction):
+    # int() would truncate these silently; whole-number floats stay accepted
+    path = str(tmp_path / "s.yaml")
+    save_scenario(fair_scenario(), path)
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    for bad in (fraction, True):
+        data[key] = bad
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(data, fh)
+        with pytest.raises(ConfigurationError, match=f"{key} must be a whole number, got {bad}"):
+            load_scenario(path)
+    data[key] = float(getattr(fair_scenario(), key))
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
+    loaded = load_scenario(path)
+    assert getattr(loaded, key) == getattr(fair_scenario(), key)
+    assert type(getattr(loaded, key)) is int

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -307,17 +308,36 @@ def _finite_price_instance():
     return random_instance(np.random.default_rng(6), 4, 3, 3, True)
 
 
-@pytest.mark.parametrize("one_rate_vector_per_block", [False, True])
-@pytest.mark.parametrize("instance", [_symmetric_instance, _finite_price_instance])
+def _uncharged_finite_price_instance():
+    # a finite price, but a cap no action exceeds: every charge is +0.0
+    ladder, channel, params, _ = _finite_price_instance()
+    params = dataclasses.replace(params, total_rate_cap_kbps=3 * ladder.rates[-1])
+    return ladder, channel, params, derive_constants(ladder, channel, params)
+
+
+# Rate vectors per block: False is the default block, True is one rate
+# vector, and 3 leaves a short last block of one of the 64.
+@pytest.mark.parametrize("instance,rate_vectors_per_block", [
+    pytest.param(_symmetric_instance, False, id="_symmetric_instance-False"),
+    pytest.param(_finite_price_instance, False, id="_finite_price_instance-False"),
+    pytest.param(_symmetric_instance, True, id="_symmetric_instance-True"),
+    pytest.param(_finite_price_instance, True, id="_finite_price_instance-True"),
+    pytest.param(_uncharged_finite_price_instance, False,
+                 id="_uncharged_finite_price_instance-False"),
+    pytest.param(_finite_price_instance, 3, id="_finite_price_instance-3"),
+])
 def test_blocked_backup_matches_full_tensor_bit_for_bit(
-    monkeypatch, instance, one_rate_vector_per_block
+    monkeypatch, instance, rate_vectors_per_block
 ):
     ladder, channel, params, consts = instance()
     tables = mdp._SolverTables(ladder, channel, params, consts, params.num_users)
-    if one_rate_vector_per_block:
+    if rate_vectors_per_block:
         monkeypatch.setattr(
-            mdp, "_BLOCK_FLOATS", tables.num_chan_vectors * len(tables.actions)
+            mdp, "_BLOCK_FLOATS",
+            int(rate_vectors_per_block) * tables.num_chan_vectors * len(tables.actions),
         )
+    if rate_vectors_per_block == 3:
+        assert tables.num_rate_vectors % 3 == 1
     v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
     ties = charged = 0
     for _ in range(4):
@@ -328,8 +348,29 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
         ties += ref_ties
         charged += np.count_nonzero(tables.bottleneck[choice])
         v_next = values
-    # neither case may pass vacuously
-    assert ties > 0 if instance is _symmetric_instance else charged > 0
+    # no case may pass vacuously
+    if instance is _uncharged_finite_price_instance:
+        assert math.isfinite(params.congestion_price) and not tables.charged
+        assert not np.any(np.signbit(tables.bottleneck))
+    else:
+        assert ties > 0 if instance is _symmetric_instance else charged > 0
+
+
+def test_only_all_positive_zero_charges_are_skipped():
+    # x - (-0.0) turns -0.0 into +0.0, so a -0.0 charge must count as one
+    ladder, channel, params, _ = small_model()
+    for price, charged in ((0.0, False), (-0.0, True), (float("inf"), False), (0.01, True)):
+        priced = dataclasses.replace(params, congestion_price=price, total_rate_cap_kbps=300.0)
+        consts = derive_constants(ladder, channel, priced)
+        tables = mdp._SolverTables(ladder, channel, priced, consts, 2)
+        assert tables.charged is charged, price
+        v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
+        for _ in range(3):
+            values, choice = mdp._backup(tables, v_next)
+            ref_values, ref_choice, _ = full_tensor_backup(tables, v_next)
+            assert values.tobytes() == ref_values.tobytes()
+            assert np.array_equal(choice, ref_choice)
+            v_next = values
 
 
 def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch):
@@ -349,6 +390,10 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
     finally:
         tracemalloc.stop()
     assert peak < len(tables.actions) * rates * chans * 8 / 2
+    # one reused q block, the future term and the gain (channel vectors x
+    # actions each), and five (rate vectors x channel vectors) arrays: the
+    # values, the choices and the gathers of q at the choices
+    assert peak < 8 * (mdp._BLOCK_FLOATS + 2 * chans * len(tables.actions) + 5 * rates * chans)
 
 
 # ------------------------------- policy table ------------------------------
