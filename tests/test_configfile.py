@@ -168,12 +168,13 @@ def test_variation_penalty_key_round_trips(tmp_path):
     ("initial_buffer_frames", 80.25), ("initial_rate_index", 0.5),
 ])
 def test_fractional_or_boolean_count_rejected(tmp_path, key, fraction):
-    # int() would truncate these silently; whole-number floats stay accepted
+    # int() would truncate these silently (and raise OverflowError on .inf);
+    # whole-number floats stay accepted
     path = str(tmp_path / "s.yaml")
     save_scenario(fair_scenario(), path)
     with open(path, encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
-    for bad in (fraction, True):
+    for bad in (fraction, True, math.inf):
         data[key] = bad
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(data, fh)

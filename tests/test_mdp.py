@@ -315,6 +315,12 @@ def _uncharged_finite_price_instance():
     return ladder, channel, params, derive_constants(ladder, channel, params)
 
 
+def _negative_zero_price_instance():
+    # price -0.0: the actions above the cap are charged -0.0, which counts
+    ladder, channel, params, consts = _finite_price_instance()
+    return ladder, channel, dataclasses.replace(params, congestion_price=-0.0), consts
+
+
 # Rate vectors per block: False is the default block, True is one rate
 # vector, and 3 leaves a short last block of one of the 64.
 @pytest.mark.parametrize("instance,rate_vectors_per_block", [
@@ -325,6 +331,7 @@ def _uncharged_finite_price_instance():
     pytest.param(_uncharged_finite_price_instance, False,
                  id="_uncharged_finite_price_instance-False"),
     pytest.param(_finite_price_instance, 3, id="_finite_price_instance-3"),
+    pytest.param(_negative_zero_price_instance, False, id="_negative_zero_price_instance-False"),
 ])
 def test_blocked_backup_matches_full_tensor_bit_for_bit(
     monkeypatch, instance, rate_vectors_per_block
@@ -344,6 +351,7 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
         values, choice = mdp._backup(tables, v_next)
         ref_values, ref_choice, ref_ties = full_tensor_backup(tables, v_next)
         assert np.array_equal(values, ref_values)
+        assert values.tobytes() == ref_values.tobytes()  # signed zeros too
         assert np.array_equal(choice, ref_choice)
         ties += ref_ties
         charged += np.count_nonzero(tables.bottleneck[choice])
@@ -352,25 +360,11 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
     if instance is _uncharged_finite_price_instance:
         assert math.isfinite(params.congestion_price) and not tables.charged
         assert not np.any(np.signbit(tables.bottleneck))
+    elif instance is _negative_zero_price_instance:
+        assert tables.charged and not np.any(tables.bottleneck)
+        assert np.any(np.signbit(tables.bottleneck))
     else:
         assert ties > 0 if instance is _symmetric_instance else charged > 0
-
-
-def test_only_all_positive_zero_charges_are_skipped():
-    # x - (-0.0) turns -0.0 into +0.0, so a -0.0 charge must count as one
-    ladder, channel, params, _ = small_model()
-    for price, charged in ((0.0, False), (-0.0, True), (float("inf"), False), (0.01, True)):
-        priced = dataclasses.replace(params, congestion_price=price, total_rate_cap_kbps=300.0)
-        consts = derive_constants(ladder, channel, priced)
-        tables = mdp._SolverTables(ladder, channel, priced, consts, 2)
-        assert tables.charged is charged, price
-        v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
-        for _ in range(3):
-            values, choice = mdp._backup(tables, v_next)
-            ref_values, ref_choice, _ = full_tensor_backup(tables, v_next)
-            assert values.tobytes() == ref_values.tobytes()
-            assert np.array_equal(choice, ref_choice)
-            v_next = values
 
 
 def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch):
