@@ -212,7 +212,7 @@ def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarr
     choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
     buf = np.empty((min(rows, tables.num_rate_vectors),) + gain.shape)
     for lo in range(0, tables.num_rate_vectors, rows):
-        q = buf[:len(choice[lo:lo + rows])]
+        q = buf[:len(choice) - lo]
         np.subtract(gain, tables.variation_by_action[lo:lo + rows, None, :], out=q)
         if tables.charged:
             q -= tables.bottleneck
