@@ -46,6 +46,13 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         )
 
 
+def _float(value, field: str) -> float:
+    """``float(value)``, refusing a boolean, which would read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate one scenario file."""
     data = read_yaml(path)
@@ -65,14 +72,13 @@ def load_scenario(path: str) -> ScenarioConfig:
             state_bandwidth=tuple(channel_raw["state_bandwidth_kbps"]),
             boundaries=tuple(channel_raw["boundaries_kbps"]),
         )
+        numbers = ("playback_weight", "buffering_weight", "smoothness_weight",
+                   "variation_threshold_kbps", "congestion_price", "total_rate_cap_kbps")
         profit = ProfitParams(
-            playback_weight=float(profit_raw["playback_weight"]),
-            buffering_weight=float(profit_raw["buffering_weight"]),
-            smoothness_weight=float(profit_raw["smoothness_weight"]),
-            variation_threshold_kbps=float(profit_raw["variation_threshold_kbps"]),
-            congestion_price=float(profit_raw["congestion_price"]),
-            total_rate_cap_kbps=float(profit_raw["total_rate_cap_kbps"]),
-            user_priorities=tuple(float(p) for p in profit_raw["user_priorities"]),
+            **{key: _float(profit_raw[key], key) for key in numbers},
+            user_priorities=tuple(
+                _float(p, "user_priorities") for p in profit_raw["user_priorities"]
+            ),
             variation_penalty=profit_raw.get("variation_penalty", VARIATION_SYMMETRIC),
         )
         return ScenarioConfig(
@@ -81,8 +87,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             profit=profit,
             num_users=int(data["num_users"]),
             horizon=int(data["horizon"]),
-            segment_seconds=float(data.get("segment_seconds", 1.0)),
-            frames_per_second=float(data.get("frames_per_second", 24.0)),
+            segment_seconds=_float(data.get("segment_seconds", 1.0), "segment_seconds"),
+            frames_per_second=_float(data.get("frames_per_second", 24.0), "frames_per_second"),
             initial_buffer_frames=int(data.get("initial_buffer_frames", 80)),
             initial_rate_index=int(data.get("initial_rate_index", 0)),
             num_runs=int(data.get("num_runs", 15)),

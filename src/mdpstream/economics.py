@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ChannelModel, QualityLadder, _require
+from .model import ChannelModel, QualityLadder, _require, left_sum
 
 _WEIGHT_TOL = 1e-9
 
@@ -56,8 +56,8 @@ class ProfitParams:
         for name, w in zip(("playback", "buffering", "smoothness"), weights):
             _require(0.0 <= w <= 1.0, f"{name} weight must lie in [0, 1], got {w!r}")
         _require(
-            abs(sum(weights) - 1.0) <= _WEIGHT_TOL,
-            f"profit weights must sum to 1, got {sum(weights)!r}",
+            abs(left_sum(weights) - 1.0) <= _WEIGHT_TOL,
+            f"profit weights must sum to 1, got {left_sum(weights)!r}",
         )
         _require(self.variation_threshold_kbps > 0,
                  "variation threshold must be positive")
@@ -74,8 +74,8 @@ class ProfitParams:
         _require(len(prio) >= 1, "need a priority per user")
         _require(all(p >= 0 for p in prio), "priorities must be nonnegative")
         _require(
-            abs(sum(prio) - 1.0) <= _WEIGHT_TOL,
-            f"user priorities must sum to 1, got {sum(prio)!r}",
+            abs(left_sum(prio) - 1.0) <= _WEIGHT_TOL,
+            f"user priorities must sum to 1, got {left_sum(prio)!r}",
         )
         _require(
             self.variation_penalty in (VARIATION_SYMMETRIC, VARIATION_DOWNWARD_ONLY),
@@ -230,7 +230,7 @@ def bottleneck_cost(
     infinite and the cap is exceeded; callers must filter such actions
     rather than do arithmetic with the result.
     """
-    excess = sum(action_rates_kbps) - params.total_rate_cap_kbps
+    excess = left_sum(action_rates_kbps) - params.total_rate_cap_kbps
     if excess <= 0.0:
         return 0.0
     if math.isinf(params.congestion_price):

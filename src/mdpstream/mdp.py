@@ -1,7 +1,13 @@
 """Finite-horizon solver: the canonical joint-state index, feasibility
 filtering under an infinite congestion price, per-action profit tables,
 the one q reduction shared with the hindsight planner, and backward
-induction producing a time-indexed policy table."""
+induction producing a time-indexed policy table.
+
+The q reduction (``_best``) scans q exactly, or on large instances takes
+a separable max-plus transform whose every choice is certified against
+its rounding error, falling back to the scan where it cannot be; both
+give the same decisions and value bits.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from .model import (
     ConfigurationError,
     QualityLadder,
     SystemState,
+    left_sum,
     state_space_size,
 )
 
@@ -75,7 +82,7 @@ def feasible_actions(
     if math.isinf(params.congestion_price):
         actions = [
             a for a in actions
-            if sum(a.rates_kbps(ladder)) <= params.total_rate_cap_kbps
+            if left_sum(a.rates_kbps(ladder)) <= params.total_rate_cap_kbps
         ]
         if not actions:
             raise InfeasibleModelError(
@@ -145,7 +152,7 @@ class _ActionTables:
         acts = feasible_actions(n, ladder, params)
         order = sorted(
             acts,
-            key=lambda a: (sum(a.rates_kbps(ladder)), a.rate_indices),
+            key=lambda a: (left_sum(a.rates_kbps(ladder)), a.rate_indices),
         )
         self.actions = order
         self.action_digits = np.array(
@@ -167,6 +174,14 @@ class _ActionTables:
         self.variation_by_action = _by_action(
             self.variation, self.rate_digits, self.action_digits, params
         )
+        # For ``_separable``: each user's weighted variation table, the
+        # action at each point of the full grid of rate vectors (len(actions)
+        # where none is feasible), and the charge and penalty part of M.
+        self.penalty = np.array(params.user_priorities)[:, None, None] * self.variation
+        self.grid_action = np.full(m ** n, len(order), dtype=np.int64)
+        self.grid_action[self.action_multi] = np.arange(len(order))
+        self.error_scale = (np.abs(self.bottleneck).max()
+                            + np.abs(self.penalty).max(axis=(1, 2)).sum())
 
 
 class _SolverTables(_ActionTables):
@@ -197,29 +212,136 @@ class _SolverTables(_ActionTables):
 _BLOCK_FLOATS = 1 << 17
 
 
+def _scan(gain, variation, tables: _ActionTables, q: np.ndarray, out: np.ndarray) -> None:
+    """The exact kernel: q = ``(gain - variation) - bottleneck`` into the
+    buffer ``q`` (shaped as gain and variation broadcast), then the first
+    maximizer over actions into ``out``.  An all-+0.0 charge is skipped,
+    as ``x - 0.0`` is ``x`` bit for bit."""
+    np.subtract(gain, variation, out=q)
+    if tables.charged:
+        q -= tables.bottleneck
+    q.argmax(axis=-1, out=out)
+
+
+def _separable_rows(tables: _ActionTables) -> int:
+    """Rows per chunk of the transform: its nine (grid points x rows)
+    working arrays then stay near ``_BLOCK_FLOATS``."""
+    return max(1, _BLOCK_FLOATS // (8 * len(tables.grid_action)))
+
+
+def _use_separable(rows: int, tables: _ActionTables) -> bool:
+    """The size rule.  Counted in q elements of the scan, the scan costs
+    rate vectors x actions per row.  The transform costs about 5 n m^(n+1)
+    per row (eight elementwise passes per user and rung over the m^n grid,
+    each element cheaper than a q element) plus 2^14 n m per chunk of rows
+    (those passes' fixed cost), for n users and m rungs."""
+    m, n = tables.variation.shape[0], len(tables.penalty)
+    chunks = -(-rows // _separable_rows(tables))
+    scan = tables.variation_by_action.size * rows
+    return scan > 5 * n * m ** (n + 1) * rows + (1 << 14) * n * m * chunks
+
+
+def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray) -> None:
+    """Fill ``choice`` (rate vectors, rows) with the first maximizer of q by
+    a max-plus transform taken one user at a time, which the separable
+    penalty ``variation_by_action[r, a] = sum_u penalty[u][r_u, a_u]``
+    allows, and send each pair it cannot certify to ``_scan``.
+
+    ``gain - bottleneck`` is laid on the full m^n grid of action digits
+    (``-inf`` where no action is feasible); pass u replaces digit u of the
+    action by digit u of the rate vector, subtracting ``penalty[u]`` and
+    carrying the best and second-best value and the best grid point.  Every
+    path, like every q element, is within (n + 2) M 2^-53 of its exact sum
+    (n + 1 subtractions, or additions, plus the n products together), where
+    M bounds |gain| + |bottleneck| + sum_u |penalty[u]|.  So a best more than
+    8 (n + 2) M 2^-52, four times the most that rounding can close, above
+    the second is the unique maximizer of q too, and hence the first; a
+    tie, a near tie and any NaN or infinity (the comparison is false) fall
+    back to the exact scan.
+    """
+    m, n = tables.variation.shape[0], len(tables.penalty)
+    grid = m ** n
+    step = min(len(gain), _separable_rows(tables))
+    laid = np.full((gain.shape[1] + 1, step), -np.inf)  # last row: no action
+    bound = 8 * (n + 2) * 2.0 ** -52 * (np.abs(gain).max() + tables.error_scale)
+    values = np.empty((2, 2, grid * step))  # best and second, read and written in turn
+    points = np.empty((2, grid * step), dtype=np.intp)
+    cand, spare, low = np.empty((3, grid * step))
+    beats = np.empty(grid * step, dtype=bool)
+    pairs = max(1, _BLOCK_FLOATS // gain.shape[1])  # fallback pairs per scan
+    for lo in range(0, len(gain), step):
+        rows = min(step, len(gain) - lo)
+        size = grid * rows
+        np.subtract(gain[lo:lo + rows].T, tables.bottleneck[:, None], out=laid[:-1, :rows])
+        best = values[1, 0, :size].reshape(grid, rows)
+        np.take(laid[:, :rows], tables.grid_action, axis=0, out=best)
+        second, point = None, np.arange(grid)[:, None]
+        for u in range(n):
+            # axes: rate digits before u, digit u, action digits after u, rows
+            shape = (m ** u, m, m ** (n - u - 1), rows)
+            best_in, point_in = best.reshape(shape), point.reshape(shape[:3] + (-1,))
+            second_in = None if second is None else second.reshape(shape)
+            best, second = (v[:size].reshape(shape) for v in values[u % 2])
+            point = points[u % 2, :size].reshape(shape)
+            c, s, w, hit = (x[:size].reshape(shape) for x in (cand, spare, low, beats))
+            for a in range(m):
+                pen = tables.penalty[u, :, a, None, None]  # over digit u of the rate vector
+                if a == 0:
+                    np.subtract(best_in[:, :1], pen, out=best)
+                    if second_in is None:
+                        second.fill(-np.inf)
+                    else:
+                        np.subtract(second_in[:, :1], pen, out=second)
+                    np.copyto(point, point_in[:, :1])
+                    continue
+                np.subtract(best_in[:, a:a + 1], pen, out=c)
+                if second_in is not None:
+                    np.subtract(second_in[:, a:a + 1], pen, out=s)
+                    np.maximum(second, s, out=second)
+                np.minimum(best, c, out=w)
+                np.maximum(second, w, out=second)
+                np.greater(c, best, out=hit)
+                np.copyto(point, point_in[:, a:a + 1], where=hit)
+                np.maximum(best, c, out=best)
+        gap = cand[:size].reshape(grid, rows)
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, not certified
+            np.subtract(best.reshape(grid, rows), second.reshape(grid, rows), out=gap)
+        out = choice[:, lo:lo + rows]
+        np.take(tables.grid_action, point.reshape(grid, rows), out=out)
+        vec, row = np.nonzero(~(gap > bound))
+        buf = np.empty((min(pairs, len(vec)), gain.shape[1]))
+        for p in range(0, len(vec), pairs):
+            v, r = vec[p:p + pairs], row[p:p + pairs]
+            pick = np.empty(len(v), dtype=np.int64)
+            _scan(gain[lo + r], tables.variation_by_action[v], tables, buf[:len(v)], pick)
+            out[v, r] = pick
+
+
 def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarray]:
     """Best value and action for every (rate vector, row of ``gain``), where
     ``gain`` is (rows, actions) of everything in q but the variation
     penalty and the bottleneck charge; both results are (rate vectors, rows).
 
-    q is ``(gain - variation) - bottleneck``, reduced over actions block by
-    block of rate vectors in one reused buffer.  An all-+0.0 charge is
-    skipped (``x - 0.0`` is ``x`` bit for bit), and values are taken once at
-    the choices by the same expression.  The first maximizer wins: actions
-    are in tie-break order.
+    q is ``(gain - variation) - bottleneck`` and the first maximizer wins:
+    actions are in tie-break order.  Large instances (``_use_separable``)
+    take the certified transform of ``_separable``; the rest scan q block
+    by block of rate vectors in one reused buffer.  Either way the values
+    are taken once at the choices by the same expression as q.
     """
-    rows = max(1, _BLOCK_FLOATS // gain.size)
+    num_actions = gain.shape[1]
     choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
-    buf = np.empty((min(rows, tables.num_rate_vectors),) + gain.shape)
-    for lo in range(0, tables.num_rate_vectors, rows):
-        q = buf[:len(choice) - lo]
-        np.subtract(gain, tables.variation_by_action[lo:lo + rows, None, :], out=q)
-        if tables.charged:
-            q -= tables.bottleneck
-        q.argmax(axis=2, out=choice[lo:lo + rows])
-    values = gain[np.arange(len(gain)), choice]
-    values -= tables.variation_by_action[np.arange(len(choice))[:, None], choice]
-    values -= tables.bottleneck[choice]
+    if _use_separable(len(gain), tables):
+        _separable(gain, tables, choice)
+    else:
+        rows = max(1, _BLOCK_FLOATS // gain.size)
+        buf = np.empty((min(rows, len(choice)),) + gain.shape)
+        for lo in range(0, len(choice), rows):
+            _scan(gain, tables.variation_by_action[lo:lo + rows, None, :], tables,
+                  buf[:len(choice) - lo], choice[lo:lo + rows])
+    values = gain.take(choice + np.arange(0, gain.size, num_actions))
+    values -= tables.variation_by_action.take(
+        choice + np.arange(0, tables.variation_by_action.size, num_actions)[:, None])
+    values -= tables.bottleneck.take(choice)
     return values, choice
 
 

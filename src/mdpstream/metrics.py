@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .model import left_sum
 from .sim import ScenarioConfig, SegmentRecord, Trace
 
 
@@ -54,9 +55,9 @@ def summarize(
     for u in range(n):
         rates = [row[u] for row in rate_rows]
         stalls = [row[u] for row in stall_rows]
-        total_stall = sum(stalls)
+        total_stall = left_sum(stalls)
         wall = nominal + total_stall
-        avg_bitrate.append(sum(rates) / horizon)
+        avg_bitrate.append(left_sum(rates) / horizon)
         ratios.append(total_stall / wall)
         events.append(sum(1 for s in stalls if s > 0) / wall)
         frames.append(total_stall * config.frames_per_second / wall)
@@ -74,7 +75,7 @@ def summarize(
         stall_events_per_second=tuple(events),
         stalled_frames_per_second=tuple(frames),
         significant_variations=tuple(variations),
-        profit=sum(profits),
+        profit=left_sum(profits),
     )
 
 
@@ -93,10 +94,10 @@ def aggregate_runs(
         raise ValueError("summaries disagree on the number of users")
 
     def stats(values: list[float]) -> tuple[float, float]:
-        mean = sum(values) / len(values)
+        mean = left_sum(values) / len(values)
         if len(values) == 1:
             return mean, 0.0
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+        var = left_sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         return mean, math.sqrt(var)
 
     out: dict[str, tuple[float, float]] = {}

@@ -16,6 +16,17 @@ class ConfigurationError(ValueError):
     """A model or scenario parameter violates its invariants."""
 
 
+def left_sum(values) -> float:
+    """Sum of floats added left to right from 0.0.  The built-in ``sum``
+    compensates float rounding from Python 3.12 on, so its bits depend on
+    the interpreter; every float sum that reaches an output or a decision
+    goes through here instead."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigurationError(message)

@@ -186,3 +186,25 @@ def test_fractional_or_boolean_count_rejected(tmp_path, key, fraction):
     loaded = load_scenario(path)
     assert getattr(loaded, key) == getattr(fair_scenario(), key)
     assert type(getattr(loaded, key)) is int
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "segment_seconds"), (None, "frames_per_second"),
+    ("profit", "playback_weight"), ("profit", "buffering_weight"),
+    ("profit", "smoothness_weight"), ("profit", "variation_threshold_kbps"),
+    ("profit", "congestion_price"), ("profit", "total_rate_cap_kbps"),
+    ("profit", "user_priorities"),
+])
+def test_boolean_in_float_field_rejected(tmp_path, section, key):
+    # float() would read true as 1.0 and false as 0.0
+    path = str(tmp_path / "s.yaml")
+    save_scenario(fair_scenario(), path)
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    fields = data if section is None else data[section]
+    for bad in (True, False):
+        fields[key] = [bad, 0.5] if key == "user_priorities" else bad
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(data, fh)
+        with pytest.raises(ConfigurationError, match=f"{key} must be a number, got {bad}"):
+            load_scenario(path)

@@ -345,26 +345,110 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
         )
     if rate_vectors_per_block == 3:
         assert tables.num_rate_vectors % 3 == 1
-    v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
-    ties = charged = 0
-    for _ in range(4):
-        values, choice = mdp._backup(tables, v_next)
-        ref_values, ref_choice, ref_ties = full_tensor_backup(tables, v_next)
-        assert np.array_equal(values, ref_values)
-        assert values.tobytes() == ref_values.tobytes()  # signed zeros too
-        assert np.array_equal(choice, ref_choice)
-        ties += ref_ties
-        charged += np.count_nonzero(tables.bottleneck[choice])
-        v_next = values
-    # no case may pass vacuously
-    if instance is _uncharged_finite_price_instance:
-        assert math.isfinite(params.congestion_price) and not tables.charged
-        assert not np.any(np.signbit(tables.bottleneck))
-    elif instance is _negative_zero_price_instance:
-        assert tables.charged and not np.any(tables.bottleneck)
-        assert np.any(np.signbit(tables.bottleneck))
-    else:
-        assert ties > 0 if instance is _symmetric_instance else charged > 0
+    scanned = _record_scans(monkeypatch)
+    for separable in (False, True):  # both reductions, whichever the size rule picks
+        monkeypatch.setattr(mdp, "_use_separable", lambda rows, tables: separable)
+        v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
+        ties = charged = 0
+        scanned.clear()
+        for _ in range(4):
+            values, choice = mdp._backup(tables, v_next)
+            ref_values, ref_choice, ref_ties = full_tensor_backup(tables, v_next)
+            assert np.array_equal(values, ref_values)
+            assert values.tobytes() == ref_values.tobytes()  # signed zeros too
+            assert np.array_equal(choice, ref_choice)
+            ties += ref_ties
+            charged += np.count_nonzero(tables.bottleneck[choice])
+            v_next = values
+        if separable:  # every tie falls back to the scan, and not every pair does
+            assert ties <= sum(scanned) < 4 * tables.num_rate_vectors * tables.num_chan_vectors
+        # no case may pass vacuously
+        if instance is _uncharged_finite_price_instance:
+            assert math.isfinite(params.congestion_price) and not tables.charged
+            assert not np.any(np.signbit(tables.bottleneck))
+        elif instance is _negative_zero_price_instance:
+            assert tables.charged and not np.any(tables.bottleneck)
+            assert np.any(np.signbit(tables.bottleneck))
+        else:
+            assert ties > 0 if instance is _symmetric_instance else charged > 0
+
+
+def _record_scans(monkeypatch):
+    """Wrap ``mdp._scan``; the returned list gets each call's choice count,
+    which under the separable reduction counts the pairs that fell back."""
+    sizes = []
+    scan = mdp._scan
+
+    def recording(gain, variation, tables, q, out):
+        sizes.append(out.size)
+        scan(gain, variation, tables, q, out)
+
+    monkeypatch.setattr(mdp, "_scan", recording)
+    return sizes
+
+
+def _full_tensor_best(gain, tables):
+    q = (gain[None, :, :] - tables.variation_by_action[:, None, :]) - tables.bottleneck
+    choice = q.argmax(axis=2)
+    return np.take_along_axis(q, choice[..., None], axis=2)[..., 0], choice
+
+
+def _workload_tables(config, num_users, priorities, cap):
+    params = dataclasses.replace(config.profit, user_priorities=priorities,
+                                 total_rate_cap_kbps=cap)
+    consts = derive_constants(config.ladder, config.channel, params)
+    return mdp._ActionTables(config.ladder, config.channel, params, consts, num_users)
+
+
+def test_separable_best_on_one_row_at_four_users(fair_config, monkeypatch):
+    # the hindsight planner's shape at 4 users: one row per call, its pay
+    # for channel vector (0, 0, 3, 3); actions that swap users 0 and 1 (or
+    # 2 and 3) tie exactly at some rate vectors, and those must fall back
+    tables = _workload_tables(fair_config, 4, (0.25,) * 4, 1700.0)
+    gain = (tables.playbuf[tables.action_digits, [0, 0, 3, 3]] @ np.full(4, 0.25))[None, :]
+    monkeypatch.setattr(mdp, "_use_separable", lambda rows, tables: True)
+    scanned = _record_scans(monkeypatch)
+    values, choice = mdp._best(gain, tables)
+    want_values, want_choice = _full_tensor_best(gain, tables)
+    assert np.array_equal(choice, want_choice)
+    assert values.tobytes() == want_values.tobytes()
+    assert 0 < sum(scanned) < tables.num_rate_vectors
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
+    # one bad row and one bad entry: nothing can be certified, so every
+    # pair falls back and the result is still the full tensor's
+    ladder, channel, params, consts = _finite_price_instance()
+    tables = mdp._SolverTables(ladder, channel, params, consts, params.num_users)
+    gain = tables.expected_playbuf_by_action[:5].copy()
+    gain[2] = bad
+    gain[4, 3] = bad
+    monkeypatch.setattr(mdp, "_use_separable", lambda rows, tables: True)
+    scanned = _record_scans(monkeypatch)
+    values, choice = mdp._best(gain, tables)
+    want_values, want_choice = _full_tensor_best(gain, tables)
+    assert np.array_equal(choice, want_choice)
+    assert values.tobytes() == want_values.tobytes()
+    assert sum(scanned) == tables.num_rate_vectors * len(gain)
+
+
+def test_size_rule_puts_benchmark_workloads_on_both_sides(fair_config, diff_config):
+    # (tables, rows of one backward sweep, runs of one hindsight-plan cell)
+    # for each benchmark workload: paper-2u, table-3u and solver-4u
+    cases = [
+        (_workload_tables(config, 2, config.profit.user_priorities, cap), 16, 15)
+        for config in (fair_config, diff_config) for cap in (600.0, 850.0)
+    ]
+    cases.append((_workload_tables(fair_config, 3, (1 / 3,) * 3, 1275.0), 64, 3))
+    four = _workload_tables(fair_config, 4, (0.25,) * 4, 1700.0)
+    cases.append((four, 256, 20))
+    for tables, sweep_rows, runs in cases:
+        assert sweep_rows == tables.num_chan_vectors
+        # solve_ideal's runs per block
+        plan_rows = min(runs, max(1, mdp._BLOCK_FLOATS // tables.variation_by_action.size))
+        assert mdp._use_separable(sweep_rows, tables) == (tables is four)
+        assert not mdp._use_separable(plan_rows, tables)
 
 
 def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch):

@@ -94,6 +94,12 @@ def test_summarize_rejects_empty_trace():
         summarize([], one_user_config())
 
 
+def test_profit_sums_left_to_right():
+    # Python 3.12+ sum() compensates and would give 1.0 here
+    s = summarize([row(t, 95.11, 0.0, 0.1) for t in range(10)], one_user_config(horizon=10))
+    assert s.profit == 0.9999999999999999
+
+
 # ------------------------------ aggregation --------------------------------
 
 

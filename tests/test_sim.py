@@ -254,12 +254,14 @@ def test_accounting_identity(fair_config, fair_table):
         assert rec.stage_profit == pytest.approx(recomputed, abs=1e-9)
 
 
-def test_every_stage_profit_is_the_model_reward(fair_config):
+@pytest.mark.parametrize("scenario", ["fair", "diff"])
+def test_every_stage_profit_is_the_model_reward(request, scenario):
     # a finite price and no sharing: every arm is billed, never rationed, so
     # each epoch's stage profit is exactly the reward for (previous rates,
-    # chosen rates, channel state), variation term included
-    config = replace(fair_config, horizon=20, sharing_mode="none",
-                     profit=replace(fair_config.profit, congestion_price=0.001))
+    # chosen rates, channel state), variation and charge included
+    base = request.getfixturevalue(f"{scenario}_config")
+    config = replace(base, horizon=20, sharing_mode="none",
+                     profit=replace(base.profit, congestion_price=0.001))
     consts = config.derived_constants()
     table = backward_induction(config.ladder, config.channel, config.profit, consts, 20)
     paths = channel_paths(config, range(15))
