@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configfile import load_scenario, read_yaml
+from .configfile import channel_from, check_keys, ladder_from, load_scenario, read_yaml
 from .economics import derive_constants
 from .mdp import (
     InfeasibleModelError,
@@ -26,14 +26,8 @@ from .mdp import (
     feasible_actions,
     scenario_fingerprint,
 )
-from .metrics import SessionSummary, aggregate_runs, summarize
-from .model import (
-    ChannelModel,
-    ConfigurationError,
-    QualityLadder,
-    map_bandwidth_to_state,
-    state_space_size,
-)
+from .metrics import PER_USER_METRICS, SessionSummary, aggregate_runs, summarize
+from .model import ConfigurationError, map_bandwidth_to_state, state_space_size
 from .policies import IdealOracle, Myopic, Proposed
 from .sim import USER_COLUMNS, ScenarioConfig, Trace, channel_paths, simulate
 from .sim import run_session  # noqa: F401  (perfbench traces the sessions under this name)
@@ -89,11 +83,7 @@ class ExperimentSpec:
 
 def load_experiment_spec(path: str) -> ExperimentSpec:
     data = read_yaml(path)
-    unknown = set(data) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment keys: {', '.join(sorted(unknown))}"
-        )
+    check_keys(data, _EXPERIMENT_KEYS, "experiment")
     try:
         scenario_rel = data["scenario"]
         arms = data["arms"]
@@ -215,36 +205,16 @@ def _write_trace(path: str, trace: Trace, run: int) -> None:
 
 
 def _summary_header(num_users: int) -> list[str]:
-    header = ["arm", "sweep_axis", "sweep_value", "run"]
-    for u in range(1, num_users + 1):
-        header += [
-            f"u{u}_avg_bitrate_kbps", f"u{u}_buffering_ratio",
-            f"u{u}_stall_events_per_second", f"u{u}_stalled_frames_per_second",
-            f"u{u}_significant_variations",
-        ]
-    header.append("profit")
-    return header
+    return ["arm", "sweep_axis", "sweep_value", "run", *(
+        f"u{u}_{name}" for u in range(1, num_users + 1) for name in PER_USER_METRICS
+    ), "profit"]
 
 
-def _summary_row(
-    summary: SessionSummary, axis: str, value: float | None
-) -> list[str]:
-    row = [
-        summary.arm,
-        axis,
-        "" if value is None else _fmt(value),
-        str(summary.run_index),
-    ]
-    for u in range(len(summary.avg_bitrate_kbps)):
-        row += [
-            _fmt(summary.avg_bitrate_kbps[u]),
-            _fmt(summary.buffering_ratio[u]),
-            _fmt(summary.stall_events_per_second[u]),
-            _fmt(summary.stalled_frames_per_second[u]),
-            str(summary.significant_variations[u]),
-        ]
-    row.append(_fmt(summary.profit))
-    return row
+def _summary_row(summary: SessionSummary, axis: str, value: float | None) -> list[str]:
+    return [summary.arm, axis, "" if value is None else _fmt(value), str(summary.run_index), *(
+        _fmt(getattr(summary, name)[u])
+        for u in range(len(summary.avg_bitrate_kbps)) for name in PER_USER_METRICS
+    ), _fmt(summary.profit)]
 
 
 def run_experiment(
@@ -389,21 +359,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
         problems.append(str(err))
 
     if config is None:
-        # Retry the pieces separately so several problems surface at once.
-        for section, builder in (
-            ("ladder", lambda: QualityLadder(tuple(data.get("ladder_kbps", ())))),
-            ("channel", lambda: ChannelModel(
-                transition=data.get("channel", {}).get("transition", ()),
-                state_bandwidth=tuple(
-                    data.get("channel", {}).get("state_bandwidth_kbps", ())
-                ),
-                boundaries=tuple(data.get("channel", {}).get("boundaries_kbps", ())),
-            )),
-        ):
+        # Retry the pieces separately so several problems surface at once;
+        # the loader's message already names the first.
+        for section, build in (("ladder", ladder_from), ("channel", channel_from)):
             try:
-                builder()
-            except (ConfigurationError, TypeError, ValueError) as err:
-                problems.append(f"{section}: {err}")
+                build(data)
+            except (KeyError, TypeError, ValueError) as err:
+                if not problems[0].endswith(str(err)):
+                    problems.append(f"{section}: {err}")
     else:
         consts = derive_constants(config.ladder, config.channel, config.profit)
         size = state_space_size(config.ladder, config.channel, config.num_users)

@@ -1,28 +1,56 @@
 """Scenario files: a YAML schema covering the ladder, the link model, the
-profit parameters, and the session plan.  See the bundled scenarios for
-complete examples."""
+profit parameters, and the session plan, whose keys, conversions and
+defaults are the ``ScenarioConfig`` and ``ProfitParams`` fields.  See the
+bundled scenarios for complete examples."""
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
+from typing import get_type_hints
 
 import yaml
 
-from .economics import ProfitParams, VARIATION_SYMMETRIC
+from .economics import ProfitParams
 from .model import ChannelModel, ConfigurationError, QualityLadder
 from .sim import ScenarioConfig
 
-_SCENARIO_KEYS = {
-    "name", "ladder_kbps", "channel", "profit", "num_users", "horizon",
-    "segment_seconds", "frames_per_second", "initial_buffer_frames",
-    "initial_rate_index", "num_runs", "rng_seed", "sharing_mode",
-}
+
+def _float(value, field: str) -> float:
+    """``float(value)``, refusing a boolean, which would read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _floats(values, field: str) -> tuple[float, ...]:
+    """A YAML list of numbers; a string would be read character by character."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{field} must be a list of numbers, got {values!r}")
+    return tuple(_float(value, field) for value in values)
+
+
+def _whole(value, field: str) -> int:
+    """``int(value)``, refusing what it would truncate: 200.7, True, .inf."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigurationError(f"{field} must be a whole number, got {value!r}")
+    return int(value)
+
+
+_CONVERT = {int: _whole, float: _float, tuple[float, ...]: _floats, str: lambda value, field: value}
+
+
+def _schema(cls, built: tuple[str, ...] = ()) -> dict:
+    """Field name -> conversion for every field of ``cls`` but those
+    ``built`` from their own keys."""
+    hints = get_type_hints(cls)
+    return {f.name: _CONVERT[hints[f.name]] for f in fields(cls) if f.name not in built}
+
+
+_SCENARIO_FIELDS = _schema(ScenarioConfig, built=("ladder", "channel", "profit"))
+_PROFIT_FIELDS = _schema(ProfitParams)
+_SCENARIO_KEYS = {"ladder_kbps", "channel", "profit", *_SCENARIO_FIELDS}
 _CHANNEL_KEYS = {"transition", "state_bandwidth_kbps", "boundaries_kbps"}
-_PROFIT_KEYS = {
-    "playback_weight", "buffering_weight", "smoothness_weight",
-    "variation_threshold_kbps", "congestion_price", "total_rate_cap_kbps",
-    "user_priorities", "variation_penalty",
-}
 
 
 def read_yaml(path: str) -> dict:
@@ -38,63 +66,47 @@ def read_yaml(path: str) -> dict:
     return data
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+def check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigurationError(
-            f"unknown {where} keys: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigurationError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
 
-def _float(value, field: str) -> float:
-    """``float(value)``, refusing a boolean, which would read as 1.0 or 0.0."""
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{field} must be a number, got {value!r}")
-    return float(value)
+def _build(cls, schema: dict, raw: dict, **built):
+    """``cls`` from one file section, each present key converted; an absent
+    key keeps the field's default, and ``cls`` refuses a missing required one."""
+    return cls(**{key: convert(raw[key], key) for key, convert in schema.items() if key in raw},
+               **built)
+
+
+def ladder_from(data: dict) -> QualityLadder:
+    """The ladder of a scenario file's top-level mapping."""
+    return QualityLadder(rates=_floats(data["ladder_kbps"], "ladder_kbps"))
+
+
+def channel_from(data: dict) -> ChannelModel:
+    """The link model of a scenario file's top-level mapping."""
+    raw = data["channel"]
+    check_keys(raw, _CHANNEL_KEYS, "channel")
+    return ChannelModel(
+        transition=[_floats(row, "transition") for row in raw["transition"]],
+        state_bandwidth=_floats(raw["state_bandwidth_kbps"], "state_bandwidth_kbps"),
+        boundaries=_floats(raw["boundaries_kbps"], "boundaries_kbps"),
+    )
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate one scenario file."""
     data = read_yaml(path)
-    _check_keys(data, _SCENARIO_KEYS, "scenario")
+    check_keys(data, _SCENARIO_KEYS, "scenario")
     try:
-        channel_raw = data["channel"]
-        profit_raw = data["profit"]
-        _check_keys(channel_raw, _CHANNEL_KEYS, "channel")
-        _check_keys(profit_raw, _PROFIT_KEYS, "profit")
-        for key in ("num_users", "horizon", "initial_buffer_frames", "initial_rate_index",
-                    "num_runs", "rng_seed"):  # int() would truncate 200.7 or True
-            if isinstance(data.get(key), bool) or not float(data.get(key, 0)).is_integer():
-                raise ConfigurationError(f"{key} must be a whole number, got {data[key]!r}")
-        ladder = QualityLadder(rates=tuple(data["ladder_kbps"]))
-        channel = ChannelModel(
-            transition=channel_raw["transition"],
-            state_bandwidth=tuple(channel_raw["state_bandwidth_kbps"]),
-            boundaries=tuple(channel_raw["boundaries_kbps"]),
-        )
-        numbers = ("playback_weight", "buffering_weight", "smoothness_weight",
-                   "variation_threshold_kbps", "congestion_price", "total_rate_cap_kbps")
-        profit = ProfitParams(
-            **{key: _float(profit_raw[key], key) for key in numbers},
-            user_priorities=tuple(
-                _float(p, "user_priorities") for p in profit_raw["user_priorities"]
-            ),
-            variation_penalty=profit_raw.get("variation_penalty", VARIATION_SYMMETRIC),
-        )
-        return ScenarioConfig(
-            ladder=ladder,
-            channel=channel,
-            profit=profit,
-            num_users=int(data["num_users"]),
-            horizon=int(data["horizon"]),
-            segment_seconds=_float(data.get("segment_seconds", 1.0), "segment_seconds"),
-            frames_per_second=_float(data.get("frames_per_second", 24.0), "frames_per_second"),
-            initial_buffer_frames=int(data.get("initial_buffer_frames", 80)),
-            initial_rate_index=int(data.get("initial_rate_index", 0)),
-            num_runs=int(data.get("num_runs", 15)),
-            rng_seed=int(data.get("rng_seed", 101)),
-            sharing_mode=data.get("sharing_mode", "proportional"),
-            name=data.get("name", os.path.splitext(os.path.basename(path))[0]),
+        check_keys(data["profit"], set(_PROFIT_FIELDS), "profit")
+        return _build(
+            ScenarioConfig, _SCENARIO_FIELDS,
+            {"name": os.path.splitext(os.path.basename(path))[0], **data},
+            ladder=ladder_from(data),
+            channel=channel_from(data),
+            profit=_build(ProfitParams, _PROFIT_FIELDS, data["profit"]),
         )
     except ConfigurationError:
         raise
@@ -102,36 +114,23 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigurationError(f"{path}: {err}") from err
 
 
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
 def save_scenario(config: ScenarioConfig, path: str) -> None:
     """Write a scenario back out in the same schema ``load_scenario`` reads."""
     data = {
-        "name": config.name,
+        "name": config.name,  # first in the file; the update below keeps its place
         "ladder_kbps": list(config.ladder.rates),
         "channel": {
             "transition": [list(map(float, row)) for row in config.channel.transition],
             "state_bandwidth_kbps": list(config.channel.state_bandwidth),
             "boundaries_kbps": list(config.channel.boundaries),
         },
-        "profit": {
-            "playback_weight": config.profit.playback_weight,
-            "buffering_weight": config.profit.buffering_weight,
-            "smoothness_weight": config.profit.smoothness_weight,
-            "variation_threshold_kbps": config.profit.variation_threshold_kbps,
-            "congestion_price": config.profit.congestion_price,
-            "total_rate_cap_kbps": config.profit.total_rate_cap_kbps,
-            "user_priorities": list(config.profit.user_priorities),
-            "variation_penalty": config.profit.variation_penalty,
-        },
-        "num_users": config.num_users,
-        "horizon": config.horizon,
-        "segment_seconds": config.segment_seconds,
-        "frames_per_second": config.frames_per_second,
-        "initial_buffer_frames": config.initial_buffer_frames,
-        "initial_rate_index": config.initial_rate_index,
-        "num_runs": config.num_runs,
-        "rng_seed": config.rng_seed,
-        "sharing_mode": config.sharing_mode,
+        "profit": {key: _plain(getattr(config.profit, key)) for key in _PROFIT_FIELDS},
     }
+    data.update((key, getattr(config, key)) for key in _SCENARIO_FIELDS)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         yaml.safe_dump(data, fh, sort_keys=False)

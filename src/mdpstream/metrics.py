@@ -10,6 +10,13 @@ from .model import left_sum
 from .sim import ScenarioConfig, SegmentRecord, Trace
 
 
+# The per-user fields of a ``SessionSummary``, in CSV order.
+PER_USER_METRICS = (
+    "avg_bitrate_kbps", "buffering_ratio", "stall_events_per_second",
+    "stalled_frames_per_second", "significant_variations",
+)
+
+
 @dataclass(frozen=True)
 class SessionSummary:
     """Per-session quality and money metrics.
@@ -101,11 +108,7 @@ def aggregate_runs(
         return mean, math.sqrt(var)
 
     out: dict[str, tuple[float, float]] = {}
-    per_user_fields = (
-        "avg_bitrate_kbps", "buffering_ratio", "stall_events_per_second",
-        "stalled_frames_per_second", "significant_variations",
-    )
-    for name in per_user_fields:
+    for name in PER_USER_METRICS:
         for u in range(n):
             values = [float(getattr(s, name)[u]) for s in summaries]
             out[f"u{u + 1}_{name}"] = stats(values)

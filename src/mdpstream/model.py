@@ -59,12 +59,6 @@ class QualityLadder:
     def r_max(self) -> float:
         return self.rates[-1]
 
-    def highest_at_most(self, kbps: float) -> int | None:
-        """Index of the fastest rate not exceeding ``kbps``, or None if even
-        the lowest rate is too fast."""
-        idx = bisect_right(self.rates, kbps) - 1
-        return idx if idx >= 0 else None
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelModel:

@@ -20,17 +20,19 @@ from .model import ChannelModel, QualityLadder
 
 
 class LastSampleEstimator:
-    """Remembers only the most recent throughput sample."""
+    """Remembers only the most recent throughput sample (a number, or an
+    array of them)."""
 
     def __init__(self) -> None:
         self.value: float | None = None
 
-    def add(self, sample_kbps: float) -> None:
+    def add(self, sample_kbps) -> None:
         self.value = sample_kbps
 
 
 class EwmaEstimator:
-    """Exponentially weighted moving average of throughput samples."""
+    """Exponentially weighted moving average of throughput samples, taken
+    elementwise when they are arrays."""
 
     def __init__(self, smoothing: float = 0.5) -> None:
         if not 0 < smoothing <= 1:
@@ -38,7 +40,7 @@ class EwmaEstimator:
         self.smoothing = smoothing
         self.value: float | None = None
 
-    def add(self, sample_kbps: float) -> None:
+    def add(self, sample_kbps) -> None:
         if self.value is None:
             self.value = sample_kbps
         else:
@@ -70,6 +72,12 @@ class Myopic:
     """Client-side rule: each user independently picks the fastest rate its
     estimated throughput can carry, ignoring the shared cap and everyone
     else.  With no estimate yet (session start) the lowest rate is used.
+
+    ``estimator_factory`` builds one estimator for a whole cell: the
+    simulator passes its ``add`` the delivered bandwidth of every run and
+    user as one (runs, users) array per epoch, so ``add`` must work
+    elementwise, and ``decide`` reads its ``value`` (None before the first
+    sample).
     """
 
     ladder: QualityLadder

@@ -58,13 +58,6 @@ def fair_scenario(**overrides) -> ScenarioConfig:
         profit=_base_profit((0.5, 0.5)),
         num_users=2,
         horizon=200,
-        segment_seconds=1.0,
-        frames_per_second=24.0,
-        initial_buffer_frames=80,
-        initial_rate_index=0,
-        num_runs=15,
-        rng_seed=101,
-        sharing_mode="proportional",
         name="fair",
     )
     return replace(config, **overrides) if overrides else config

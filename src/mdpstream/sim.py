@@ -248,12 +248,13 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     policy arm and all stepping together.
 
     Decisions come first: a table gather per epoch (proposed), one plan
-    for all runs (ideal), or an estimator step per epoch (myopic, which
-    needs each epoch's delivered bandwidth).  The rest is one pass over the
-    horizon; only the buffer recurrence steps per epoch.  Profit is scored
-    against the delivered bandwidth.  Sums over users run left to right
-    from 0.0 and costs come from the scalar economics functions, so a run's
-    numbers do not depend on which other runs step with it.
+    for all runs (ideal), or one estimator step per epoch over the whole
+    (runs, users) array (myopic, which needs each epoch's delivered
+    bandwidth).  The rest is one pass over the horizon; only the buffer
+    recurrence steps per epoch.  Profit is scored against the delivered
+    bandwidth.  Sums over users run left to right from 0.0 and costs come
+    from the scalar economics functions, so a run's numbers do not depend
+    on which other runs step with it.
     """
     consts = config.derived_constants()
     params, ladder, channel = config.profit, config.ladder, config.channel
@@ -267,15 +268,13 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     cap = params.total_rate_cap_kbps
     chosen = np.empty((runs, horizon, n), dtype=np.int64)
     if isinstance(policy, Myopic):
-        estimators = [[policy.estimator_factory() for _ in range(n)] for _ in range(runs)]
+        estimator = policy.estimator_factory()  # one for every (run, user) at once
         effective = np.empty((runs, horizon, n))
         for t in range(horizon):
-            chosen[:, t] = policy.decide([[est.value for est in row] for row in estimators])
+            chosen[:, t] = policy.decide(estimator.value)
             effective[:, t] = effective_bandwidth(rate_of[chosen[:, t]], raw[:, t], cap,
                                                   config.sharing_mode)
-            for row, samples in zip(estimators, effective[:, t].tolist()):
-                for est, sample in zip(row, samples):
-                    est.add(sample)
+            estimator.add(effective[:, t])
     else:
         if isinstance(policy, IdealOracle):
             chosen = solve_ideal(paths, (config.initial_rate_index,) * n,

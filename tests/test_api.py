@@ -26,7 +26,7 @@ def test_benchmark_entry_points_exist():
         (sim, "run_session"), (sim, "SegmentRecord"), (sim.Trace, "records"),
         (metrics, "summarize"), (cli, "run_session"), (cli, "_write_trace"),
         (cli, "table_filename"), (mdp, "feasible_actions"), (model, "state_space_size"),
-        (model.QualityLadder, "highest_at_most"), (cli, "main"),
+        (cli, "main"),
         (configfile, "load_scenario"), (cli, "load_scenario"),
         (economics, "derive_constants"), (cli, "derive_constants"), (sim, "derive_constants"),
         (mdp, "backward_induction"), (cli, "backward_induction"), (sim, "solve_ideal"),

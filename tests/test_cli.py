@@ -291,6 +291,21 @@ def test_validate_flags_bad_transition_rows(tmp_path, capsys):
     assert "PROBLEM" in capsys.readouterr().err
 
 
+def test_validate_reports_ladder_and_channel_problems_together(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    save_scenario(fair_scenario(), str(path))
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    data["ladder_kbps"][0] = 900.0
+    data["channel"]["transition"][0] = [0.9, 0.0, 0.0, 0.0]
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    problems = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("PROBLEM")]
+    assert len(problems) == 2, problems
+    assert "strictly increasing" in problems[0]
+    assert problems[1].startswith("PROBLEM: channel: transition row 0")
+
+
 def test_validate_reports_infeasible_cap(tmp_path, capsys):
     path = tmp_path / "tight.cfg"
     save_scenario(fair_scenario().with_rate_cap(100.0), str(path))

@@ -1,15 +1,21 @@
 """Scenario file round trips and schema enforcement."""
 
 import math
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from mdpstream import configfile
 from mdpstream.configfile import load_scenario, save_scenario
-from mdpstream.model import ConfigurationError
+from mdpstream.economics import ProfitParams
+from mdpstream.model import ChannelModel, ConfigurationError, QualityLadder
 from mdpstream.presets import differentiated_scenario, fair_scenario
+from mdpstream.sim import ScenarioConfig
+
+BUNDLED = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def equivalent(a, b):
@@ -51,9 +57,42 @@ def test_infinite_price_survives_yaml(tmp_path):
 
 
 def test_bundled_scenarios_match_presets():
-    bundled = Path(__file__).resolve().parents[1] / "scenarios"
-    equivalent(load_scenario(str(bundled / "fair.cfg")), fair_scenario())
-    equivalent(load_scenario(str(bundled / "diff.cfg")), differentiated_scenario())
+    equivalent(load_scenario(str(BUNDLED / "fair.cfg")), fair_scenario())
+    equivalent(load_scenario(str(BUNDLED / "diff.cfg")), differentiated_scenario())
+
+
+@pytest.mark.parametrize("name", ["fair.cfg", "diff.cfg"])
+def test_bundled_scenarios_spell_out_every_key(name):
+    # the module docstring calls them complete examples of the schema
+    data = yaml.safe_load((BUNDLED / name).read_text(encoding="utf-8"))
+    assert set(data) == configfile._SCENARIO_KEYS
+    assert set(data["channel"]) == configfile._CHANNEL_KEYS
+    assert set(data["profit"]) == set(configfile._PROFIT_FIELDS)
+
+
+def test_every_field_round_trips(tmp_path):
+    # every field away from its default, so a field the derived schema
+    # dropped would come back as its default (or go missing) and fail here
+    profit = ProfitParams(
+        playback_weight=0.25, buffering_weight=0.5, smoothness_weight=0.25,
+        variation_threshold_kbps=300.0, congestion_price=2.5, total_rate_cap_kbps=900.0,
+        user_priorities=(0.6, 0.4), variation_penalty="downward_only",
+    )
+    config = ScenarioConfig(
+        ladder=QualityLadder((100.0, 200.0, 400.0)),
+        channel=ChannelModel(((0.75, 0.25), (0.5, 0.5)), (150.0, 450.0), (300.0,)),
+        profit=profit, num_users=2, horizon=7, segment_seconds=2.0, frames_per_second=30.0,
+        initial_buffer_frames=12, initial_rate_index=1, num_runs=3, rng_seed=7,
+        sharing_mode="none", name="everything",
+    )
+    for obj in (config, profit):
+        for f in fields(obj):
+            assert f.default is MISSING or getattr(obj, f.name) != f.default, f.name
+    path = str(tmp_path / "all.yaml")
+    save_scenario(config, path)
+    loaded = load_scenario(path)
+    equivalent(loaded, config)
+    assert replace(loaded, channel=config.channel) == config  # every other field, by name
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -193,7 +232,9 @@ def test_fractional_or_boolean_count_rejected(tmp_path, key, fraction):
     ("profit", "playback_weight"), ("profit", "buffering_weight"),
     ("profit", "smoothness_weight"), ("profit", "variation_threshold_kbps"),
     ("profit", "congestion_price"), ("profit", "total_rate_cap_kbps"),
-    ("profit", "user_priorities"),
+    ("profit", "user_priorities"), (None, "ladder_kbps"),
+    ("channel", "state_bandwidth_kbps"), ("channel", "boundaries_kbps"),
+    ("channel", "transition"),
 ])
 def test_boolean_in_float_field_rejected(tmp_path, section, key):
     # float() would read true as 1.0 and false as 0.0
@@ -202,9 +243,31 @@ def test_boolean_in_float_field_rejected(tmp_path, section, key):
     with open(path, encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     fields = data if section is None else data[section]
+    first = fields[key]
     for bad in (True, False):
-        fields[key] = [bad, 0.5] if key == "user_priorities" else bad
+        if key == "transition":  # [true, false, false, false] sums to 1
+            fields[key] = [[bad] + [not bad] * 3, *first[1:]]
+        else:  # in a list, its first element
+            fields[key] = [bad, *first[1:]] if isinstance(first, list) else bad
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(data, fh)
         with pytest.raises(ConfigurationError, match=f"{key} must be a number, got {bad}"):
             load_scenario(path)
+
+
+@pytest.mark.parametrize("section,key,bad", [
+    (None, "ladder_kbps", "95.11"), (None, "ladder_kbps", 95),
+    ("profit", "user_priorities", "55"), ("channel", "state_bandwidth_kbps", "1234"),
+    ("channel", "boundaries_kbps", 256.0), ("channel", "transition", [0.5, 0.5, 0.0, 0.0]),
+])
+def test_list_field_must_be_a_list(tmp_path, section, key, bad):
+    # a quoted "12345" used to load as the ladder 1, 2, 3, 4, 5
+    path = str(tmp_path / "s.yaml")
+    save_scenario(fair_scenario(), path)
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    (data if section is None else data[section])[key] = bad
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(data, fh)
+    with pytest.raises(ConfigurationError, match="must be a list of numbers"):
+        load_scenario(path)

@@ -34,17 +34,6 @@ def test_ladder_rejects_bad_rates(rates):
         QualityLadder(rates)
 
 
-def test_highest_at_most():
-    ladder = make_ladder()
-    assert ladder.highest_at_most(520.0) == 3  # 493.02 fits, 798.09 does not
-    assert ladder.highest_at_most(95.11) == 0  # exact rung counts
-    assert ladder.highest_at_most(94.0) is None
-    assert ladder.highest_at_most(10_000.0) == 4
-
-
-# ------------------------------ ChannelModel -------------------------------
-
-
 def test_channel_accessors():
     channel = make_channel()
     assert channel.num_states == 4
