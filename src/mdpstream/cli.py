@@ -9,11 +9,9 @@ infeasible (no action can respect the rate cap).
 from __future__ import annotations
 
 import argparse
-import csv
-import functools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,68 +138,55 @@ def _cell_tag(arm: str, axis: str, value: float | None, run: int) -> str:
     return f"{arm}_{axis}{value:g}_run{run}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _csv_line(cells) -> bytes:
+    return (",".join(cells) + "\r\n").encode("ascii")
+
+
+def _write_bytes(path: str, parts) -> None:
+    """Write the joined byte strings ``parts`` to ``path`` through a
+    temporary file, so a reader never sees half a file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with open(tmp, "wb") as fh:
+        fh.write(b"".join(parts))
     os.replace(tmp, path)
 
 
-@functools.lru_cache(maxsize=1)
 def _trace_text(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Every run of ``trace`` as text, each distinct value of a column
-    formatted once.
+    """Every run of ``trace`` as CSV cell texts, each distinct value of a
+    column formatted once.
 
-    Returns (runs, horizon, CSV columns) int32 codes into a (texts, width)
-    byte table: each text NUL-padded, with at least two NUL bytes left for
-    its separator.  A column's values are keyed by their int64 value
-    (``epoch``, ``channel_state``) or float64 bits (the rest, so ``-0.0``
-    and ``0.0`` stay apart), the users' columns of one name together.  The
-    runs of a cell repeat most values, so the cache keeps one cell (a
-    ``Trace`` hashes by identity); its arrays are read-only.
+    Returns (runs, horizon x CSV columns) codes into an object array of
+    ASCII texts, each ending in its separator (CRLF in the last column,
+    ``,`` elsewhere), so ``texts[codes[run]]`` joined is the run's rows.  A
+    column's values are keyed by their int64 value (``epoch``,
+    ``channel_state``) or float64 bits (the rest, so ``-0.0`` and ``0.0``
+    stay apart), the users' columns of one name together.
     """
     runs, horizon, _ = trace.rate_kbps.shape
     names = ("epoch", *USER_COLUMNS, "bottleneck_cost", "stage_profit")
     columns = (np.broadcast_to(np.arange(horizon)[:, None], (runs, horizon, 1)),
                *(getattr(trace, name) for name in USER_COLUMNS),
                trace.bottleneck_cost[..., None], trace.stage_profit[..., None])
-    texts: list[str] = []
+    texts: list[bytes] = []
     by_name = []
     for name, values in zip(names, columns):
         integer = name in ("epoch", "channel_state")
         keys = (values.astype(np.int64, copy=False) if integer
                 else values.astype(np.float64, copy=False).view(np.int64))
         distinct, inverse = np.unique(keys, return_inverse=True)
-        by_name.append(inverse.reshape(values.shape).astype(np.int32) + len(texts))
-        texts += (["%d" % x for x in distinct.tolist()] if integer
-                  else ["%.12g" % x for x in distinct.view(np.float64).tolist()])
+        by_name.append(inverse.reshape(values.shape) + len(texts))
+        form = (b"%d" if integer else b"%.12g") + (b"\r\n" if name == "stage_profit" else b",")
+        texts += [form % x for x in (distinct if integer else distinct.view(np.float64)).tolist()]
     per_user = np.stack(by_name[1:-2], axis=-1).reshape(runs, horizon, -1)
     codes = np.concatenate([by_name[0], per_user, *by_name[-2:]], axis=-1)
-    width = max(map(len, texts)) + 2
-    text = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
-    codes.flags.writeable = text.flags.writeable = False
-    return codes, text
+    return codes.reshape(runs, -1), np.array(texts, dtype=object)
 
 
-def _write_trace(path: str, trace: Trace, run: int) -> None:
-    """Write one run of ``trace`` as CSV: the bytes ``csv.writer`` writes from
+def _write_trace(path: str, header: bytes, texts: np.ndarray, codes: np.ndarray) -> None:
+    """Write one run as CSV: ``header``, then the cell texts at that run's
+    ``codes`` from ``_trace_text``; the bytes ``csv.writer`` writes from
     ``format(x, ".12g")`` float cells and ``str`` integer cells."""
-    codes, text = _trace_text(trace)
-    num_users = trace.rate_kbps.shape[2]
-    header = ["epoch"] + [
-        f"u{u}_{name}" for u in range(1, num_users + 1) for name in USER_COLUMNS
-    ] + ["bottleneck_cost", "stage_profit"]
-    cells = text.take(codes[run], axis=0)  # (horizon, columns, width)
-    cells[:, :-1, -2] = ord(",")
-    cells[:, -1, -2:] = (ord("\r"), ord("\n"))
-    raw = cells.ravel()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode("ascii"))
-        fh.write(raw[raw != 0])
-    os.replace(tmp, path)
+    _write_bytes(path, [header, *texts[codes].tolist()])
 
 
 def _summary_header(num_users: int) -> list[str]:
@@ -234,15 +219,16 @@ def run_experiment(
     calls produce byte-identical files.
     """
     if seed is not None:
-        from dataclasses import replace
         config = replace(config, rng_seed=seed)
     tables_dir = tables_dir or os.path.join(out_dir, "tables")
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
-    summary_rows: list[list[str]] = []
-    aggregate_rows: list[list[str]] = []
-    aggregate_header: list[str] | None = None
+    trace_header = _csv_line(["epoch", *(
+        f"u{u}_{name}" for u in range(1, config.num_users + 1) for name in USER_COLUMNS
+    ), "bottleneck_cost", "stage_profit"])
+    summary_rows = [_summary_header(config.num_users)]
+    aggregate_rows = [["arm", "sweep_axis", "sweep_value"]]
 
     for value, scenario in _sweep_configs(config, spec):
         table: PolicyTable | None = None
@@ -275,31 +261,27 @@ def run_experiment(
                 policy = Myopic(ladder=scenario.ladder)
 
             trace = simulate(scenario, policy, paths)
+            codes, texts = _trace_text(trace)
             summaries = []
             for run in range(scenario.num_runs):
                 tag = _cell_tag(arm, spec.sweep_axis, value, run)
-                _write_trace(os.path.join(traces_dir, f"trace_{tag}.csv"), trace, run)
+                _write_trace(os.path.join(traces_dir, f"trace_{tag}.csv"), trace_header, texts,
+                             codes[run])
                 summary = summarize(trace, scenario, arm=arm, run_index=run)
                 summaries.append(summary)
                 summary_rows.append(_summary_row(summary, spec.sweep_axis, value))
 
             agg = aggregate_runs(summaries)
-            if aggregate_header is None:
-                aggregate_header = ["arm", "sweep_axis", "sweep_value"]
-                for key in agg:
-                    aggregate_header += [f"{key}_mean", f"{key}_std"]
+            if len(aggregate_rows) == 1:  # the first cell names the columns
+                aggregate_rows[0] += [f"{key}_{stat}" for key in agg for stat in ("mean", "std")]
             row = [arm, spec.sweep_axis, "" if value is None else _fmt(value)]
             for mean, std in agg.values():
                 row += [_fmt(mean), _fmt(std)]
             aggregate_rows.append(row)
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    _write_csv(summary_path, _summary_header(config.num_users), summary_rows)
-    _write_csv(
-        os.path.join(out_dir, "aggregate.csv"),
-        aggregate_header or ["arm", "sweep_axis", "sweep_value"],
-        aggregate_rows,
-    )
+    _write_bytes(summary_path, map(_csv_line, summary_rows))
+    _write_bytes(os.path.join(out_dir, "aggregate.csv"), map(_csv_line, aggregate_rows))
     return summary_path
 
 

@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import astuple, dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -115,7 +115,8 @@ def _by_action(per_user, vector_digits, action_digits, params) -> np.ndarray:
 
 
 class _ActionTables:
-    """Per-action profit pieces shared by the solver and the hindsight planner.
+    """Per-action profit pieces and the sweep's expectation machinery, shared
+    by the solver and the hindsight planner.
 
     Actions are kept in tie-break order: ascending aggregate rate, then
     lexicographically ascending rate vector.  Taking the first maximizer in
@@ -148,6 +149,9 @@ class _ActionTables:
         self.rate_digits = np.array(
             list(itertools.product(range(m), repeat=n)), dtype=np.int64
         ).reshape(self.num_rate_vectors, n)
+        chan_digits = np.array(
+            list(itertools.product(range(k), repeat=n)), dtype=np.int64
+        ).reshape(self.num_chan_vectors, n)
 
         acts = feasible_actions(n, ladder, params)
         order = sorted(
@@ -183,29 +187,27 @@ class _ActionTables:
         self.error_scale = (np.abs(self.bottleneck).max()
                             + np.abs(self.penalty).max(axis=(1, 2)).sum())
 
-
-class _SolverTables(_ActionTables):
-    """Adds the expectation and joint-channel machinery used by the sweep."""
-
-    def __init__(self, ladder, channel, params, consts, num_users):
-        super().__init__(ladder, channel, params, consts, num_users)
-        m, k, n = len(ladder), channel.num_states, num_users
-        chan_digits = np.array(
-            list(itertools.product(range(k), repeat=n)), dtype=np.int64
-        ).reshape(self.num_chan_vectors, n)
-
-        # Expected income-minus-buffering for each (current channel state,
-        # chosen rate), taken over the next channel state.
+        # For the sweep: expected income-minus-buffering for each (current
+        # channel state, chosen rate), taken over the next channel state, as
+        # (channel vectors, actions) like every sweep's q block; the joint
+        # channel matrix; and the canonical state index of each (rate
+        # vector, channel vector) pair.
         exp_playbuf = (self.playbuf @ channel.transition.T).T
-        # (channel vectors, actions), like every sweep's q block.
         self.expected_playbuf_by_action = _by_action(
             exp_playbuf, chan_digits, self.action_digits, params
         )
         self.joint_channel = reduce(np.kron, [channel.transition] * n)
-        # Canonical state index for each (rate vector, channel vector) pair.
         self.canonical_index = state_index(
             self.rate_digits[:, None, :], chan_digits[None, :, :], m, k
         )
+        for array in vars(self).values():  # shared through _action_tables
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+
+# One scenario's tables, built once for its solve and its hindsight plans
+# and shared read-only (a ChannelModel hashes by identity).
+_action_tables = lru_cache(maxsize=1)(_ActionTables)
 
 
 # Floats per q block (1 MB, to stay in L2); a block holds at least one rate vector.
@@ -345,7 +347,7 @@ def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarr
     return values, choice
 
 
-def _backup(tables: _SolverTables, v_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _backup(tables: _ActionTables, v_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep: epoch-t values and chosen actions from epoch-t+1
     values.  ``v_next`` has shape (rate vectors, channel vectors); reads and
     writes touch separate buffers, so within-sweep updates cannot leak.
@@ -391,7 +393,7 @@ def backward_induction(
             f"the memory cap of {memory_cap_bytes} bytes; use fewer users or a shorter horizon"
         )
 
-    tables = _SolverTables(ladder, channel, params, consts, n)
+    tables = _action_tables(ladder, channel, params, consts, n)
     values = np.zeros((horizon + 1, size))
     actions = np.zeros((horizon, size, n), dtype=np.int64)
 

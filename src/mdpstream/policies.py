@@ -4,7 +4,6 @@ against a fully known bandwidth path."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .economics import DerivedConstants, ProfitParams
 from . import mdp
-from .mdp import PolicyTable, _ActionTables
+from .mdp import PolicyTable
 from .model import ChannelModel, QualityLadder
 
 
@@ -96,10 +95,6 @@ class IdealOracle:
     """Marker arm: plan with hindsight against each session's sampled path."""
 
 
-# Repeated plans for one scenario (run_session per run) share the tables read-only.
-_action_tables = functools.lru_cache(maxsize=1)(_ActionTables)
-
-
 def check_channel_indices(paths: np.ndarray, num_states: int) -> None:
     """Refuse state indices outside [0, num_states); numpy would wrap -1."""
     bad = paths[(paths < 0) | (paths >= num_states)]
@@ -123,9 +118,8 @@ def solve_ideal(
     them; entry t is the state during segment t, so the decision at epoch
     t is scored against entry t + 1.  With the path fixed the only state
     left is the rate vector, and one backward recursion over (runs, rate
-    vectors) is exact; it runs in blocks whose q fits ``mdp._BLOCK_FLOATS``
-    (13 runs at 3 users and 78 actions, 1 at 4 users).  Each epoch reduces q
-    with the solver's own ``mdp._best``, so ties break the same way.
+    vectors) is exact.  Each epoch reduces q for every run at once with the
+    solver's own ``mdp._best``, so ties break the same way.
     """
     paths = np.asarray(channel_paths, dtype=np.int64)
     n = params.num_users
@@ -140,24 +134,20 @@ def solve_ideal(
         raise ValueError(f"initial rate indices {digits}: need one per user, each on the ladder")
     multi = int(np.ravel_multi_index(digits, (len(ladder),) * n))
 
-    tables = _action_tables(ladder, channel, params, consts, n)
-    num_rate_vectors, num_actions = tables.variation_by_action.shape
+    tables = mdp._action_tables(ladder, channel, params, consts, n)
     # Priority-weighted pay once per joint channel vector the paths visit.
     visited, where = np.unique(paths[:, 1:].reshape(-1, n), axis=0, return_inverse=True)
     prio = np.array(params.user_priorities)
     pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio for c in visited])
     where = where.reshape(runs, horizon)
 
+    plan = np.empty((horizon, tables.num_rate_vectors, runs), dtype=np.int64)
+    v_next = np.zeros((tables.num_rate_vectors, runs))
+    for t in range(horizon - 1, -1, -1):
+        v_next, plan[t] = mdp._best(pay_of[where[:, t]] + v_next[tables.action_multi].T, tables)
     chosen = np.empty((runs, horizon), dtype=np.int64)
-    block = max(1, mdp._BLOCK_FLOATS // (num_rate_vectors * num_actions))
-    for lo in range(0, runs, block):
-        ahead = where[lo:lo + block]
-        plan = np.empty((horizon, num_rate_vectors, len(ahead)), dtype=np.int64)
-        v_next = np.zeros((num_rate_vectors, len(ahead)))
-        for t in range(horizon - 1, -1, -1):
-            v_next, plan[t] = mdp._best(pay_of[ahead[:, t]] + v_next[tables.action_multi].T, tables)
-        at = np.full(len(ahead), multi)
-        for t in range(horizon):
-            chosen[lo:lo + block, t] = plan[t, at, np.arange(len(ahead))]
-            at = tables.action_multi[chosen[lo:lo + block, t]]
+    at = np.full(runs, multi)
+    for t in range(horizon):
+        chosen[:, t] = plan[t, at, np.arange(runs)]
+        at = tables.action_multi[chosen[:, t]]
     return tables.action_digits[chosen]

@@ -2,11 +2,15 @@
 resolves, and the entry points the benchmark in ``perfbench/`` calls by
 name still exist."""
 
+import inspect
+import os
 import re
 import textwrap
 
 import mdpstream
 from mdpstream import cli, configfile, economics, mdp, metrics, model, sim
+from mdpstream.configfile import save_scenario
+from mdpstream.presets import fair_scenario
 
 
 def test_package_docstring_example_runs(capsys):
@@ -34,3 +38,23 @@ def test_benchmark_entry_points_exist():
         (metrics, "aggregate_runs"), (cli, "summarize"), (cli, "aggregate_runs"),
     ]:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+
+def test_trace_writer_takes_the_output_path_first(tmp_path, monkeypatch):
+    # perfbench/child.py wraps cli._write_trace and reads the size of the
+    # file at args[0], so the path must come first and be passed by position
+    assert next(iter(inspect.signature(cli._write_trace).parameters)) == "path"
+    write, sizes = cli._write_trace, {}
+
+    def traced(*args, **kwargs):
+        write(*args, **kwargs)
+        sizes[args[0]] = os.path.getsize(args[0])
+
+    monkeypatch.setattr(cli, "_write_trace", traced)
+    config = fair_scenario(horizon=4, num_runs=2, name="small")
+    save_scenario(config, str(tmp_path / "small.cfg"))
+    spec = cli.ExperimentSpec(scenario_path=str(tmp_path / "small.cfg"), arms=("myopic",))
+    cli.run_experiment(config, spec, str(tmp_path / "out"))
+    traces = tmp_path / "out" / "traces"
+    assert sizes == {str(path): path.stat().st_size for path in traces.iterdir()}
+    assert len(sizes) == 2 and all(sizes.values())

@@ -10,6 +10,8 @@ import yaml
 from mdpstream import cli
 from mdpstream.cli import (
     ExperimentSpec,
+    _csv_line,
+    _trace_text,
     _write_trace,
     load_experiment_spec,
     main,
@@ -52,13 +54,21 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def write_run(path, trace, run):
+    """Write one run of ``trace`` the way ``run_experiment`` does."""
+    header = _csv_line(["epoch", *(f"u{u}_{name}" for u in range(1, trace.rate_kbps.shape[2] + 1)
+                                   for name in USER_COLUMNS), "bottleneck_cost", "stage_profit"])
+    codes, texts = _trace_text(trace)
+    _write_trace(str(path), header, texts, codes[run])
+
+
 def test_trace_writer_matches_reference(tmp_path):
     config = fair_scenario(horizon=20)
     paths = channel_paths(config, range(2))
     for policy in (Myopic(config.ladder), IdealOracle()):
         trace = simulate(config, policy, paths)
         for run in range(2):
-            _write_trace(str(tmp_path / "got.csv"), trace, run)
+            write_run(tmp_path / "got.csv", trace, run)
             reference_write_trace(str(tmp_path / "want.csv"), trace.records(run), 2)
             got = (tmp_path / "got.csv").read_bytes()
             assert got == (tmp_path / "want.csv").read_bytes()
@@ -76,7 +86,7 @@ def test_trace_writer_formats_edge_values_like_reference(tmp_path):
         bottleneck_cost=np.array([[-0.0, 1e16, 1e-7, 0.0]]),
         stage_profit=np.array([[123456789012.5, 0.0, -0.0, -1e16]]),
     )
-    _write_trace(str(tmp_path / "got.csv"), trace, 0)
+    write_run(tmp_path / "got.csv", trace, 0)
     reference_write_trace(str(tmp_path / "want.csv"), trace.records(0), 2)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
@@ -85,7 +95,7 @@ def test_trace_writer_formats_edge_values_like_reference(tmp_path):
 
 
 def _writes_like_reference(tmp_path, trace, run):
-    _write_trace(str(tmp_path / "got.csv"), trace, run)
+    write_run(tmp_path / "got.csv", trace, run)
     reference_write_trace(str(tmp_path / "want.csv"), trace.records(run),
                           trace.rate_kbps.shape[2])
     return (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -131,14 +141,28 @@ def test_trace_writer_keeps_zero_signs_and_kinds_apart(tmp_path):
     assert rows[1].startswith(b"0,-0,1,-0,")
 
 
-def test_trace_writer_formats_each_cell_once(tmp_path):
-    config = fair_scenario(horizon=10)
-    trace = simulate(config, IdealOracle(), channel_paths(config, range(15)))
-    cli._trace_text.cache_clear()
-    for run in range(15):
-        _write_trace(str(tmp_path / f"run{run}.csv"), trace, run)
-    assert cli._trace_text.cache_info().misses == 1
-    assert not any(array.flags.writeable for array in cli._trace_text(trace))
+def test_trace_writer_formats_each_cell_once(workspace, monkeypatch):
+    # 2 arms x 2 sweep values: one _trace_text call per cell, each text
+    # array holding every column's distinct values once
+    tmp, _, _, _ = workspace
+    spec = ExperimentSpec(scenario_path=str(tmp / "small.cfg"), arms=("myopic", "ideal"),
+                          sweep_axis="horizon", sweep_values=(4.0, 6.0))
+    calls = []
+
+    def recording(trace):
+        calls.append((trace, _trace_text(trace)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "_trace_text", recording)
+    cli.run_experiment(fair_scenario(horizon=6, num_runs=2, name="small"), spec, str(tmp / "out"))
+    assert len(calls) == 4
+    assert [trace.rate_kbps.shape[1] for trace, _ in calls] == [4, 4, 6, 6]
+    for trace, (codes, texts) in calls:
+        columns = [np.arange(trace.rate_kbps.shape[1])] + [
+            getattr(trace, name) if name == "channel_state" else getattr(trace, name).view(np.int64)
+            for name in (*USER_COLUMNS, "bottleneck_cost", "stage_profit")]
+        assert len(texts) == sum(len(np.unique(column)) for column in columns)
+        assert codes.shape == (2, trace.rate_kbps.shape[1] * (3 + 2 * len(USER_COLUMNS)))
 
 
 def test_table_filename_layout():

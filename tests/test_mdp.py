@@ -44,7 +44,7 @@ def small_model():
 
 def solver_tables(ladder, channel, params):
     consts = derive_constants(ladder, channel, params)
-    return mdp._SolverTables(ladder, channel, params, consts, params.num_users)
+    return mdp._ActionTables(ladder, channel, params, consts, params.num_users)
 
 
 def test_channel_transition_product():
@@ -290,7 +290,7 @@ def test_memory_cap_refuses_five_users_before_allocating(monkeypatch):
     def stop(*args):
         raise PassedGuard
 
-    monkeypatch.setattr(mdp, "_SolverTables", stop)
+    monkeypatch.setattr(mdp, "_action_tables", stop)
     four = make_params(cap=5000.0, priorities=(0.25,) * 4)
     with pytest.raises(PassedGuard):
         backward_induction(ladder, channel, four, derive_constants(ladder, channel, four), 200)
@@ -337,7 +337,7 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
     monkeypatch, instance, rate_vectors_per_block
 ):
     ladder, channel, params, consts = instance()
-    tables = mdp._SolverTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
     if rate_vectors_per_block:
         monkeypatch.setattr(
             mdp, "_BLOCK_FLOATS",
@@ -401,7 +401,7 @@ def _workload_tables(config, num_users, priorities, cap):
 
 
 def test_separable_best_on_one_row_at_four_users(fair_config, monkeypatch):
-    # the hindsight planner's shape at 4 users: one row per call, its pay
+    # a one-run hindsight plan's shape at 4 users: one row per call, its pay
     # for channel vector (0, 0, 3, 3); actions that swap users 0 and 1 (or
     # 2 and 3) tie exactly at some rate vectors, and those must fall back
     tables = _workload_tables(fair_config, 4, (0.25,) * 4, 1700.0)
@@ -420,7 +420,7 @@ def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
     # one bad row and one bad entry: nothing can be certified, so every
     # pair falls back and the result is still the full tensor's
     ladder, channel, params, consts = _finite_price_instance()
-    tables = mdp._SolverTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
     gain = tables.expected_playbuf_by_action[:5].copy()
     gain[2] = bad
     gain[4, 3] = bad
@@ -445,10 +445,11 @@ def test_size_rule_puts_benchmark_workloads_on_both_sides(fair_config, diff_conf
     cases.append((four, 256, 20))
     for tables, sweep_rows, runs in cases:
         assert sweep_rows == tables.num_chan_vectors
-        # solve_ideal's runs per block
-        plan_rows = min(runs, max(1, mdp._BLOCK_FLOATS // tables.variation_by_action.size))
         assert mdp._use_separable(sweep_rows, tables) == (tables is four)
-        assert not mdp._use_separable(plan_rows, tables)
+        # solve_ideal passes every run of its call as a row: a 4-user cell
+        # takes the transform, one run at a time (solver-4u's plans) scans
+        assert mdp._use_separable(runs, tables) == (tables is four)
+        assert not mdp._use_separable(1, tables)
 
 
 def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch):
@@ -456,7 +457,7 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
         fair_config.profit, user_priorities=(1 / 3,) * 3, total_rate_cap_kbps=1275.0
     )
     consts = derive_constants(fair_config.ladder, fair_config.channel, params)
-    tables = mdp._SolverTables(fair_config.ladder, fair_config.channel, params, consts, 3)
+    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, params, consts, 3)
     rates, chans = tables.num_rate_vectors, tables.num_chan_vectors
     assert (len(tables.actions), rates * chans) == (78, 8000)
     monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * len(tables.actions))

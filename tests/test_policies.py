@@ -16,7 +16,6 @@ from mdpstream.policies import (
     LastSampleEstimator,
     Myopic,
     Proposed,
-    _action_tables,
     solve_ideal,
 )
 from mdpstream.sim import channel_paths
@@ -229,20 +228,37 @@ def planner_instances(fair_config, diff_config):
     yield "three users", replace(fair_config, profit=three, num_users=3, horizon=60)
     finite = replace(fair_config.profit, congestion_price=0.0005)
     yield "finite price", replace(fair_config, profit=finite)
+    four = replace(fair_config.profit, user_priorities=(0.25,) * 4, total_rate_cap_kbps=1700.0)
+    yield "four users", replace(fair_config, profit=four, num_users=4, horizon=6, num_runs=8)
 
 
 def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeypatch):
     # one recursion over all runs must plan every run exactly like a
-    # recursion over that run alone, however the runs are blocked
+    # recursion over that run alone, however _best blocks its q
+    default, best, rows = mdp._BLOCK_FLOATS, mdp._best, []
+
+    def recording(gain, tables):
+        rows.append(len(gain))
+        return best(gain, tables)
+
+    monkeypatch.setattr(mdp, "_best", recording)
     for name, config in planner_instances(fair_config, diff_config):
         params, n = config.profit, config.num_users
         args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params,
                 config.derived_constants())
-        paths = channel_paths(config, range(15))
+        paths = channel_paths(config, range(config.num_runs))
         want = np.array([reference_solve_ideal(path.T, *args) for path in paths])
         if math.isfinite(params.congestion_price):  # the charge must bite somewhere
             assert np.any(np.array(config.ladder.rates)[want].sum(axis=2) > params.total_rate_cap_kbps)
-        q_floats = _action_tables(*args[1:], n).variation_by_action.size
-        for block_floats in (mdp._BLOCK_FLOATS, q_floats, 2 * q_floats):  # default, 1 and 2 runs
+        tables = mdp._action_tables(*args[1:], n)
+        gain_floats = config.num_runs * len(tables.actions)
+        for block_floats in (default, gain_floats, 3 * gain_floats):
+            # default, then 1 and 3 rate vectors per scanned q block.  Every
+            # run of the call is one row of q, so 4 users take the transform
+            # by default; chunks of one row make it too dear
             monkeypatch.setattr(mdp, "_BLOCK_FLOATS", block_floats)
+            separable = mdp._use_separable(config.num_runs, tables)
+            assert separable == (n == 4 and block_floats == default), (name, block_floats)
+            rows.clear()
             assert np.array_equal(solve_ideal(paths, *args), want), (name, block_floats)
+            assert rows == [config.num_runs] * config.horizon  # every run in one recursion
