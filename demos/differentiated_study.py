@@ -5,11 +5,13 @@ Under the solved controller the premium user should stream faster and
 never stall, while the client-centric baseline (each player grabbing
 greedily) spreads both bitrate and stalls evenly across the users."""
 
+import numpy as np
+
 from mdpstream.mdp import backward_induction
 from mdpstream.metrics import aggregate_runs, summarize
 from mdpstream.policies import Myopic, Proposed
 from mdpstream.presets import differentiated_scenario
-from mdpstream.sim import run_session
+from mdpstream.sim import channel_paths, simulate
 
 
 def main():
@@ -26,16 +28,13 @@ def main():
     print(f"priorities {config.profit.user_priorities}, "
           f"{config.num_runs} runs x {config.horizon} segments\n")
 
-    traces = {}
-    for name, policy in arms.items():
-        traces[name] = [
-            run_session(config, policy, run) for run in range(config.num_runs)
-        ]
+    paths = channel_paths(config, range(config.num_runs))  # the same draws for every arm
+    traces = {name: simulate(config, policy, paths) for name, policy in arms.items()}
 
-    for name, runs in traces.items():
+    for name, trace in traces.items():
         summaries = [
-            summarize(t, config, arm=name, run_index=r)
-            for r, t in enumerate(runs)
+            summarize(trace, config, arm=name, run_index=run)
+            for run in range(config.num_runs)
         ]
         agg = aggregate_runs(summaries)
         print(f"{name}:")
@@ -46,17 +45,9 @@ def main():
         print(f"   operator profit {agg['profit'][0]:.2f}\n")
 
     threshold = config.profit.variation_threshold_kbps
-    for name, runs in traces.items():
-        jumps = sum(
-            1
-            for trace in runs
-            for u in range(config.num_users)
-            for a, b in zip(
-                [rec.rate_kbps[u] for rec in trace],
-                [rec.rate_kbps[u] for rec in trace][1:],
-            )
-            if abs(b - a) >= threshold
-        )
+    for name, trace in traces.items():
+        # rate_kbps is (runs, segments, users): jumps between consecutive segments
+        jumps = np.count_nonzero(np.abs(np.diff(trace.rate_kbps, axis=1)) >= threshold)
         print(f"rate jumps of {threshold:g} Kbps or more across all "
               f"{name} sessions: {jumps}")
 

@@ -9,15 +9,13 @@ from mdpstream.mdp import backward_induction
 from mdpstream.metrics import aggregate_runs, summarize
 from mdpstream.policies import IdealOracle, Myopic, Proposed
 from mdpstream.presets import fair_scenario
-from mdpstream.sim import run_session
+from mdpstream.sim import channel_paths, simulate
 
 
-def run_arm(config, name, policy):
-    summaries = []
-    for run in range(config.num_runs):
-        trace = run_session(config, policy, run)
-        summaries.append(summarize(trace, config, arm=name, run_index=run))
-    return aggregate_runs(summaries)
+def run_arm(config, name, policy, paths):
+    trace = simulate(config, policy, paths)
+    return aggregate_runs([summarize(trace, config, arm=name, run_index=run)
+                           for run in range(config.num_runs)])
 
 
 def main():
@@ -35,7 +33,8 @@ def main():
     print(f"scenario {config.name}: {config.num_runs} runs x "
           f"{config.horizon} segments, cap "
           f"{config.profit.total_rate_cap_kbps:g} Kbps\n")
-    results = {name: run_arm(config, name, policy) for name, policy in arms.items()}
+    paths = channel_paths(config, range(config.num_runs))  # the same draws for every arm
+    results = {name: run_arm(config, name, policy, paths) for name, policy in arms.items()}
 
     print(f"{'arm':<10} {'profit':>14} {'bitrate u1':>11} {'bitrate u2':>11} "
           f"{'stall ratio u1':>14} {'stall ratio u2':>14}")

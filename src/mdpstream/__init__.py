@@ -32,8 +32,9 @@ Typical library use::
     table = mdp.backward_induction(
         config.ladder, config.channel, config.profit, consts, config.horizon
     )
-    trace = sim.run_session(config, policies.Proposed(table), run_index=0)
-    print(metrics.summarize(trace, config, arm="proposed"))
+    paths = sim.channel_paths(config, [0])  # run 0 alone
+    trace = sim.simulate(config, policies.Proposed(table), paths)
+    print(metrics.summarize(trace, config, arm="proposed", run_index=0))
 
 The ``demos`` directory in the repository walks through each capability.
 """

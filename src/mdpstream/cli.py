@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configfile import channel_from, check_keys, ladder_from, load_scenario, read_yaml
+from .configfile import _floats, channel_from, check_keys, ladder_from, load_scenario, read_yaml
 from .economics import derive_constants
 from .mdp import (
     InfeasibleModelError,
@@ -25,7 +25,7 @@ from .mdp import (
     scenario_fingerprint,
 )
 from .metrics import PER_USER_METRICS, SessionSummary, aggregate_runs, summarize
-from .model import ConfigurationError, map_bandwidth_to_state, state_space_size
+from .model import ConfigurationError, state_space_size
 from .policies import IdealOracle, Myopic, Proposed
 from .sim import USER_COLUMNS, ScenarioConfig, Trace, channel_paths, simulate
 from .sim import run_session  # noqa: F401  (perfbench traces the sessions under this name)
@@ -93,12 +93,12 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
         raise ConfigurationError(f"{path}: write the arms as a list, e.g. arms: [proposed, myopic]")
     sweep = data.get("sweep") or {}
     sweep_form = "write the sweep as sweep: {axis: rate_cap, values: [600, 850]}"
-    if not isinstance(sweep, dict) or not isinstance(sweep.get("values", []), list):
+    if not isinstance(sweep, dict):
         raise ConfigurationError(f"{path}: {sweep_form}")
     axis = sweep.get("axis", "none")
     try:
-        values = tuple(float(v) for v in sweep.get("values", []))
-    except (TypeError, ValueError) as err:
+        values = _floats(sweep.get("values", []), "values")
+    except (TypeError, ValueError) as err:  # a ConfigurationError too
         raise ConfigurationError(f"{path}: sweep values must be numbers ({err}); {sweep_form}") from None
     scenario_path = os.path.join(os.path.dirname(os.path.abspath(path)), scenario_rel)
     return ExperimentSpec(
@@ -368,13 +368,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         stationary = config.channel.stationary_distribution()
         print("stationary channel distribution: "
               + ", ".join(f"{p:.4f}" for p in stationary))
-        for k, bw in enumerate(config.channel.state_bandwidth):
-            mapped = map_bandwidth_to_state(bw, config.channel)
-            if mapped != k:
-                problems.append(
-                    f"state {k}'s representative bandwidth {bw} Kbps maps to "
-                    f"state {mapped}; adjust the boundaries or the representative"
-                )
         try:
             acts = feasible_actions(config.num_users, config.ladder, config.profit)
             print(f"feasible actions: {len(acts)}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import os
 from dataclasses import astuple, dataclass
 from functools import lru_cache, reduce
@@ -69,27 +68,22 @@ def scenario_fingerprint(
 def feasible_actions(
     num_users: int, ladder: QualityLadder, params: ProfitParams
 ) -> list[Action]:
-    """All joint rate assignments in canonical (lexicographic) order,
-    filtered to the rate cap when the congestion price is infinite."""
+    """All joint rate assignments in canonical (lexicographic) order that
+    ``economics.bottleneck_cost`` does not rule infeasible."""
     if num_users != params.num_users:
         raise ConfigurationError(
             f"params carry {params.num_users} priorities but {num_users} users requested"
         )
     actions = [
-        Action(rate_indices=digits)
-        for digits in itertools.product(range(len(ladder)), repeat=num_users)
+        a for a in map(Action, itertools.product(range(len(ladder)), repeat=num_users))
+        if economics.bottleneck_cost(a.rates_kbps(ladder), params) is not economics.INFEASIBLE
     ]
-    if math.isinf(params.congestion_price):
-        actions = [
-            a for a in actions
-            if left_sum(a.rates_kbps(ladder)) <= params.total_rate_cap_kbps
-        ]
-        if not actions:
-            raise InfeasibleModelError(
-                f"no feasible action: rate cap {params.total_rate_cap_kbps} Kbps "
-                f"cannot serve {num_users} users even at the minimum rate "
-                f"{ladder.r_min} Kbps"
-            )
+    if not actions:
+        raise InfeasibleModelError(
+            f"no feasible action: rate cap {params.total_rate_cap_kbps} Kbps "
+            f"cannot serve {num_users} users even at the minimum rate "
+            f"{ladder.r_min} Kbps"
+        )
     return actions
 
 
@@ -108,10 +102,8 @@ def _by_action(per_user, vector_digits, action_digits, params) -> np.ndarray:
     """Priority-weighted per-user terms, (vectors, actions): entry (v, a) is
     the sum over users u of ``priority[u] * per_user[v's digit u, a's digit
     u]``, taken left to right from 0.0."""
-    total = np.zeros((len(vector_digits), len(action_digits)))
-    for u, weight in enumerate(params.user_priorities):
-        total += weight * per_user[vector_digits[:, u, None], action_digits[None, :, u]]
-    return total
+    return left_sum(weight * per_user[vector_digits[:, u, None], action_digits[None, :, u]]
+                    for u, weight in enumerate(params.user_priorities))
 
 
 class _ActionTables:
@@ -166,13 +158,8 @@ class _ActionTables:
         weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.action_multi = self.action_digits @ weights
 
-        charges = []
-        for a in order:
-            c = economics.bottleneck_cost(a.rates_kbps(ladder), params)
-            if isinstance(c, economics.Infeasible):
-                raise AssertionError("feasible_actions let an infeasible action through")
-            charges.append(c)
-        self.bottleneck = np.array(charges)
+        self.bottleneck = np.array([economics.bottleneck_cost(a.rates_kbps(ladder), params)
+                                    for a in order])
         self.charged = bool(self.bottleneck.view(np.int64).any())  # bits: -0.0 counts
 
         self.variation_by_action = _by_action(

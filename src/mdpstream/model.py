@@ -68,7 +68,7 @@ class ChannelModel:
     bandwidth state k to state j.  ``state_bandwidth`` gives each state's
     representative bandwidth in Kbps; ``boundaries`` gives the ascending
     region edges used to map raw measurements onto states (one fewer entry
-    than there are states).
+    than there are states); each representative lies in its own region.
     """
 
     transition: np.ndarray
@@ -106,6 +106,10 @@ class ChannelModel:
         _require(all(b > 0 for b in edges), "region boundaries must be positive")
         _require(all(a < b for a, b in zip(edges, edges[1:])),
                  "region boundaries must be strictly increasing")
+        for state, b in enumerate(bw):
+            mapped = map_bandwidth_to_state(b, self)
+            _require(mapped == state, f"state {state}'s representative bandwidth {b} Kbps maps to "
+                     f"state {mapped}; adjust the boundaries or the representative")
 
     @property
     def num_states(self) -> int:

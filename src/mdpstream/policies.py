@@ -141,7 +141,8 @@ def solve_ideal(
     pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio for c in visited])
     where = where.reshape(runs, horizon)
 
-    plan = np.empty((horizon, tables.num_rate_vectors, runs), dtype=np.int64)
+    plan = np.empty((horizon, tables.num_rate_vectors, runs),
+                    dtype=np.min_scalar_type(len(tables.action_digits) - 1))
     v_next = np.zeros((tables.num_rate_vectors, runs))
     for t in range(horizon - 1, -1, -1):
         v_next, plan[t] = mdp._best(pay_of[where[:, t]] + v_next[tables.action_multi].T, tables)

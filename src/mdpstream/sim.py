@@ -14,13 +14,7 @@ import numpy as np
 from . import economics
 from .economics import DerivedConstants, ProfitParams, derive_constants
 from .mdp import variation_table
-from .model import (
-    ChannelModel,
-    ConfigurationError,
-    QualityLadder,
-    map_bandwidth_to_state,
-    _require,
-)
+from .model import ChannelModel, ConfigurationError, QualityLadder, _require, left_sum
 from .policies import IdealOracle, Myopic, Proposed, check_channel_indices, solve_ideal
 
 SHARING_PROPORTIONAL = "proportional"
@@ -185,15 +179,6 @@ def channel_paths(config: ScenarioConfig, runs: Sequence[int]) -> np.ndarray:
     return np.swapaxes(_walk(channel, first, draws[..., 1:]), 1, 2)
 
 
-def _sum_users(values: np.ndarray) -> np.ndarray:
-    """Sum over the last (user) axis left to right from 0.0, as ``sum``
-    does over a tuple; ``np.sum`` may pair the terms differently."""
-    total = 0.0
-    for u in range(values.shape[-1]):
-        total = total + values[..., u]
-    return total
-
-
 def effective_bandwidth(
     chosen_rates_kbps,
     raw_bw_kbps,
@@ -218,8 +203,9 @@ def effective_bandwidth(
     rates = np.asarray(chosen_rates_kbps, dtype=float)
     if rates.shape != raw.shape:
         raise ValueError("need one chosen rate per user")
-    demand = _sum_users(np.where(rates < raw, rates, raw))
-    share = rate_cap_kbps * rates / _sum_users(rates)[..., None]
+    # left_sum(x.T).T sums over the last (user) axis; .T is cheaper than np.moveaxis
+    demand = left_sum(np.where(rates < raw, rates, raw).T).T
+    share = rate_cap_kbps * rates / left_sum(rates.T).T[..., None]
     squeezed = np.where(share < raw, share, raw)
     return np.where((demand <= rate_cap_kbps)[..., None], raw, squeezed)
 
@@ -280,10 +266,9 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
             chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
                                  ladder, channel, params, consts)
         elif isinstance(policy, Proposed):
-            observed = np.array([map_bandwidth_to_state(b, channel) for b in channel.state_bandwidth])
             prev = np.full((runs, n), config.initial_rate_index)
             for t in range(horizon):
-                chosen[:, t] = prev = policy.decide(t, prev, observed[paths[:, t]])
+                chosen[:, t] = prev = policy.decide(t, prev, paths[:, t])
         else:
             raise TypeError(f"unknown policy {policy!r}")
         effective = effective_bandwidth(rate_of[chosen], raw, cap, config.sharing_mode)
@@ -304,10 +289,12 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     prev = np.concatenate([np.full((runs, 1, n), config.initial_rate_index), chosen[:, :-1]], axis=1)
     var_cost = variation_table(ladder, params, consts)[prev, chosen]
     charge = np.zeros((runs, horizon))  # an infinite price rations the cap, never bills it
-    if math.isfinite(params.congestion_price):
-        excess = _sum_users(rates) - cap
-        charge = np.where(excess <= 0.0, 0.0, params.congestion_price * excess)
-    profit = _sum_users(np.array(params.user_priorities) * ((income - buffering) - var_cost)) - charge
+    if math.isfinite(params.congestion_price):  # one bottleneck_cost per distinct rate vector
+        vectors, which = np.unique(rates.reshape(-1, n), axis=0, return_inverse=True)
+        costs = [economics.bottleneck_cost(v, params) for v in vectors.tolist()]
+        charge = np.array(costs)[which.reshape(-1)].reshape(runs, horizon)
+    weighted = np.array(params.user_priorities) * ((income - buffering) - var_cost)
+    profit = left_sum(weighted.T).T - charge
 
     buffers, stalls = [np.full((runs, n), config.initial_buffer_seconds)], []
     for t in range(horizon):

@@ -71,7 +71,10 @@ def random_instance(rng, num_rates, num_channel_states, num_users, finite_price)
     """One seeded small model for solver/oracle comparisons."""
     rates = tuple(np.sort(rng.uniform(50.0, 900.0, size=num_rates)))
     bws = tuple(np.sort(rng.uniform(40.0, 1000.0, size=num_channel_states)))
-    bounds = tuple(np.sort(rng.uniform(50.0, 950.0, size=num_channel_states - 1)))
+    rng.uniform(50.0, 950.0, size=num_channel_states - 1)  # drawn to keep the later draws
+    # the solver never reads the boundaries; midpoints keep each
+    # representative in its own region, as ChannelModel requires
+    bounds = tuple((np.array(bws[:-1]) + bws[1:]) / 2)
     raw = rng.uniform(0.05, 1.0, size=(num_channel_states, num_channel_states))
     matrix = raw / raw.sum(axis=1, keepdims=True)
     ladder = QualityLadder(rates)

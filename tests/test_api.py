@@ -2,10 +2,12 @@
 resolves, and the entry points the benchmark in ``perfbench/`` calls by
 name still exist."""
 
+import ast
 import inspect
 import os
 import re
 import textwrap
+from pathlib import Path
 
 import mdpstream
 from mdpstream import cli, configfile, economics, mdp, metrics, model, sim
@@ -58,3 +60,21 @@ def test_trace_writer_takes_the_output_path_first(tmp_path, monkeypatch):
     traces = tmp_path / "out" / "traces"
     assert sizes == {str(path): path.stat().st_size for path in traces.iterdir()}
     assert len(sizes) == 2 and all(sizes.values())
+
+
+def test_every_import_is_used():
+    # a name a module imports is used there, exported in __all__, or marked
+    # "# noqa: F401" on its import line
+    for path in sorted(Path(mdpstream.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(mdpstream.__all__) if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    marked = "# noqa: F401" in lines[alias.lineno - 1]
+                    assert name in used or marked, f"{path.name}:{alias.lineno}: {name} unused"

@@ -337,6 +337,24 @@ def test_validate_reports_infeasible_cap(tmp_path, capsys):
     assert "no feasible action" in capsys.readouterr().err
 
 
+def test_out_of_region_representative_refused_by_every_command(tmp_path, capsys):
+    data = yaml.safe_load((BUNDLED / "fair.cfg").read_text(encoding="utf-8"))
+    data["channel"]["state_bandwidth_kbps"] = [95.0, 600.0, 700.0, 896.0]
+    scenario = tmp_path / "skewed.cfg"
+    scenario.write_text(yaml.safe_dump(data), encoding="utf-8")
+    spec = tmp_path / "exp.yaml"
+    spec.write_text(yaml.safe_dump({"scenario": "skewed.cfg", "arms": ["proposed", "myopic"]}),
+                    encoding="utf-8")
+    fix = ("state 1's representative bandwidth 600.0 Kbps maps to state 2; "
+           "adjust the boundaries or the representative")
+    for argv in (["validate", "--config", str(scenario)],
+                 ["solve", "--config", str(scenario), "--out", str(tmp_path / "t.ptab")],
+                 ["run", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 1, argv
+        assert fix in capsys.readouterr().err, argv
+    assert not (tmp_path / "t.ptab").exists()
+
+
 def test_unknown_arm_rejected(tmp_path, capsys):
     scenario_path = tmp_path / "s.cfg"
     save_scenario(fair_scenario(), str(scenario_path))
@@ -391,6 +409,10 @@ def test_experiment_file_parsing(tmp_path):
     ({"arms": ["myopic"], "sweep": {"axis": "rate_cap", "values": ["fast"]}}, "numbers"),
     ({"arms": "myopic"}, "arms: ["),
     ({"arms": ["myopic"], "scenario": ["s.cfg"]}, "scenario: fair.cfg"),
+    ({"arms": ["myopic"], "sweep": {"axis": "rate_cap", "values": [True, 850]}},
+     "must be a number, got True"),
+    ({"arms": ["myopic"], "sweep": {"axis": "horizon", "values": [True]}},
+     "must be a number, got True"),
 ])
 def test_malformed_experiment_file_names_the_form(tmp_path, capsys, fields, form):
     save_scenario(fair_scenario(), str(tmp_path / "s.cfg"))

@@ -66,6 +66,19 @@ def test_channel_rejects_unsorted_bandwidths():
         ChannelModel(ident, (100.0, 200.0), ())  # missing boundary
 
 
+@pytest.mark.parametrize("bandwidths, boundaries, state, mapped", [
+    ((95.0, 600.0, 700.0, 896.0), (256.0, 512.0, 896.0), 1, 2),  # above its region
+    ((95.0, 256.0, 512.0, 890.0), (256.0, 512.0, 896.0), 3, 2),  # below its region
+    ((256.0, 300.0), (256.0,), 0, 1),  # a boundary belongs to the upper region
+])
+def test_channel_refuses_representative_outside_its_region(bandwidths, boundaries, state, mapped):
+    with pytest.raises(ConfigurationError, match=(
+        f"state {state}'s representative bandwidth {bandwidths[state]} Kbps maps to "
+        f"state {mapped}; adjust the boundaries or the representative"
+    )):
+        make_channel(np.eye(len(bandwidths)), bandwidths, boundaries)
+
+
 def test_channel_matrix_is_read_only():
     channel = make_channel()
     with pytest.raises(ValueError):
