@@ -32,7 +32,7 @@ from .model import (
 )
 
 POLICY_TABLE_FORMAT = "mdpstream-policy-table-npy"
-CANONICAL_ORDER_VERSION = 1
+POLICY_TABLE_VERSIONS = "version=2 ordering=1"  # file layout, canonical state order
 DEFAULT_MEMORY_CAP_BYTES = 2 << 30
 
 
@@ -176,17 +176,13 @@ class _ActionTables:
 
         # For the sweep: expected income-minus-buffering for each (current
         # channel state, chosen rate), taken over the next channel state, as
-        # (channel vectors, actions) like every sweep's q block; the joint
-        # channel matrix; and the canonical state index of each (rate
-        # vector, channel vector) pair.
+        # (channel vectors, actions) like every sweep's q block; and the
+        # joint channel matrix.
         exp_playbuf = (self.playbuf @ channel.transition.T).T
         self.expected_playbuf_by_action = _by_action(
             exp_playbuf, chan_digits, self.action_digits, params
         )
         self.joint_channel = reduce(np.kron, [channel.transition] * n)
-        self.canonical_index = state_index(
-            self.rate_digits[:, None, :], chan_digits[None, :, :], m, k
-        )
         for array in vars(self).values():  # shared through _action_tables
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -371,9 +367,12 @@ def backward_induction(
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be at least 1, got {horizon}")
-    n = params.num_users
+    n, m, k = params.num_users, len(ladder), channel.num_states
     size = state_space_size(ladder, channel, n)
-    needed = 8 * size * ((horizon + 1) + horizon * n)  # float64 values, int64 actions
+    num_actions = len(feasible_actions(n, ladder, params))
+    id_dtype = np.min_scalar_type(num_actions - 1)
+    # float64 values, an action id per (epoch, state), the int64 digit list
+    needed = size * (8 * (horizon + 1) + id_dtype.itemsize * horizon) + 8 * n * num_actions
     if needed > memory_cap_bytes:
         raise ConfigurationError(
             f"policy table needs {needed} bytes ({size} states x horizon {horizon}), over "
@@ -382,17 +381,19 @@ def backward_induction(
 
     tables = _action_tables(ladder, channel, params, consts, n)
     values = np.zeros((horizon + 1, size))
-    actions = np.zeros((horizon, size, n), dtype=np.int64)
+    ids = np.empty((horizon, size), dtype=id_dtype)
 
+    # Split per user and interleaved, a sweep's block is in canonical order (r0, c0, r1, ...).
+    split, axes = (m,) * n + (k,) * n, [a for u in range(n) for a in (u, n + u)]
     v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
     for t in range(horizon - 1, -1, -1):
         v_now, choice = _backup(tables, v_next)
-        values[t][tables.canonical_index] = v_now
-        actions[t][tables.canonical_index] = tables.action_digits[choice]
+        np.copyto(values[t].reshape((m, k) * n), v_now.reshape(split).transpose(axes))
+        np.copyto(ids[t].reshape((m, k) * n), choice.reshape(split).transpose(axes), casting="unsafe")
         v_next = v_now
 
     values.setflags(write=False)
-    actions.setflags(write=False)
+    ids.setflags(write=False)
     return PolicyTable(
         ladder_size=len(ladder),
         num_channel_states=channel.num_states,
@@ -400,7 +401,8 @@ def backward_induction(
         horizon=horizon,
         fingerprint=scenario_fingerprint(ladder, channel, params, horizon),
         values=values,
-        action_rate_indices=actions,
+        action_digits=tables.action_digits,
+        action_ids=ids,
     )
 
 
@@ -410,27 +412,34 @@ def backward_induction(
 @dataclass(frozen=True, eq=False)
 class PolicyTable:
     """Optimal decisions and values for every (epoch, state), stored densely
-    in canonical state order."""
+    in canonical state order; each decision is an id into the digit list."""
 
     ladder_size: int
     num_channel_states: int
     num_users: int
     horizon: int
     fingerprint: str  # scenario_fingerprint of the solver's inputs
-    values: np.ndarray  # (horizon + 1, states); terminal row is all zero
-    action_rate_indices: np.ndarray  # (horizon, states, users)
+    values: np.ndarray  # float64 (horizon + 1, states); terminal row is all zero
+    action_digits: np.ndarray  # int64 (actions, users) rate indices, tie order
+    action_ids: np.ndarray  # unsigned (horizon, states), rows of action_digits
 
     def __post_init__(self) -> None:
-        size = self.num_states
-        if self.values.shape != (self.horizon + 1, size):
-            raise ValueError(
-                f"values shaped {self.values.shape}, expected {(self.horizon + 1, size)}"
-            )
-        if self.action_rate_indices.shape != (self.horizon, size, self.num_users):
-            raise ValueError(
-                f"actions shaped {self.action_rate_indices.shape}, "
-                f"expected {(self.horizon, size, self.num_users)}"
-            )
+        size, digits, ids = self.num_states, self.action_digits, self.action_ids
+        got = ", ".join(f"{a.dtype} {a.shape}" for a in (self.values, digits, ids))
+        if ids.dtype.kind != "u" or got != (f"float64 {(self.horizon + 1, size)}, int64 "
+                                            f"{digits.shape[:1] + (self.num_users,)}, "
+                                            f"{ids.dtype} {(self.horizon, size)}"):
+            raise ValueError(f"arrays hold {got}; expected float64 {(self.horizon + 1, size)}, "
+                             f"int64 (actions, {self.num_users}), unsigned {(self.horizon, size)}")
+        if np.any((digits < 0) | (digits >= self.ladder_size)):
+            raise ValueError(f"action digits outside the {self.ladder_size}-rung ladder")
+        if ids.max() >= len(digits):
+            raise ValueError(f"action id {ids.max()} names none of the {len(digits)} actions")
+
+    @property
+    def action_rate_indices(self) -> np.ndarray:
+        """(horizon, states, users) rate indices, gathered on each access."""
+        return self.action_digits[self.action_ids]
 
     @property
     def num_states(self) -> int:
@@ -457,21 +466,22 @@ class PolicyTable:
         """Epoch-t rate indices for (..., users) arrays of states."""
         if not 0 <= t < self.horizon:
             raise ValueError(f"decision epoch {t} outside [0, {self.horizon})")
-        return self.action_rate_indices[t, self.state_index(rate_indices, channel_indices)]
+        ids = self.action_ids[t, self.state_index(rate_indices, channel_indices)]
+        return self.action_digits[ids]
 
     def action(self, t: int, state: SystemState) -> Action:
         digits = self.actions(t, state.rate_indices, state.channel_indices)
         return Action(rate_indices=tuple(digits.tolist()))
 
     def save(self, path: str) -> None:
-        """Write three ASCII header lines (format tag and ordering version,
-        dimensions, ``fingerprint=``), then ``values`` (float64) and
-        ``action_rate_indices`` (int64) as two ``np.save`` blocks.  Raw float
-        bits make load(save(x)) exact and a re-save byte-identical.  Text
-        tables from older versions are refused and must be solved again.
+        """Write three ASCII header lines (format tag with format and ordering
+        versions, dimensions, ``fingerprint=``), then ``values``,
+        ``action_digits`` and ``action_ids`` as three ``np.save`` blocks.  Raw
+        float bits make load(save(x)) exact and a re-save byte-identical.
+        Tables from older versions are refused and must be solved again.
         """
         header = (
-            f"{POLICY_TABLE_FORMAT} ordering={CANONICAL_ORDER_VERSION}\n"
+            f"{POLICY_TABLE_FORMAT} {POLICY_TABLE_VERSIONS}\n"
             f"ladder_size={self.ladder_size} "
             f"channel_states={self.num_channel_states} "
             f"users={self.num_users} horizon={self.horizon}\n"
@@ -480,8 +490,8 @@ class PolicyTable:
         tmp = f"{path}.tmp"
         with open(tmp, "wb") as fh:
             fh.write(header.encode("ascii"))
-            np.save(fh, self.values, allow_pickle=False)
-            np.save(fh, self.action_rate_indices, allow_pickle=False)
+            for array in (self.values, self.action_digits, self.action_ids):
+                np.save(fh, array, allow_pickle=False)
         os.replace(tmp, path)
 
     @classmethod
@@ -493,8 +503,9 @@ class PolicyTable:
                 header = fh.readline().decode("ascii").split()
                 if header[:1] != [POLICY_TABLE_FORMAT]:
                     raise ValueError("not a policy table file")
-                if header[1:] != [f"ordering={CANONICAL_ORDER_VERSION}"]:
-                    raise ValueError(f"unsupported ordering version (have {header[1:]})")
+                if header[1:] != POLICY_TABLE_VERSIONS.split():
+                    raise ValueError(f"unsupported version {' '.join(header[1:])!r}, "
+                                     f"need {POLICY_TABLE_VERSIONS!r}")
                 fields = dict(
                     item.split("=")
                     for line in (fh.readline(), fh.readline())
@@ -502,22 +513,20 @@ class PolicyTable:
                 )
                 # read_array takes only the .npy format that save writes;
                 # np.load would also open a zip archive here.
-                values = np.lib.format.read_array(fh, allow_pickle=False)
-                actions = np.lib.format.read_array(fh, allow_pickle=False)
+                arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3)]
                 if fh.read(1):
-                    raise ValueError("trailing bytes after the action array")
-            if (values.dtype, actions.dtype) != (np.float64, np.int64):
-                raise ValueError(f"arrays hold {values.dtype}/{actions.dtype}, not float64/int64")
-            values.setflags(write=False)
-            actions.setflags(write=False)
+                    raise ValueError("trailing bytes after the action ids")
+            for array in arrays:
+                array.setflags(write=False)
             return cls(
                 ladder_size=int(fields["ladder_size"]),
                 num_channel_states=int(fields["channel_states"]),
                 num_users=int(fields["users"]),
                 horizon=int(fields["horizon"]),
                 fingerprint=fields["fingerprint"],
-                values=values,
-                action_rate_indices=actions,
+                values=arrays[0],
+                action_digits=arrays[1],
+                action_ids=arrays[2],
             )
         except KeyError as missing:
             why = f"header missing {missing}"

@@ -3,6 +3,7 @@ resolves, and the entry points the benchmark in ``perfbench/`` calls by
 name still exist."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -40,6 +41,11 @@ def test_benchmark_entry_points_exist():
         (metrics, "aggregate_runs"), (cli, "summarize"), (cli, "aggregate_runs"),
     ]:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+    # perfbench/checks.table_digest reads a solved table's values and its
+    # per-(epoch, state) rate indices, gathered from the digits by id
+    assert {"values", "action_digits", "action_ids"} <= {
+        field.name for field in dataclasses.fields(mdp.PolicyTable)}
+    assert isinstance(mdp.PolicyTable.action_rate_indices, property)
 
 
 def test_trace_writer_takes_the_output_path_first(tmp_path, monkeypatch):

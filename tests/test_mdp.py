@@ -251,8 +251,9 @@ def test_solver_rejects_bad_horizon_and_cap():
     ladder, channel, params, consts = small_model()
     with pytest.raises(ConfigurationError):
         backward_induction(ladder, channel, params, consts, 0)
-    # 16 states x horizon 2: 3 value rows of 8 bytes, 2 x 2 action digits of 8
-    needed = 16 * (3 * 8 + 2 * 2 * 8)
+    # 16 states x horizon 2: 3 value rows of 8 bytes and 2 uint8 action ids,
+    # plus the digit list of 4 actions x 2 users at 8 bytes
+    needed = 16 * (3 * 8 + 2 * 1) + 4 * 2 * 8
     with pytest.raises(ConfigurationError, match=f"needs {needed} bytes"):
         backward_induction(ladder, channel, params, consts, 2, memory_cap_bytes=needed - 1)
     backward_induction(ladder, channel, params, consts, 2, memory_cap_bytes=needed)
@@ -268,7 +269,8 @@ def test_memory_cap_refuses_five_users_before_allocating(monkeypatch):
     five = make_params(cap=5000.0, priorities=(0.2,) * 5)
     consts = derive_constants(ladder, channel, five)
     states = 20 ** 5
-    needed = states * (201 * 8 + 200 * 5 * 8)  # about 31 GB
+    # float64 values, uint16 ids for 3,125 actions, their int64 digits: 6.4 GB
+    needed = states * (201 * 8 + 200 * 2) + 3125 * 5 * 8
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError) as err:
@@ -282,7 +284,7 @@ def test_memory_cap_refuses_five_users_before_allocating(monkeypatch):
     assert f"cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes" in message
     assert peak < 1 << 20
 
-    # the default admits 4 users x horizon 200 (about 1.28 GB); stop the
+    # the default admits 4 users x horizon 200 (about 321 MB); stop the
     # solve right after the guard instead of running it
     class PassedGuard(Exception):
         pass
@@ -502,13 +504,49 @@ def test_table_save_load_round_trip(tmp_path):
     assert loaded.num_users == 2
     assert loaded.fingerprint == table.fingerprint
     assert loaded.values.dtype == np.float64
-    assert loaded.action_rate_indices.dtype == np.int64
+    assert loaded.action_digits.dtype == np.int64
+    assert loaded.action_ids.dtype == np.uint8
     # bit-exact, terminal row included
     assert loaded.values.tobytes() == table.values.tobytes()
-    np.testing.assert_array_equal(loaded.action_rate_indices, table.action_rate_indices)
+    np.testing.assert_array_equal(loaded.action_digits, table.action_digits)
+    np.testing.assert_array_equal(loaded.action_ids, table.action_ids)
     # byte-identical on re-save, also from the loaded copy
     loaded.save(str(tmp_path / "again.ptab"))
     assert (tmp_path / "small.ptab").read_bytes() == (tmp_path / "again.ptab").read_bytes()
+
+
+def test_action_ids_take_the_smallest_unsigned_type(fair_config, fair_table):
+    assert (len(fair_table.action_digits), fair_table.action_ids.dtype) == (13, np.uint8)
+    # the 4-user benchmark size, counted rather than solved
+    four = dataclasses.replace(fair_config.profit, user_priorities=(0.25,) * 4,
+                               total_rate_cap_kbps=1700.0)
+    assert len(feasible_actions(4, fair_config.ladder, four)) == 385
+    # the guard counts 2-byte ids: 20^4 states x (5 float64 values + 4 ids),
+    # plus 385 x 4 int64 digits
+    needed = 20 ** 4 * (5 * 8 + 4 * 2) + 385 * 4 * 8
+    with pytest.raises(ConfigurationError, match=f"needs {needed} bytes"):
+        backward_induction(fair_config.ladder, fair_config.channel, four,
+                           derive_constants(fair_config.ladder, fair_config.channel, four), 4,
+                           memory_cap_bytes=needed - 1)
+
+
+def test_action_rate_indices_gather_the_full_tensor_choices():
+    ladder, channel, params, consts = small_model()
+    horizon = 3
+    table = backward_induction(ladder, channel, params, consts, horizon)
+    np.testing.assert_array_equal(table.action_rate_indices,
+                                  table.action_digits[table.action_ids])
+    # every (rate vector, channel vector) pair of a sweep, at its table state
+    tables = solver_tables(ladder, channel, params)
+    rates, chans = (np.array(list(itertools.product(range(size), repeat=2)))
+                    for size in (len(ladder), channel.num_states))
+    states = table.state_index(*np.broadcast_arrays(rates[:, None], chans[None, :]))
+    v_next = np.zeros(states.shape)
+    for t in range(horizon - 1, -1, -1):
+        v_next, choice, _ = full_tensor_backup(tables, v_next)
+        assert table.values[t, states].tobytes() == v_next.tobytes()
+        np.testing.assert_array_equal(table.action_rate_indices[t, states],
+                                      tables.action_digits[choice])
 
 
 def test_scenario_fingerprint_tracks_solver_inputs():
@@ -557,15 +595,46 @@ def test_table_load_rejects_foreign_files(tmp_path):
         "0 0 0 0.5\n0 1 1 0.75\n0 2 0 0.25\n0 3 1 1.0\n"
     )
     assert_refused(old, match="not a policy table")
+    # a version-1 table: one int64 (epoch, state, user) block of rate indices
+    path = saved_small_table(tmp_path, "v1.ptab")
+    table = PolicyTable.load(str(path))
+    tag, dims, fingerprint, _ = path.read_bytes().split(b"\n", 3)
+    buf = io.BytesIO()
+    np.save(buf, table.values)
+    np.save(buf, table.action_rate_indices)
+    path.write_bytes(b"\n".join([b"%s ordering=1" % POLICY_TABLE_FORMAT.encode(), dims,
+                                 fingerprint, buf.getvalue()]))
+    assert_refused(path, match="version")
+
+
+# Each damage replaces (values, action digits, action ids) by these arrays
+# and must be refused with this reason.
+BODY_DAMAGE = {
+    "values_float32": (lambda v, d, i: (v.astype(np.float32), d, i), "arrays hold float32"),
+    "ids_signed": (lambda v, d, i: (v, d, i.astype(np.int8)), r"int8 \(2, 16\); expected"),
+    "ids_float64": (lambda v, d, i: (v, d, i.astype(float)), r"float64 \(2, 16\); expected"),
+    "id_past_last_action": (lambda v, d, i: (v, d, np.where(i == i.max(), 4, i).astype(i.dtype)),
+                            "action id 4 names none of the 4 actions"),
+    "digits_int32": (lambda v, d, i: (v, d.astype(np.int32), i), r"int32 \(4, 2\)"),
+    "digits_transposed": (lambda v, d, i: (v, d.T.copy(), i), r"int64 \(2, 4\)"),
+    "digits_flat": (lambda v, d, i: (v, d.ravel(), i), r"int64 \(8,\)"),
+    "digit_past_ladder": (lambda v, d, i: (v, np.where(d == 1, 2, d), i), "outside the 2-rung"),
+    "digit_negative": (lambda v, d, i: (v, d - 1, i), "outside the 2-rung"),
+    "ids_missing": (lambda v, d, i: (v, d), "EOF"),
+}
 
 
 @pytest.mark.parametrize("damage", [
     "dims_without_equals", "dims_not_integer", "dims_disagree",
-    "fingerprint_missing", "values_float32", "actions_float64", "npz_body",
+    "fingerprint_missing", "npz_body", *BODY_DAMAGE,
 ])
 def test_table_load_rejects_malformed_tables(tmp_path, damage):
     path = saved_small_table(tmp_path)
     tag, dims, fingerprint, body = path.read_bytes().split(b"\n", 3)
+    table = PolicyTable.load(str(path))
+    assert table.action_digits.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    arrays = (table.values, table.action_digits, table.action_ids)
+    damaged, match = BODY_DAMAGE.get(damage, (None, None))
     if damage == "dims_without_equals":
         dims = dims.replace(b"users=2", b"users")
     elif damage == "dims_not_integer":
@@ -575,35 +644,32 @@ def test_table_load_rejects_malformed_tables(tmp_path, damage):
     elif damage == "fingerprint_missing":
         fingerprint = b""
     else:
-        table = PolicyTable.load(str(path))
         buf = io.BytesIO()
-        if damage == "values_float32":
-            np.save(buf, table.values.astype(np.float32))
-            np.save(buf, table.action_rate_indices)
-        elif damage == "npz_body":
-            np.savez(buf, table.values, table.action_rate_indices)
-        else:
-            np.save(buf, table.values)
-            np.save(buf, table.action_rate_indices.astype(np.float64))
+        if damage == "npz_body":
+            np.savez(buf, *arrays)
+        for array in damaged(*arrays) if damaged else ():
+            np.save(buf, array)
         body = buf.getvalue()
     path.write_bytes(b"\n".join([tag, dims, fingerprint, body]))
-    assert_refused(path)
+    assert_refused(path, match)
 
 
 @pytest.mark.parametrize("cut", [
-    "inside_header", "before_values", "inside_values", "inside_actions",
-    "last_byte", "trailing_byte",
+    "inside_header", "before_values", "inside_values", "inside_digits",
+    "inside_ids", "last_byte", "trailing_byte",
 ])
 def test_table_load_rejects_truncation(tmp_path, cut):
     path = saved_small_table(tmp_path)
     data = path.read_bytes()
     values_at = data.index(b"\x93NUMPY")
-    actions_at = data.index(b"\x93NUMPY", values_at + 1)
+    digits_at = data.index(b"\x93NUMPY", values_at + 1)
+    ids_at = data.index(b"\x93NUMPY", digits_at + 1)
     data = {
         "inside_header": data[:values_at // 2],
         "before_values": data[:values_at],
-        "inside_values": data[:(values_at + actions_at) // 2],
-        "inside_actions": data[:(actions_at + len(data)) // 2],
+        "inside_values": data[:(values_at + digits_at) // 2],
+        "inside_digits": data[:(digits_at + ids_at) // 2],
+        "inside_ids": data[:(ids_at + len(data)) // 2],
         "last_byte": data[:-1],
         "trailing_byte": data + b"\0",
     }[cut]

@@ -186,7 +186,8 @@ def test_state_index_round_trip_full():
 def test_state_index_rejects_out_of_range():
     table = PolicyTable(ladder_size=5, num_channel_states=4, num_users=2, horizon=1,
                         fingerprint="", values=np.zeros((2, 400)),
-                        action_rate_indices=np.zeros((1, 400, 2), dtype=np.int64))
+                        action_digits=np.zeros((1, 2), dtype=np.int64),
+                        action_ids=np.zeros((1, 400), dtype=np.uint8))
     assert table.state_index((4, 4), (3, 3)) == 399
     for rates, chans in (((5, 0), (0, 0)), ((0, 0), (0, 4)), ((-1, 0), (0, 0)), ((0, 0), (0, -1))):
         with pytest.raises(ValueError, match="out of range"):
