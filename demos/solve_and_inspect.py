@@ -3,17 +3,14 @@ table: which joint rates survive the cap, what the controller does in a
 few telling states, and how the horizon changes the last decisions."""
 
 from mdpstream.mdp import backward_induction, feasible_actions
-from mdpstream.model import SystemState
 from mdpstream.presets import fair_scenario
 
 
 def show(table, config, t, rates, chans):
-    state = SystemState(rates, chans)
-    action = table.action(t, state)
-    chosen = action.rates_kbps(config.ladder)
+    chosen = [config.ladder.rates[i] for i in table.actions(t, rates, chans)]
     print(f"   t={t:>3}  rates {rates} channels {chans} -> "
           f"{chosen[0]:>7.2f} + {chosen[1]:>7.2f} Kbps"
-          f"   (value {table.value(t, state):8.3f})")
+          f"   (value {table.value(t, rates, chans):8.3f})")
 
 
 def main():
@@ -22,7 +19,7 @@ def main():
     print(f"{len(actions)} of 25 joint rate pairs fit under the "
           f"{config.profit.total_rate_cap_kbps:g} Kbps cap:")
     for a in actions:
-        r = a.rates_kbps(config.ladder)
+        r = [config.ladder.rates[i] for i in a]
         print(f"   {r[0]:>7.2f} + {r[1]:>7.2f} = {sum(r):>7.2f}")
 
     table = backward_induction(
@@ -46,8 +43,8 @@ def main():
         show(table, config, table.horizon - 1, rates, chans)
 
     print("\nepoch-0 values from the worst and best joint channel states:")
-    print(f"   both links worst: {table.value(0, SystemState((0, 0), (0, 0))):.3f}")
-    print(f"   both links best:  {table.value(0, SystemState((0, 0), (3, 3))):.3f}")
+    print(f"   both links worst: {table.value(0, (0, 0), (0, 0)):.3f}")
+    print(f"   both links best:  {table.value(0, (0, 0), (3, 3)):.3f}")
 
 
 if __name__ == "__main__":

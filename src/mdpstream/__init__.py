@@ -10,7 +10,7 @@ favored.
 
 The pieces:
 
-- ``model``: bitrate ladders, Markov channel models, state and action types
+- ``model``: bitrate ladders, Markov channel models, bandwidth-to-state mapping
 - ``economics``: the profit terms and their normalization constants
 - ``mdp``: the canonical state index, feasibility filtering, backward
   induction and the policy table
@@ -52,21 +52,13 @@ from .mdp import (
     feasible_actions,
 )
 from .metrics import SessionSummary, aggregate_runs, summarize
-from .model import (
-    Action,
-    ChannelModel,
-    ConfigurationError,
-    QualityLadder,
-    SystemState,
-    map_bandwidth_to_state,
-)
+from .model import ChannelModel, ConfigurationError, QualityLadder, map_bandwidth_to_state
 from .policies import IdealOracle, Myopic, Proposed, solve_ideal
 from .sim import ScenarioConfig, SegmentRecord, run_session
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
     "ChannelModel",
     "ConfigurationError",
     "DerivedConstants",
@@ -81,7 +73,6 @@ __all__ = [
     "ScenarioConfig",
     "SegmentRecord",
     "SessionSummary",
-    "SystemState",
     "aggregate_runs",
     "backward_induction",
     "derive_constants",

@@ -12,7 +12,6 @@ give the same decisions and value bits.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from dataclasses import astuple, dataclass
 from functools import lru_cache, reduce
@@ -21,15 +20,7 @@ import numpy as np
 
 from . import economics
 from .economics import DerivedConstants, ProfitParams
-from .model import (
-    Action,
-    ChannelModel,
-    ConfigurationError,
-    QualityLadder,
-    SystemState,
-    left_sum,
-    state_space_size,
-)
+from .model import ChannelModel, ConfigurationError, QualityLadder, left_sum, state_space_size
 
 POLICY_TABLE_FORMAT = "mdpstream-policy-table-npy"
 POLICY_TABLE_VERSIONS = "version=2 ordering=1"  # file layout, canonical state order
@@ -65,26 +56,30 @@ def scenario_fingerprint(
     return hashlib.sha256(repr(inputs).encode()).hexdigest()
 
 
-def feasible_actions(
-    num_users: int, ladder: QualityLadder, params: ProfitParams
-) -> list[Action]:
-    """All joint rate assignments in canonical (lexicographic) order that
-    ``economics.bottleneck_cost`` does not rule infeasible."""
+def _digit_grid(base: int, n: int) -> np.ndarray:
+    """Every vector of n digits in [0, base), int64 (base ** n, n), in
+    lexicographic order: digit 0 most significant, as in ``state_index``."""
+    return np.indices((base,) * n, dtype=np.int64).reshape(n, -1).T.copy()
+
+
+def feasible_actions(num_users: int, ladder: QualityLadder, params: ProfitParams) -> np.ndarray:
+    """Rate indices, int64 (actions, users), of every joint rate assignment
+    that ``economics.bottleneck_cost`` does not rule infeasible, in
+    canonical (lexicographic) order."""
     if num_users != params.num_users:
         raise ConfigurationError(
             f"params carry {params.num_users} priorities but {num_users} users requested"
         )
-    actions = [
-        a for a in map(Action, itertools.product(range(len(ladder)), repeat=num_users))
-        if economics.bottleneck_cost(a.rates_kbps(ladder), params) is not economics.INFEASIBLE
-    ]
-    if not actions:
+    digits = _digit_grid(len(ladder), num_users)
+    keep = [economics.bottleneck_cost(rates, params) is not economics.INFEASIBLE
+            for rates in np.array(ladder.rates)[digits].tolist()]
+    if not any(keep):
         raise InfeasibleModelError(
             f"no feasible action: rate cap {params.total_rate_cap_kbps} Kbps "
             f"cannot serve {num_users} users even at the minimum rate "
             f"{ladder.r_min} Kbps"
         )
-    return actions
+    return digits[keep]
 
 
 # ----------------------------- solver internals -----------------------------
@@ -138,28 +133,19 @@ class _ActionTables:
         ])
         self.variation = variation_table(ladder, params, consts)
 
-        self.rate_digits = np.array(
-            list(itertools.product(range(m), repeat=n)), dtype=np.int64
-        ).reshape(self.num_rate_vectors, n)
-        chan_digits = np.array(
-            list(itertools.product(range(k), repeat=n)), dtype=np.int64
-        ).reshape(self.num_chan_vectors, n)
+        self.rate_digits = _digit_grid(m, n)
+        chan_digits = _digit_grid(k, n)
 
+        # Tie order: a stable sort of the lexicographic list by aggregate rate.
         acts = feasible_actions(n, ladder, params)
-        order = sorted(
-            acts,
-            key=lambda a: (left_sum(a.rates_kbps(ladder)), a.rate_indices),
-        )
-        self.actions = order
-        self.action_digits = np.array(
-            [a.rate_indices for a in order], dtype=np.int64
-        )
+        rates = np.array(ladder.rates)[acts].tolist()
+        order = np.argsort([left_sum(r) for r in rates], kind="stable")
+        self.action_digits = acts[order]
         # Multi-index of each action's rate vector, base-m digits.
         weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.action_multi = self.action_digits @ weights
 
-        self.bottleneck = np.array([economics.bottleneck_cost(a.rates_kbps(ladder), params)
-                                    for a in order])
+        self.bottleneck = np.array([economics.bottleneck_cost(rates[a], params) for a in order])
         self.charged = bool(self.bottleneck.view(np.int64).any())  # bits: -0.0 counts
 
         self.variation_by_action = _by_action(
@@ -457,10 +443,11 @@ class PolicyTable:
             raise ValueError("state out of range for this table")
         return state_index(rates, chans, self.ladder_size, k)
 
-    def value(self, t: int, state: SystemState) -> float:
+    def value(self, t: int, rate_indices, channel_indices):
+        """Epoch-t values for (..., users) arrays of states."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"epoch {t} outside [0, {self.horizon}]")
-        return float(self.values[t, self.state_index(state.rate_indices, state.channel_indices)])
+        return self.values[t, self.state_index(rate_indices, channel_indices)]
 
     def actions(self, t: int, rate_indices, channel_indices) -> np.ndarray:
         """Epoch-t rate indices for (..., users) arrays of states."""
@@ -468,10 +455,6 @@ class PolicyTable:
             raise ValueError(f"decision epoch {t} outside [0, {self.horizon})")
         ids = self.action_ids[t, self.state_index(rate_indices, channel_indices)]
         return self.action_digits[ids]
-
-    def action(self, t: int, state: SystemState) -> Action:
-        digits = self.actions(t, state.rate_indices, state.channel_indices)
-        return Action(rate_indices=tuple(digits.tolist()))
 
     def save(self, path: str) -> None:
         """Write three ASCII header lines (format tag with format and ordering

@@ -1,8 +1,9 @@
-"""Core domain types: bitrate ladders, Markov bandwidth models, and the
-joint multi-user state and action types."""
+"""Core domain types: bitrate ladders, Markov bandwidth models and the
+mapping of raw bandwidth onto channel states."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -32,6 +33,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _require_finite(field: str, values) -> None:
+    for value in np.ravel(values).tolist():
+        _require(math.isfinite(value), f"{field} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QualityLadder:
     """Ascending menu of available video bitrates, in Kbps."""
@@ -42,6 +48,7 @@ class QualityLadder:
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
         _require(len(rates) > 0, "quality ladder must not be empty")
+        _require_finite("ladder rates", rates)
         _require(all(r > 0 for r in rates), "ladder rates must be positive")
         _require(
             all(a < b for a, b in zip(rates, rates[1:])),
@@ -81,6 +88,7 @@ class ChannelModel:
                  "transition matrix must be square")
         k = matrix.shape[0]
         _require(k >= 1, "transition matrix must not be empty")
+        _require_finite("transition entries", matrix)
         if np.any(matrix < -_ENTRY_TOL) or np.any(matrix > 1 + _ENTRY_TOL):
             raise ConfigurationError("transition entries must lie in [0, 1]")
         matrix = np.clip(matrix, 0.0, 1.0)
@@ -96,6 +104,7 @@ class ChannelModel:
         bw = tuple(float(b) for b in self.state_bandwidth)
         object.__setattr__(self, "state_bandwidth", bw)
         _require(len(bw) == k, "one representative bandwidth per state required")
+        _require_finite("state bandwidths", bw)
         _require(all(b > 0 for b in bw), "state bandwidths must be positive")
         _require(all(a < b for a, b in zip(bw, bw[1:])),
                  "state bandwidths must be strictly increasing")
@@ -103,6 +112,7 @@ class ChannelModel:
         edges = tuple(float(b) for b in self.boundaries)
         object.__setattr__(self, "boundaries", edges)
         _require(len(edges) == k - 1, "need exactly one boundary between adjacent states")
+        _require_finite("region boundaries", edges)
         _require(all(b > 0 for b in edges), "region boundaries must be positive")
         _require(all(a < b for a, b in zip(edges, edges[1:])),
                  "region boundaries must be strictly increasing")
@@ -119,9 +129,6 @@ class ChannelModel:
     def bw_min(self) -> float:
         return self.state_bandwidth[0]
 
-    def bandwidth_of(self, state: int) -> float:
-        return self.state_bandwidth[state]
-
     def stationary_distribution(self) -> np.ndarray:
         """Long-run state distribution, solved from the balance equations."""
         k = self.num_states
@@ -131,50 +138,6 @@ class ChannelModel:
         sol, *_ = np.linalg.lstsq(a, b, rcond=None)
         sol = np.clip(sol, 0.0, None)
         return sol / sol.sum()
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Joint condition of all users at a switching point: the rate index of
-    the segment just streamed and the current bandwidth state, per user."""
-
-    rate_indices: tuple[int, ...]
-    channel_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        rates = tuple(int(i) for i in self.rate_indices)
-        chans = tuple(int(i) for i in self.channel_indices)
-        object.__setattr__(self, "rate_indices", rates)
-        object.__setattr__(self, "channel_indices", chans)
-        _require(len(rates) >= 1, "state needs at least one user")
-        _require(len(rates) == len(chans),
-                 "state needs one rate index and one channel index per user")
-        _require(all(i >= 0 for i in rates + chans), "state indices must be nonnegative")
-
-    @property
-    def num_users(self) -> int:
-        return len(self.rate_indices)
-
-
-@dataclass(frozen=True)
-class Action:
-    """Joint decision: the ladder index assigned to each user for the
-    upcoming segment."""
-
-    rate_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        rates = tuple(int(i) for i in self.rate_indices)
-        object.__setattr__(self, "rate_indices", rates)
-        _require(len(rates) >= 1, "action needs at least one user")
-        _require(all(i >= 0 for i in rates), "action indices must be nonnegative")
-
-    @property
-    def num_users(self) -> int:
-        return len(self.rate_indices)
-
-    def rates_kbps(self, ladder: QualityLadder) -> tuple[float, ...]:
-        return tuple(ladder.rates[i] for i in self.rate_indices)
 
 
 def map_bandwidth_to_state(measured_kbps: float, channel: ChannelModel) -> int:

@@ -141,7 +141,7 @@ def _walk(channel: ChannelModel, first: np.ndarray, draws: np.ndarray) -> np.nda
     k, steps = channel.num_states, draws.shape[-1]
     # every state's successor at every step: searchsorted(row, draw, "right"), capped
     below = np.cumsum(channel.transition, axis=1) <= draws[..., None, None]
-    successor = np.minimum(below.sum(axis=-1), k - 1).reshape(-1, steps, k).tolist()
+    successor = np.minimum(below.sum(axis=-1), k - 1).reshape(np.size(first), steps, k).tolist()
     paths = [list(accumulate(table, lambda state, row: row[state], initial=start))
              for start, table in zip(np.ravel(first).tolist(), successor)]
     return np.array(paths, dtype=np.int64).reshape(np.shape(first) + (steps + 1,))
@@ -157,6 +157,8 @@ def sample_channel_path(
     ``initial_state``."""
     if not 0 <= initial_state < channel.num_states:
         raise ValueError(f"initial state {initial_state} out of range")
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be nonnegative, got {num_steps}")
     return _walk(channel, np.int64(initial_state), rng.random(num_steps))
 
 

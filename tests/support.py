@@ -21,7 +21,7 @@ from mdpstream.economics import (
     bottleneck_cost,
 )
 from mdpstream.mdp import _ActionTables, feasible_actions
-from mdpstream.model import ChannelModel, QualityLadder, SystemState
+from mdpstream.model import ChannelModel, QualityLadder
 
 
 def make_ladder(rates=(95.11, 183.53, 364.63, 493.02, 798.09)):
@@ -95,29 +95,36 @@ def random_instance(rng, num_rates, num_channel_states, num_users, finite_price)
 
 
 def all_states(ladder, channel, num_users):
-    """Every joint state in canonical order: user 0 varies slowest, and each
-    user's (rate index, channel index) pair is ordered rate-major."""
+    """Every joint state as a (rate indices, channel indices) pair of tuples,
+    in canonical order: user 0 varies slowest, and each user's (rate index,
+    channel index) pair is ordered rate-major."""
     per_user = product(range(len(ladder)), range(channel.num_states))
-    return [SystemState(tuple(r for r, _ in combo), tuple(c for _, c in combo))
+    return [(tuple(r for r, _ in combo), tuple(c for _, c in combo))
             for combo in product(per_user, repeat=num_users)]
+
+
+def feasible_tuples(ladder, params):
+    """``mdp.feasible_actions`` as a list of rate-index tuples."""
+    return [tuple(a) for a in feasible_actions(params.num_users, ladder, params).tolist()]
 
 
 # --------------------- reference profit and oracles ---------------------
 
 
 def stage_value(ladder, channel, params, consts, prev_rate_idx, action, next_chan_idx):
-    """Stage profit recomputed from the scalar economics pieces."""
+    """Stage profit recomputed from the scalar economics pieces; ``action``
+    holds each user's rate index."""
     total = 0.0
     for u, lam in enumerate(params.user_priorities):
-        rate = ladder.rates[action.rate_indices[u]]
+        rate = ladder.rates[action[u]]
         prev = ladder.rates[prev_rate_idx[u]]
-        bw = channel.bandwidth_of(next_chan_idx[u])
+        bw = channel.state_bandwidth[next_chan_idx[u]]
         total += lam * (
             playback_income(rate, bw, params, consts)
             - buffering_cost(rate, bw, params, consts)
             - smoothness_cost(prev, rate, params, consts)
         )
-    charge = bottleneck_cost(action.rates_kbps(ladder), params)
+    charge = bottleneck_cost([ladder.rates[i] for i in action], params)
     if charge is INFEASIBLE:
         return INFEASIBLE
     return total - charge
@@ -128,7 +135,7 @@ def build_stage_table(ladder, channel, params, consts):
 
     Pure reward precomputation; the value recursions below stay exhaustive.
     """
-    actions = feasible_actions(params.num_users, ladder, params)
+    actions = feasible_tuples(ladder, params)
     n = params.num_users
     k = channel.num_states
     m = len(ladder)
@@ -167,7 +174,7 @@ def expectimax_value(ladder, channel, params, consts, horizon, rates, chans,
         for to_chans, p in successor_probs(channel, chans):
             value = stage[rates, ai, to_chans] + expectimax_value(
                 ladder, channel, params, consts, horizon - 1,
-                action.rate_indices, to_chans, actions, stage,
+                action, to_chans, actions, stage,
             )
             total += p * value
         if best is None or total > best:
@@ -199,7 +206,7 @@ def enumerate_policy_value(ladder, channel, params, consts, horizon, rates, chan
             nxt = {}
             for (cur_rates, cur_chans), p in dist.items():
                 ai = assignment[t * num_states + index[cur_rates, cur_chans]]
-                new_rates = actions[ai].rate_indices
+                new_rates = actions[ai]
                 for to_chans, q in succ[cur_chans]:
                     total += p * q * stage[cur_rates, ai, to_chans]
                     key = (new_rates, to_chans)
@@ -212,13 +219,13 @@ def enumerate_policy_value(ladder, channel, params, consts, horizon, rates, chan
 
 def fixed_plan_value(ladder, channel, params, consts, plan, rates, chans):
     """Exact expected profit of a fixed action sequence (no adaptivity)."""
-    actions_by_idx = {a.rate_indices: a for a in
-                      feasible_actions(params.num_users, ladder, params)}
+    feasible = set(feasible_tuples(ladder, params))
     dist = {tuple(chans): 1.0}
     cur_rates = tuple(rates)
     total = 0.0
     for action in plan:
-        action = actions_by_idx[tuple(action.rate_indices)]
+        action = tuple(action)
+        assert action in feasible
         nxt = {}
         for cur_chans, p in dist.items():
             for to_chans, q in successor_probs(channel, cur_chans):
@@ -227,7 +234,7 @@ def fixed_plan_value(ladder, channel, params, consts, plan, rates, chans):
                 )
                 nxt[to_chans] = nxt.get(to_chans, 0.0) + p * q
         dist = nxt
-        cur_rates = action.rate_indices
+        cur_rates = action
     assert isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
     return total
 
@@ -240,7 +247,7 @@ def full_tensor_backup(tables, v_next):
     vectors) q tensor: the reference the blocked ``mdp._backup`` must match
     bit for bit.  Returns the values, the first-maximizer choices and the
     number of states whose maximum is reached by more than one action."""
-    num_actions = len(tables.actions)
+    num_actions = len(tables.action_digits)
     q = np.empty((num_actions, tables.num_rate_vectors, tables.num_chan_vectors))
     for pos in range(num_actions):
         future = tables.joint_channel @ v_next[tables.action_multi[pos]]

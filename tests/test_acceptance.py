@@ -18,7 +18,6 @@ from mdpstream.configfile import save_scenario
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction, feasible_actions
 from mdpstream.metrics import aggregate_runs, summarize
-from mdpstream.model import SystemState
 from mdpstream.policies import IdealOracle, Myopic, Proposed
 from mdpstream.presets import fair_scenario
 from mdpstream.sim import run_session
@@ -84,7 +83,7 @@ def test_solver_matches_exhaustive_oracles():
         small_enough = num_actions ** (num_states * horizon) <= 4096
         for rates in product(range(m), repeat=n):
             for chans in product(range(k), repeat=n):
-                got = table.value(0, SystemState(rates, chans))
+                got = table.value(0, rates, chans)
                 if small_enough:
                     want = enumerate_policy_value(
                         ladder, channel, params, consts, horizon, rates, chans

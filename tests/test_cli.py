@@ -355,6 +355,24 @@ def test_out_of_region_representative_refused_by_every_command(tmp_path, capsys)
     assert not (tmp_path / "t.ptab").exists()
 
 
+@pytest.mark.parametrize("field, value, where", [
+    ("transition entries", float("nan"), lambda data: data["channel"]["transition"][1]),
+    ("ladder rates", float("inf"), lambda data: data["ladder_kbps"]),
+])
+def test_non_finite_model_numbers_refused(tmp_path, capsys, field, value, where):
+    # before, a NaN transition entry crashed validate inside the stationary
+    # solve, and solve exited 0 with NaN table values
+    data = yaml.safe_load((BUNDLED / "fair.cfg").read_text(encoding="utf-8"))
+    where(data)[-1] = value
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(yaml.safe_dump(data), encoding="utf-8")
+    for argv in (["validate", "--config", str(scenario)],
+                 ["solve", "--config", str(scenario), "--out", str(tmp_path / "t.ptab")]):
+        assert main(argv) == 1, argv
+        assert f"{field} must be finite, got {value!r}" in capsys.readouterr().err, argv
+    assert not (tmp_path / "t.ptab").exists()
+
+
 def test_unknown_arm_rejected(tmp_path, capsys):
     scenario_path = tmp_path / "s.cfg"
     save_scenario(fair_scenario(), str(scenario_path))

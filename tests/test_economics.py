@@ -19,7 +19,7 @@ from mdpstream.economics import (
     playback_income,
     smoothness_cost,
 )
-from mdpstream.model import Action, ConfigurationError
+from mdpstream.model import ConfigurationError
 from support import make_channel, make_ladder, make_params, stage_value
 
 INCOME_NORM = 2.1271872565509953        # log(798.09 / 95.11)
@@ -231,15 +231,15 @@ def test_stage_profit_all_quiet_is_zero(defaults):
     ladder, channel, _, _ = defaults
     params = make_params(priorities=(1.0,), cap=850.0)
     consts = derive_constants(ladder, channel, params)
-    assert stage_value(ladder, channel, params, consts, (0,), Action((0,)), (1,)) == 0.0
+    assert stage_value(ladder, channel, params, consts, (0,), (0,), (1,)) == 0.0
 
 
 def test_stage_profit_symmetric_users(defaults):
     ladder, channel, params, consts = defaults
-    both = stage_value(ladder, channel, params, consts, (1, 1), Action((2, 2)), (2, 2))
+    both = stage_value(ladder, channel, params, consts, (1, 1), (2, 2), (2, 2))
     single_params = make_params(priorities=(1.0,), cap=850.0)
     single_consts = derive_constants(ladder, channel, single_params)
-    single = stage_value(ladder, channel, single_params, single_consts, (1,), Action((2,)), (2,))
+    single = stage_value(ladder, channel, single_params, single_consts, (1,), (2,), (2,))
     assert both == pytest.approx(single, rel=1e-12)  # 0.5 + 0.5 of the same term
 
 
@@ -249,7 +249,7 @@ def test_stage_profit_composes_hand_example():
     params = make_params(price=0.001, cap=850.0, priorities=(0.7, 0.3))
     consts = derive_constants(ladder, channel, params)
     # user 2: 364.63 against 256 Kbps
-    got = stage_value(ladder, channel, params, consts, (4, 2), Action((4, 2)), (3, 1))
+    got = stage_value(ladder, channel, params, consts, (4, 2), (4, 2), (3, 1))
     buf = 0.5 * math.log((364.63 - 256.0) / MIN_SHORTFALL) / BUFFERING_NORM
     charge = 0.001 * (798.09 + 364.63 - 850.0)
     assert got == pytest.approx(0.7 * 0.3 - 0.3 * buf - charge, rel=1e-12)
@@ -257,7 +257,7 @@ def test_stage_profit_composes_hand_example():
 
 def test_stage_profit_propagates_infeasible(defaults):
     ladder, channel, params, consts = defaults
-    assert stage_value(ladder, channel, params, consts, (0, 0), Action((3, 3)), (0, 0)) is INFEASIBLE
+    assert stage_value(ladder, channel, params, consts, (0, 0), (3, 3), (0, 0)) is INFEASIBLE
 
 
 def test_stage_profit_upper_bound(defaults):
@@ -266,7 +266,7 @@ def test_stage_profit_upper_bound(defaults):
     ladder, channel = make_ladder(), make_channel()
     params = make_params(cap=5000.0, price=0.001)
     consts = derive_constants(ladder, channel, params)
-    best = stage_value(ladder, channel, params, consts, (4, 4), Action((4, 4)), (3, 3))
+    best = stage_value(ladder, channel, params, consts, (4, 4), (4, 4), (3, 3))
     assert best == pytest.approx(0.3, abs=1e-12)
 
 

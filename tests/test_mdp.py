@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mdpstream import mdp
-from mdpstream.economics import derive_constants
+from mdpstream.economics import INFEASIBLE, bottleneck_cost, derive_constants
 from mdpstream.mdp import (
     POLICY_TABLE_FORMAT,
     InfeasibleModelError,
@@ -19,7 +19,7 @@ from mdpstream.mdp import (
     feasible_actions,
     scenario_fingerprint,
 )
-from mdpstream.model import ConfigurationError, SystemState
+from mdpstream.model import ConfigurationError, left_sum
 from support import (
     all_states,
     expectimax_value,
@@ -90,30 +90,33 @@ def test_transition_closure_small():
 def test_feasible_actions_default_scenario():
     ladder, params = make_ladder(), make_params()
     actions = feasible_actions(2, ladder, params)
-    assert len(actions) == 13
-    # matches a brute-force scan of all 25 pairs against the 850 Kbps cap
+    assert (actions.dtype, actions.shape) == (np.int64, (13, 2))
+    # matches a brute-force scan of all 25 pairs against the 850 Kbps cap,
+    # in lexicographic order
     expected = [
         pair
         for pair in itertools.product(range(5), repeat=2)
         if ladder.rates[pair[0]] + ladder.rates[pair[1]] <= 850.0
     ]
-    assert [a.rate_indices for a in actions] == expected
-    assert (3, 3) not in {a.rate_indices for a in actions}
-    for a in actions:
-        if 4 in a.rate_indices:  # 798.09 leaves at most 51.91 for the partner
-            assert a.rate_indices == (4,) or min(a.rate_indices) == 4
+    assert [tuple(a) for a in actions.tolist()] == expected
+    assert [3, 3] not in actions.tolist()
+    assert 4 not in actions  # 798.09 leaves at most 51.91 for the partner
 
 
 def test_feasible_actions_finite_price_keeps_all():
     ladder = make_ladder()
     params = make_params(price=0.001)
-    assert len(feasible_actions(2, ladder, params)) == 25
+    actions = feasible_actions(2, ladder, params)
+    assert (actions.dtype, actions.shape) == (np.int64, (25, 2))
+    assert [tuple(a) for a in actions.tolist()] == list(itertools.product(range(5), repeat=2))
 
 
 def test_feasible_actions_single_user():
     ladder = make_ladder()
     params = make_params(cap=900.0, priorities=(1.0,))
-    assert len(feasible_actions(1, ladder, params)) == 5
+    actions = feasible_actions(1, ladder, params)
+    assert actions.dtype == np.int64
+    assert actions.tolist() == [[0], [1], [2], [3], [4]]
 
 
 def test_feasible_actions_empty_set_errors():
@@ -130,6 +133,25 @@ def test_feasible_actions_checks_user_count():
         feasible_actions(3, ladder, params)
 
 
+@pytest.mark.parametrize("scenario, users, cap", [
+    ("fair", 2, 600.0), ("fair", 2, 850.0), ("diff", 2, 600.0), ("diff", 2, 850.0),
+    ("fair", 3, 1275.0), ("fair", 4, 1700.0),
+])
+def test_action_tie_order_matches_brute_force(fair_config, diff_config, scenario, users, cap):
+    # the solver's tie order: ascending aggregate rate, then lexicographic
+    config = {"fair": fair_config, "diff": diff_config}[scenario].with_rate_cap(cap)
+    params = config.profit
+    if users != 2:
+        params = dataclasses.replace(params, user_priorities=(1 / users,) * users)
+    rates = config.ladder.rates
+    feasible = [digits for digits in itertools.product(range(len(rates)), repeat=users)
+                if bottleneck_cost([rates[i] for i in digits], params) is not INFEASIBLE]
+    want = sorted(feasible, key=lambda digits: (left_sum(rates[i] for i in digits), digits))
+    got = solver_tables(config.ladder, config.channel, params).action_digits
+    assert got.dtype == np.int64
+    assert [tuple(digits) for digits in got.tolist()] == want
+
+
 # ------------------------------- the solver --------------------------------
 
 
@@ -138,12 +160,9 @@ def test_solver_matches_recursive_oracle_small():
     for finite_price in (False, True):
         ladder, channel, params, consts = random_instance(rng, 2, 2, 2, finite_price)
         table = backward_induction(ladder, channel, params, consts, 3)
-        for state in all_states(ladder, channel, 2):
-            want = expectimax_value(
-                ladder, channel, params, consts, 3,
-                state.rate_indices, state.channel_indices,
-            )
-            assert table.value(0, state) == pytest.approx(want, abs=1e-9)
+        for rates, chans in all_states(ladder, channel, 2):
+            want = expectimax_value(ladder, channel, params, consts, 3, rates, chans)
+            assert table.value(0, rates, chans) == pytest.approx(want, abs=1e-9)
 
 
 def test_solver_single_step_hand_example():
@@ -157,15 +176,15 @@ def test_solver_single_step_hand_example():
     from mdpstream.economics import playback_income, smoothness_cost
 
     for start_rate in range(5):
-        state = SystemState((start_rate,), (3,))
+        state = ((start_rate,), (3,))
         payoffs = [
             playback_income(r, 896.0, params, consts)
             - smoothness_cost(ladder.rates[start_rate], r, params, consts)
             for r in ladder.rates
         ]
         best = max(payoffs)
-        assert table.value(0, state) == pytest.approx(best, abs=1e-12)
-        chosen = table.action(0, state).rate_indices[0]
+        assert table.value(0, *state) == pytest.approx(best, abs=1e-12)
+        chosen = table.actions(0, *state)[0]
         assert payoffs[chosen] == pytest.approx(best, abs=1e-12)
 
 
@@ -174,7 +193,7 @@ def test_last_epoch_equals_single_step_optimum():
     deep = backward_induction(ladder, channel, params, consts, 4)
     shallow = backward_induction(ladder, channel, params, consts, 1)
     for state in all_states(ladder, channel, 2):
-        assert deep.value(3, state) == shallow.value(0, state)
+        assert deep.value(3, *state) == shallow.value(0, *state)
 
 
 def test_tie_breaking_prefers_smallest_rates():
@@ -188,8 +207,8 @@ def test_tie_breaking_prefers_smallest_rates():
     table = backward_induction(ladder, channel, params, consts, 3)
     for state in all_states(ladder, channel, 2):
         for t in range(3):
-            assert table.action(t, state).rate_indices == (0, 0)
-            assert table.value(t, state) == 0.0
+            assert table.actions(t, *state).tolist() == [0, 0]
+            assert table.value(t, *state) == 0.0
 
 
 def test_solver_is_deterministic():
@@ -209,14 +228,11 @@ def test_value_dominates_fixed_plans():
     table = backward_induction(ladder, channel, params, consts, horizon)
     actions = feasible_actions(2, ladder, params)
     rng = np.random.default_rng(3)
-    for state in all_states(ladder, channel, 2)[::5]:
+    for rates, chans in all_states(ladder, channel, 2)[::5]:
         for _ in range(4):
             plan = [actions[rng.integers(len(actions))] for _ in range(horizon)]
-            fixed = fixed_plan_value(
-                ladder, channel, params, consts, plan,
-                state.rate_indices, state.channel_indices,
-            )
-            assert table.value(0, state) >= fixed - 1e-9
+            fixed = fixed_plan_value(ladder, channel, params, consts, plan, rates, chans)
+            assert table.value(0, rates, chans) >= fixed - 1e-9
 
 
 def test_symmetric_states_get_equal_rates(fair_config, fair_table):
@@ -225,8 +241,8 @@ def test_symmetric_states_get_equal_rates(fair_config, fair_table):
     for t in (0, 57, 199):
         for r in range(5):
             for c in range(4):
-                action = fair_table.action(t, SystemState((r, r), (c, c)))
-                assert action.rate_indices[0] == action.rate_indices[1]
+                action = fair_table.actions(t, (r, r), (c, c))
+                assert action[0] == action[1]
 
 
 def test_zero_priority_user_reduces_to_single_user():
@@ -239,12 +255,12 @@ def test_zero_priority_user_reduces_to_single_user():
     for t in (0, 5):
         for r1 in range(5):
             for c1 in range(4):
-                lone = table1.value(t, SystemState((r1,), (c1,)))
+                lone = table1.value(t, (r1,), (c1,))
                 for r2, c2 in ((0, 0), (3, 2)):
-                    state = SystemState((r1, r2), (c1, c2))
-                    assert table2.value(t, state) == pytest.approx(lone, abs=1e-9)
+                    state = ((r1, r2), (c1, c2))
+                    assert table2.value(t, *state) == pytest.approx(lone, abs=1e-9)
                     # the ignored user costs nothing, so ties push it low
-                    assert table2.action(t, state).rate_indices[1] == 0
+                    assert table2.actions(t, *state)[1] == 0
 
 
 def test_solver_rejects_bad_horizon_and_cap():
@@ -343,7 +359,7 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
     if rate_vectors_per_block:
         monkeypatch.setattr(
             mdp, "_BLOCK_FLOATS",
-            int(rate_vectors_per_block) * tables.num_chan_vectors * len(tables.actions),
+            int(rate_vectors_per_block) * tables.num_chan_vectors * len(tables.action_digits),
         )
     if rate_vectors_per_block == 3:
         assert tables.num_rate_vectors % 3 == 1
@@ -461,8 +477,9 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
     consts = derive_constants(fair_config.ladder, fair_config.channel, params)
     tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, params, consts, 3)
     rates, chans = tables.num_rate_vectors, tables.num_chan_vectors
-    assert (len(tables.actions), rates * chans) == (78, 8000)
-    monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * len(tables.actions))
+    actions = len(tables.action_digits)
+    assert (actions, rates * chans) == (78, 8000)
+    monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * actions)
     v_next = np.zeros((rates, chans))
     tracemalloc.start()
     try:
@@ -470,27 +487,28 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(tables.actions) * rates * chans * 8 / 2
+    assert peak < actions * rates * chans * 8 / 2
     # one reused q block, the future term and the gain (channel vectors x
     # actions each), and five (rate vectors x channel vectors) arrays: the
     # values, the choices and the gathers of q at the choices
-    assert peak < 8 * (mdp._BLOCK_FLOATS + 2 * chans * len(tables.actions) + 5 * rates * chans)
+    assert peak < 8 * (mdp._BLOCK_FLOATS + 2 * chans * actions + 5 * rates * chans)
 
 
 # ------------------------------- policy table ------------------------------
 
 
 def test_table_lookup_matches_extract(fair_config, fair_table):
-    state = SystemState((2, 1), (3, 0))
+    state = ((2, 1), (3, 0))
     with pytest.raises(ValueError):
-        fair_table.action(200, state)  # decision epochs end at horizon - 1
+        fair_table.actions(200, *state)  # decision epochs end at horizon - 1
     with pytest.raises(ValueError):
-        fair_table.value(-1, state)
+        fair_table.value(-1, *state)
+    with pytest.raises(ValueError):
+        fair_table.value(201, *state)  # the terminal row is epoch 200
 
 
 def test_terminal_values_are_zero(fair_config, fair_table):
-    state = SystemState((4, 4), (3, 3))
-    assert fair_table.value(fair_table.horizon, state) == 0.0
+    assert fair_table.value(fair_table.horizon, (4, 4), (3, 3)) == 0.0
 
 
 def test_table_save_load_round_trip(tmp_path):

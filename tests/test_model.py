@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdpstream.model import (
-    Action,
     ChannelModel,
     ConfigurationError,
     QualityLadder,
-    SystemState,
     map_bandwidth_to_state,
     state_space_size,
 )
@@ -38,7 +36,7 @@ def test_channel_accessors():
     channel = make_channel()
     assert channel.num_states == 4
     assert channel.bw_min == 95.0
-    assert channel.bandwidth_of(2) == 512.0
+    assert channel.state_bandwidth[2] == 512.0
 
 
 def test_channel_rejects_bad_row_sum():
@@ -77,6 +75,18 @@ def test_channel_refuses_representative_outside_its_region(bandwidths, boundarie
         f"state {mapped}; adjust the boundaries or the representative"
     )):
         make_channel(np.eye(len(bandwidths)), bandwidths, boundaries)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field, build", [
+    ("ladder rates", lambda x: QualityLadder((100.0, x))),
+    ("transition entries", lambda x: make_channel([[1.0, 0.0], [x, 0.5]], (100.0, 200.0), (150.0,))),
+    ("state bandwidths", lambda x: make_channel(np.eye(2), (100.0, x), (150.0,))),
+    ("region boundaries", lambda x: make_channel(np.eye(2), (100.0, 200.0), (x,))),
+])
+def test_model_refuses_non_finite_numbers(field, build, bad):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {bad!r}$"):
+        build(bad)
 
 
 def test_channel_matrix_is_read_only():
@@ -125,7 +135,7 @@ def test_map_bandwidth_rejects_nonpositive():
 def test_map_round_trip_on_representatives():
     channel = make_channel()
     for k in range(channel.num_states):
-        assert map_bandwidth_to_state(channel.bandwidth_of(k), channel) == k
+        assert map_bandwidth_to_state(channel.state_bandwidth[k], channel) == k
 
 
 @given(st.floats(min_value=0.01, max_value=5000.0), st.floats(min_value=0.01, max_value=5000.0))
@@ -156,13 +166,13 @@ def test_state_index_canonical_order():
     channel = make_channel([[0.5, 0.5], [0.5, 0.5]], (80.0, 300.0), (150.0,))
     states = all_states(ladder, channel, 2)
     # user 0 varies slowest; within a user, rate index before channel index
-    assert states[0] == SystemState((0, 0), (0, 0))
-    assert states[1] == SystemState((0, 0), (0, 1))
-    assert states[2] == SystemState((0, 1), (0, 0))
-    assert states[4] == SystemState((0, 0), (1, 0))
-    assert states[-1] == SystemState((1, 1), (1, 1))
-    for i, s in enumerate(states):
-        assert state_index(s.rate_indices, s.channel_indices, 2, 2) == i
+    assert states[0] == ((0, 0), (0, 0))
+    assert states[1] == ((0, 0), (0, 1))
+    assert states[2] == ((0, 1), (0, 0))
+    assert states[4] == ((0, 0), (1, 0))
+    assert states[-1] == ((1, 1), (1, 1))
+    for i, (rates, chans) in enumerate(states):
+        assert state_index(rates, chans, 2, 2) == i
 
 
 def test_enumerate_states_counts_and_uniqueness():
@@ -176,40 +186,35 @@ def test_enumerate_states_counts_and_uniqueness():
 def test_state_index_round_trip_full():
     ladder, channel = make_ladder(), make_channel()
     states = all_states(ladder, channel, 2)
-    for i, s in enumerate(states):
-        assert state_index(s.rate_indices, s.channel_indices, 5, 4) == i
-    rates = np.array([s.rate_indices for s in states])
-    chans = np.array([s.channel_indices for s in states])
+    for i, (rates, chans) in enumerate(states):
+        assert state_index(rates, chans, 5, 4) == i
+    rates, chans = (np.array(part) for part in zip(*states))
     assert np.array_equal(state_index(rates, chans, 5, 4), np.arange(400))
 
 
+def small_table():
+    return PolicyTable(ladder_size=5, num_channel_states=4, num_users=2, horizon=1,
+                       fingerprint="", values=np.zeros((2, 400)),
+                       action_digits=np.zeros((1, 2), dtype=np.int64),
+                       action_ids=np.zeros((1, 400), dtype=np.uint8))
+
+
 def test_state_index_rejects_out_of_range():
-    table = PolicyTable(ladder_size=5, num_channel_states=4, num_users=2, horizon=1,
-                        fingerprint="", values=np.zeros((2, 400)),
-                        action_digits=np.zeros((1, 2), dtype=np.int64),
-                        action_ids=np.zeros((1, 400), dtype=np.uint8))
+    table = small_table()
     assert table.state_index((4, 4), (3, 3)) == 399
     for rates, chans in (((5, 0), (0, 0)), ((0, 0), (0, 4)), ((-1, 0), (0, 0)), ((0, 0), (0, -1))):
         with pytest.raises(ValueError, match="out of range"):
             table.state_index(rates, chans)
 
 
-# ----------------------------- state and action ----------------------------
-
-
-def test_system_state_validation():
-    with pytest.raises(ConfigurationError):
-        SystemState((), ())
-    with pytest.raises(ConfigurationError):
-        SystemState((0, 1), (0,))
-    with pytest.raises(ConfigurationError):
-        SystemState((-1,), (0,))
-    assert SystemState((1, 2), (3, 0)).num_users == 2
-
-
-def test_action_rates_lookup():
-    ladder = make_ladder()
-    action = Action((0, 3))
-    assert action.rates_kbps(ladder) == (95.11, 493.02)
-    with pytest.raises(ConfigurationError):
-        Action(())
+def test_table_refuses_mismatched_and_negative_states():
+    table = small_table()
+    for lookup in (table.state_index, lambda r, c: table.value(0, r, c),
+                   lambda r, c: table.actions(0, r, c)):
+        for rates, chans in (((), ()), ((0, 1), (0,)), ((0,), (0,)), ((0, 1, 2), (0, 1, 2))):
+            with pytest.raises(ValueError, match="table solved for 2 users"):
+                lookup(rates, chans)
+        for rates, chans in (((-1, 0), (0, 0)), ((0, 0), (0, -1))):
+            with pytest.raises(ValueError, match="out of range"):
+                lookup(rates, chans)
+    assert table.value(1, (1, 2), (3, 0)) == 0.0

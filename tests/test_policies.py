@@ -9,8 +9,7 @@ import pytest
 
 from mdpstream import mdp
 from mdpstream.economics import derive_constants
-from mdpstream.mdp import backward_induction, feasible_actions
-from mdpstream.model import Action, SystemState
+from mdpstream.mdp import backward_induction
 from mdpstream.policies import (
     EwmaEstimator,
     LastSampleEstimator,
@@ -20,7 +19,8 @@ from mdpstream.policies import (
 )
 from mdpstream.sim import channel_paths
 from support import (
-    all_states, make_channel, make_ladder, make_params, reference_solve_ideal, stage_value,
+    all_states, feasible_tuples, make_channel, make_ladder, make_params, reference_solve_ideal,
+    stage_value,
 )
 
 
@@ -67,8 +67,8 @@ def test_myopic_defaults_to_lowest():
 
 def test_myopic_ignores_the_shared_cap():
     policy = Myopic(make_ladder())
-    action = Action(tuple(policy.decide([5000.0, 5000.0])))
-    assert sum(action.rates_kbps(make_ladder())) > 850.0
+    action = policy.decide([5000.0, 5000.0])
+    assert sum(make_ladder().rates[i] for i in action) > 850.0
 
 
 # ----------------------------- proposed policy -----------------------------
@@ -77,11 +77,7 @@ def test_myopic_ignores_the_shared_cap():
 def state_arrays(config):
     """Every joint state as (rate indices, channel indices) arrays."""
     states = all_states(config.ladder, config.channel, config.num_users)
-    return (
-        states,
-        np.array([s.rate_indices for s in states]),
-        np.array([s.channel_indices for s in states]),
-    )
+    return (states, *(np.array(part) for part in zip(*states)))
 
 
 def test_proposed_looks_up_table(fair_config, fair_table):
@@ -89,10 +85,9 @@ def test_proposed_looks_up_table(fair_config, fair_table):
     states, rates, chans = state_arrays(fair_config)
     for epoch in (0, 150, 199):
         got = policy.decide(epoch, rates, chans)
-        want = [fair_table.action(epoch, state).rate_indices for state in states]
-        assert [tuple(row) for row in got.tolist()] == want
-    state = SystemState((0, 0), (2, 2))
-    assert tuple(policy.decide(0, [0, 0], [2, 2])) == fair_table.action(0, state).rate_indices
+        want = [fair_table.actions(epoch, *state).tolist() for state in states]
+        assert got.tolist() == want
+    assert policy.decide(0, [0, 0], [2, 2]).tolist() == fair_table.actions(0, (0, 0), (2, 2)).tolist()
     with pytest.raises(ValueError):
         policy.decide(200, rates, chans)  # past the table's horizon
     with pytest.raises(ValueError):
@@ -108,9 +103,9 @@ def test_proposed_looks_up_table(fair_config, fair_table):
 def test_proposed_stationary_reuses_epoch_zero(fair_config, fair_table):
     policy = Proposed(fair_table, stationary=True)
     states, rates, chans = state_arrays(fair_config)
-    want = [fair_table.action(0, state).rate_indices for state in states]
+    want = [fair_table.actions(0, *state).tolist() for state in states]
     for epoch in (0, 50, 199, 500):
-        assert [tuple(row) for row in policy.decide(epoch, rates, chans).tolist()] == want
+        assert policy.decide(epoch, rates, chans).tolist() == want
 
 
 # ----------------------------- hindsight planner ---------------------------
@@ -120,12 +115,12 @@ def ideal_score(plan, paths, ladder, channel, params, consts, init):
     """Realized profit of a sequence of rate-index vectors on ``paths``."""
     total, prev = 0.0, tuple(init)
     for t in range(paths.shape[1] - 1):
-        action = Action(tuple(int(i) for i in plan[t]))
+        action = tuple(int(i) for i in plan[t])
         total += stage_value(
             ladder, channel, params, consts, prev, action,
             tuple(int(s) for s in paths[:, t + 1]),
         )
-        prev = action.rate_indices
+        prev = action
     return total
 
 
@@ -133,15 +128,14 @@ def test_ideal_matches_brute_force_on_short_paths():
     ladder, channel = make_ladder(), make_channel()
     params = make_params()
     consts = derive_constants(ladder, channel, params)
-    actions = feasible_actions(2, ladder, params)
+    actions = feasible_tuples(ladder, params)
     rng = np.random.default_rng(19)
     for _ in range(3):
         paths = rng.integers(0, 4, size=(2, 4))  # horizon 3
         plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
         got = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         best = max(
-            ideal_score([a.rate_indices for a in seq], paths, ladder, channel, params,
-                        consts, (0, 0))
+            ideal_score(seq, paths, ladder, channel, params, consts, (0, 0))
             for seq in itertools.product(actions, repeat=3)
         )
         assert got == pytest.approx(best, abs=1e-9)
@@ -160,13 +154,12 @@ def test_ideal_dominates_solved_policy_per_path(fair_config, fair_table):
         ideal_total = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         prev, total = (0, 0), 0.0
         for t in range(horizon):
-            state = SystemState(prev, tuple(int(s) for s in paths[:, t]))
-            action = fair_table.action(t, state)
+            action = tuple(fair_table.actions(t, prev, paths[:, t]).tolist())
             total += stage_value(
                 ladder, channel, params, consts, prev, action,
                 tuple(int(s) for s in paths[:, t + 1]),
             )
-            prev = action.rate_indices
+            prev = action
         assert ideal_total >= total - 1e-9
 
 
@@ -181,7 +174,7 @@ def test_ideal_equals_solved_policy_when_channel_is_deterministic():
     paths = np.zeros((2, horizon + 1), dtype=np.int64)
     plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
     ideal_total = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
-    assert table.value(0, SystemState((0, 0), (0, 0))) == pytest.approx(
+    assert table.value(0, (0, 0), (0, 0)) == pytest.approx(
         ideal_total, abs=1e-9
     )
 
@@ -193,7 +186,7 @@ def test_ideal_plan_bounds():
     paths = np.random.default_rng(3).integers(0, 4, size=(3, 8, 2))  # 3 runs, horizon 7
     plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
     assert plan.shape == (3, 7, 2) and plan.dtype == np.int64
-    feasible = {a.rate_indices for a in feasible_actions(2, ladder, params)}
+    feasible = set(feasible_tuples(ladder, params))
     assert {tuple(row) for row in plan.reshape(-1, 2).tolist()} <= feasible
     with pytest.raises(IndexError):
         plan[:, 7]
@@ -251,7 +244,7 @@ def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeyp
         if math.isfinite(params.congestion_price):  # the charge must bite somewhere
             assert np.any(np.array(config.ladder.rates)[want].sum(axis=2) > params.total_rate_cap_kbps)
         tables = mdp._action_tables(*args[1:], n)
-        gain_floats = config.num_runs * len(tables.actions)
+        gain_floats = config.num_runs * len(tables.action_digits)
         for block_floats in (default, gain_floats, 3 * gain_floats):
             # default, then 1 and 3 rate vectors per scanned q block.  Every
             # run of the call is one row of q, so 4 users take the transform

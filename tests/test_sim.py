@@ -10,7 +10,7 @@ import pytest
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream import sim
-from mdpstream.model import Action, ConfigurationError
+from mdpstream.model import ConfigurationError
 from mdpstream.policies import EwmaEstimator, IdealOracle, Myopic, Proposed
 from mdpstream.sim import (
     USER_COLUMNS,
@@ -86,6 +86,13 @@ def test_sample_path_identity_matrix_is_constant():
 def test_sample_path_rejects_bad_start():
     with pytest.raises(ValueError):
         sample_channel_path(make_channel(), 4, 10, np.random.default_rng(0))
+
+
+def test_sample_path_with_zero_steps_is_the_start():
+    path = sample_channel_path(make_channel(), 2, 0, np.random.default_rng(0))
+    assert (path.dtype, path.tolist()) == (np.int64, [2])
+    with pytest.raises(ValueError, match="num_steps must be nonnegative, got -1"):
+        sample_channel_path(make_channel(), 2, -1, np.random.default_rng(0))
 
 
 def test_sample_path_empirical_frequencies_match_matrix():
@@ -231,7 +238,7 @@ def test_myopic_overload_gets_rationed(fair_config):
             eff < raw
             for eff, raw in zip(
                 rec.effective_bw_kbps,
-                (fair_config.channel.bandwidth_of(s) for s in rec.channel_state),
+                (fair_config.channel.state_bandwidth[s] for s in rec.channel_state),
             )
         )
     ]
@@ -239,7 +246,7 @@ def test_myopic_overload_gets_rationed(fair_config):
     rec = squeezed[0]
     total = sum(rec.rate_kbps)
     for u in range(2):
-        raw = fair_config.channel.bandwidth_of(rec.channel_state[u])
+        raw = fair_config.channel.state_bandwidth[rec.channel_state[u]]
         share = 850.0 * rec.rate_kbps[u] / total
         assert rec.effective_bw_kbps[u] == pytest.approx(min(raw, share))
 
@@ -273,7 +280,7 @@ def test_every_stage_profit_is_the_model_reward(request, scenario):
             for t in range(20):
                 chosen = tuple(index_of[r] for r in trace.rate_kbps[run, t].tolist())
                 want = stage_value(config.ladder, config.channel, config.profit, consts, prev,
-                                   Action(chosen), tuple(trace.channel_state[run, t].tolist()))
+                                   chosen, tuple(trace.channel_state[run, t].tolist()))
                 assert trace.stage_profit[run, t] == pytest.approx(want, rel=0, abs=1e-12)
                 prev = chosen
         if isinstance(policy, Myopic):  # the terms that must not go unseen
