@@ -293,6 +293,43 @@ def reference_solve_ideal(paths, initial_rate_indices, ladder, channel, params, 
     return tables.action_digits[chosen]
 
 
+# --------------------- reference myopic client ---------------------
+
+
+def reference_delivered(rates, raw, cap, sharing_mode):
+    """One segment's per-user delivered bandwidth in scalar Python: the
+    link bandwidths ``raw``, unless the users pull more than ``cap`` in
+    total under proportional sharing; then each gets the smaller of its
+    link and its rate's share of the cap."""
+    demand = 0.0
+    for rate, bw in zip(rates, raw):
+        demand += min(rate, bw)
+    if sharing_mode == "none" or demand <= cap:
+        return list(raw)
+    total = 0.0
+    for rate in rates:
+        total += rate
+    return [min(cap * rate / total, bw) for rate, bw in zip(rates, raw)]
+
+
+def reference_myopic_rates(paths, ladder, channel, cap, sharing_mode):
+    """Rates (Kbps) the last-sample client requests on each run of
+    ``paths`` (runs, horizon + 1, users), as a (runs, horizon, users)
+    array: the lowest rung at epoch 0, then per user the highest rung at
+    or below the bandwidth its previous segment was delivered (the
+    lowest when none is)."""
+    out = []
+    for path in np.asarray(paths).tolist():
+        chosen = [[ladder.rates[0]] * len(path[0])]
+        for chans in path[1:-1]:  # the channel during the previous segment
+            raw = [channel.state_bandwidth[c] for c in chans]
+            delivered = reference_delivered(chosen[-1], raw, cap, sharing_mode)
+            chosen.append([max((r for r in ladder.rates if r <= bw), default=ladder.rates[0])
+                           for bw in delivered])
+        out.append(chosen)
+    return np.array(out)
+
+
 # --------------------- reference trace writer ---------------------
 
 

@@ -11,7 +11,7 @@ import textwrap
 from pathlib import Path
 
 import mdpstream
-from mdpstream import cli, configfile, economics, mdp, metrics, model, sim
+from mdpstream import cli, configfile, economics, mdp, metrics, model, policies, sim
 from mdpstream.configfile import save_scenario
 from mdpstream.presets import fair_scenario
 
@@ -46,6 +46,13 @@ def test_benchmark_entry_points_exist():
     assert {"values", "action_digits", "action_ids"} <= {
         field.name for field in dataclasses.fields(mdp.PolicyTable)}
     assert isinstance(mdp.PolicyTable.action_rate_indices, property)
+    # perfbench/child.py builds each arm's policy by keyword
+    config = fair_scenario(horizon=1)
+    table = mdp.backward_induction(config.ladder, config.channel, config.profit,
+                                   config.derived_constants(), config.horizon)
+    assert policies.Myopic(ladder=config.ladder).decide([None]).tolist() == [0]
+    assert policies.Proposed(table=table).decide(0, [0, 0], [0, 0]).shape == (2,)
+    assert isinstance(policies.IdealOracle(), policies.IdealOracle)
 
 
 def test_trace_writer_takes_the_output_path_first(tmp_path, monkeypatch):

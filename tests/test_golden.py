@@ -24,7 +24,6 @@ import hashlib
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -63,11 +62,13 @@ OUTPUT_DIGESTS = {
 
 
 def actions_digest(table) -> str:
-    """SHA-256 of the action array's shape repr, then its little-endian
-    int64 bytes."""
-    actions = np.ascontiguousarray(table.action_rate_indices, dtype="<i8")
-    digest = hashlib.sha256(repr(actions.shape).encode())
-    digest.update(actions.tobytes())
+    """SHA-256 of the (horizon, states, users) action array's shape repr,
+    then its little-endian int64 bytes, gathered one epoch at a time so
+    the full array is never held."""
+    shape = table.action_ids.shape + (table.num_users,)
+    digest = hashlib.sha256(repr(shape).encode())
+    for ids in table.action_ids:
+        digest.update(table.action_digits[ids].astype("<i8").tobytes())
     return digest.hexdigest()
 
 

@@ -23,7 +23,7 @@ from mdpstream.sim import (
     step_buffer,
     user_rngs,
 )
-from support import make_channel, make_ladder, make_params, stage_value
+from support import make_channel, make_ladder, make_params, reference_myopic_rates, stage_value
 
 
 # ------------------------------ configuration ------------------------------
@@ -249,6 +249,25 @@ def test_myopic_overload_gets_rationed(fair_config):
         raw = fair_config.channel.state_bandwidth[rec.channel_state[u]]
         share = 850.0 * rec.rate_kbps[u] / total
         assert rec.effective_bw_kbps[u] == pytest.approx(min(raw, share))
+
+
+@pytest.mark.parametrize("scenario,cap,changes", [
+    ("fair", 600.0, {}), ("fair", 850.0, {}), ("diff", 600.0, {}), ("diff", 850.0, {}),
+    ("fair", 850.0, {"sharing_mode": "none"}), ("fair", 850.0, {"congestion_price": 0.0005}),
+], ids=["fair-600", "fair-850", "diff-600", "diff-850", "no_sharing", "finite_price"])
+def test_myopic_rates_match_reference(request, scenario, cap, changes):
+    # the last-sample client: lowest rung first, then each user's highest
+    # rung at or below what its previous segment was delivered
+    config = request.getfixturevalue(f"{scenario}_config").with_rate_cap(cap)
+    changes = dict(changes)
+    if "congestion_price" in changes:
+        config = replace(config, profit=replace(config.profit,
+                                                congestion_price=changes.pop("congestion_price")))
+    config = replace(config, **changes)
+    paths = channel_paths(config, range(config.num_runs))
+    trace = simulate(config, Myopic(config.ladder), paths)
+    want = reference_myopic_rates(paths, config.ladder, config.channel, cap, config.sharing_mode)
+    assert np.array_equal(trace.rate_kbps, want)
 
 
 def test_accounting_identity(fair_config, fair_table):
