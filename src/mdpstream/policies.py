@@ -1,11 +1,11 @@
 """Decision policies for streaming sessions: solved-table lookup, the
-client-side throughput rule, and a hindsight planner that optimizes
+client-side last-sample rule, and a hindsight planner that optimizes
 against a fully known bandwidth path."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -13,40 +13,6 @@ from .economics import DerivedConstants, ProfitParams
 from . import mdp
 from .mdp import PolicyTable
 from .model import ChannelModel, QualityLadder
-
-
-# ----------------------------- throughput estimators -----------------------------
-
-
-class LastSampleEstimator:
-    """Remembers only the most recent throughput sample (a number, or an
-    array of them)."""
-
-    def __init__(self) -> None:
-        self.value: float | None = None
-
-    def add(self, sample_kbps) -> None:
-        self.value = sample_kbps
-
-
-class EwmaEstimator:
-    """Exponentially weighted moving average of throughput samples, taken
-    elementwise when they are arrays."""
-
-    def __init__(self, smoothing: float = 0.5) -> None:
-        if not 0 < smoothing <= 1:
-            raise ValueError("smoothing must lie in (0, 1]")
-        self.smoothing = smoothing
-        self.value: float | None = None
-
-    def add(self, sample_kbps) -> None:
-        if self.value is None:
-            self.value = sample_kbps
-        else:
-            self.value = self.smoothing * sample_kbps + (1 - self.smoothing) * self.value
-
-
-# ----------------------------- policies -----------------------------
 
 
 @dataclass(frozen=True)
@@ -68,19 +34,12 @@ class Proposed:
 
 @dataclass(frozen=True)
 class Myopic:
-    """Client-side rule: each user independently picks the fastest rate its
-    estimated throughput can carry, ignoring the shared cap and everyone
-    else.  With no estimate yet (session start) the lowest rate is used.
-
-    ``estimator_factory`` builds one estimator for a whole cell: the
-    simulator passes its ``add`` the delivered bandwidth of every run and
-    user as one (runs, users) array per epoch, so ``add`` must work
-    elementwise, and ``decide`` reads its ``value`` (None before the first
-    sample).
-    """
+    """Client-side last-sample rule: each user independently requests the
+    highest rate at or below the bandwidth its previous segment was
+    delivered, ignoring the shared cap and everyone else.  The lowest rate
+    serves when no rate fits and at session start, with nothing delivered."""
 
     ladder: QualityLadder
-    estimator_factory: Callable[[], object] = LastSampleEstimator
 
     def decide(self, estimates_kbps) -> np.ndarray:
         """Rate indices for (..., users) throughput estimates, where None

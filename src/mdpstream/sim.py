@@ -14,7 +14,8 @@ import numpy as np
 from . import economics
 from .economics import DerivedConstants, ProfitParams, derive_constants
 from .mdp import variation_table
-from .model import ChannelModel, ConfigurationError, QualityLadder, _require, left_sum
+from .model import (ChannelModel, ConfigurationError, QualityLadder, _require, _require_finite,
+                    left_sum)
 from .policies import IdealOracle, Myopic, Proposed, check_channel_indices, solve_ideal
 
 SHARING_PROPORTIONAL = "proportional"
@@ -48,7 +49,9 @@ class ScenarioConfig:
             f"but the scenario has {self.num_users} users",
         )
         _require(self.horizon >= 1, "horizon must be at least 1")
+        _require_finite("segment_seconds", self.segment_seconds)
         _require(self.segment_seconds > 0, "segment duration must be positive")
+        _require_finite("frames_per_second", self.frames_per_second)
         _require(self.frames_per_second > 0, "frame rate must be positive")
         _require(self.initial_buffer_frames >= 0, "initial buffer cannot be negative")
         _require(
@@ -235,14 +238,15 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     """Simulate the runs whose ``channel_paths`` are given, all under one
     policy arm and all stepping together.
 
-    Decisions come first: a table gather per epoch (proposed), one plan
-    for all runs (ideal), or one estimator step per epoch over the whole
-    (runs, users) array (myopic, which needs each epoch's delivered
-    bandwidth).  The rest is one pass over the horizon; only the buffer
-    recurrence steps per epoch.  Profit is scored against the delivered
-    bandwidth.  Sums over users run left to right from 0.0 and costs come
-    from the scalar economics functions, so a run's numbers do not depend
-    on which other runs step with it.
+    Decisions come first: one plan for all runs (ideal), or one step per
+    epoch over the whole (runs, users) array from each run's previous rates
+    (proposed: a table gather on the state; myopic: the bandwidth the
+    previous segment was delivered, a function of that state).  The rest is
+    one pass over the horizon; only the buffer recurrence steps per epoch.
+    Profit is scored against the delivered bandwidth.  Sums over users run
+    left to right from 0.0 and costs come from the scalar economics
+    functions, so a run's numbers do not depend on which other runs step
+    with it.
     """
     consts = config.derived_constants()
     params, ladder, channel = config.profit, config.ladder, config.channel
@@ -254,28 +258,24 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     rate_of = np.array(ladder.rates)
     raw = np.array(channel.state_bandwidth)[paths[:, 1:]]
     cap = params.total_rate_cap_kbps
-    chosen = np.empty((runs, horizon, n), dtype=np.int64)
-    if isinstance(policy, Myopic):
-        estimator = policy.estimator_factory()  # one for every (run, user) at once
-        effective = np.empty((runs, horizon, n))
+    if isinstance(policy, IdealOracle):
+        chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
+                             ladder, channel, params, consts)
+    elif isinstance(policy, (Proposed, Myopic)):
+        chosen = np.empty((runs, horizon, n), dtype=np.int64)
+        prev = np.full((runs, n), config.initial_rate_index)
         for t in range(horizon):
-            chosen[:, t] = policy.decide(estimator.value)
-            effective[:, t] = effective_bandwidth(rate_of[chosen[:, t]], raw[:, t], cap,
-                                                  config.sharing_mode)
-            estimator.add(effective[:, t])
+            if isinstance(policy, Proposed):
+                chosen[:, t] = policy.decide(t, prev, paths[:, t])
+            else:
+                chosen[:, t] = policy.decide(None if t == 0 else effective_bandwidth(
+                    rate_of[prev], raw[:, t - 1], cap, config.sharing_mode))
+            prev = chosen[:, t]
     else:
-        if isinstance(policy, IdealOracle):
-            chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
-                                 ladder, channel, params, consts)
-        elif isinstance(policy, Proposed):
-            prev = np.full((runs, n), config.initial_rate_index)
-            for t in range(horizon):
-                chosen[:, t] = prev = policy.decide(t, prev, paths[:, t])
-        else:
-            raise TypeError(f"unknown policy {policy!r}")
-        effective = effective_bandwidth(rate_of[chosen], raw, cap, config.sharing_mode)
+        raise TypeError(f"unknown policy {policy!r}")
 
     rates = rate_of[chosen]
+    effective = effective_bandwidth(rates, raw, cap, config.sharing_mode)
     download = rates * config.segment_seconds / effective
     short = rates > effective
     # playback_income depends on the rate alone once the rate is carried

@@ -356,21 +356,31 @@ def test_out_of_region_representative_refused_by_every_command(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("field, value, where", [
-    ("transition entries", float("nan"), lambda data: data["channel"]["transition"][1]),
-    ("ladder rates", float("inf"), lambda data: data["ladder_kbps"]),
+    ("transition entries", float("nan"), lambda data: (data["channel"]["transition"][1], -1)),
+    ("ladder rates", float("inf"), lambda data: (data["ladder_kbps"], -1)),
+    ("segment_seconds", float("inf"), lambda data: (data, "segment_seconds")),
+    ("frames_per_second", float("inf"), lambda data: (data, "frames_per_second")),
+    ("frames_per_second", float("nan"), lambda data: (data, "frames_per_second")),
 ])
 def test_non_finite_model_numbers_refused(tmp_path, capsys, field, value, where):
     # before, a NaN transition entry crashed validate inside the stationary
-    # solve, and solve exited 0 with NaN table values
+    # solve, solve exited 0 with NaN table values, and an infinite segment
+    # duration or frame rate passed validate and put nan and inf in summary.csv
     data = yaml.safe_load((BUNDLED / "fair.cfg").read_text(encoding="utf-8"))
-    where(data)[-1] = value
+    container, key = where(data)
+    container[key] = value
     scenario = tmp_path / "bad.cfg"
     scenario.write_text(yaml.safe_dump(data), encoding="utf-8")
+    spec = tmp_path / "exp.yaml"
+    spec.write_text(yaml.safe_dump({"scenario": "bad.cfg", "arms": ["myopic"]}),
+                    encoding="utf-8")
     for argv in (["validate", "--config", str(scenario)],
-                 ["solve", "--config", str(scenario), "--out", str(tmp_path / "t.ptab")]):
+                 ["solve", "--config", str(scenario), "--out", str(tmp_path / "t.ptab")],
+                 ["run", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]):
         assert main(argv) == 1, argv
         assert f"{field} must be finite, got {value!r}" in capsys.readouterr().err, argv
     assert not (tmp_path / "t.ptab").exists()
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_unknown_arm_rejected(tmp_path, capsys):

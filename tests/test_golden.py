@@ -8,9 +8,9 @@ pins for its ``paper-2u`` workload; a change that moves one of them
 changes the experiment's results and must say why.
 
 Further digests pin the simulator branches the bundled scenarios never
-reach: a finite congestion price, no bottleneck sharing, the
-``--stationary`` flag and a myopic client with a moving-average
-estimator.  Each case also checks that its branch is actually taken.
+reach: a finite congestion price, no bottleneck sharing and the
+``--stationary`` flag.  Each case also checks that its branch is actually
+taken.
 
 Two larger solves pin the near-tie decisions the paper tables lack: fair
 at 3 users (cap 1275, horizon 60) and at 4 users (cap 1700, horizon 2).
@@ -21,7 +21,6 @@ reordered float sum in the solver would flip some of them.
 import csv
 import dataclasses
 import hashlib
-import math
 from pathlib import Path
 
 import pytest
@@ -30,8 +29,6 @@ import yaml
 from mdpstream.cli import main, table_filename
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import PolicyTable, backward_induction
-from mdpstream.policies import EwmaEstimator, Myopic
-from mdpstream.sim import run_session
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CAPS = (600.0, 850.0)
@@ -128,8 +125,6 @@ BRANCH_DIGESTS = {
     "stationary": "5db05f574dbad16ffe379ae89fbfaca42e339b311b049b9ac6daf44da11edf5b",
 }
 
-EWMA_DIGEST = "aa51c59f36a8279ea00f1d1b982aca4453eae2dbe5cc32121f9d2025f0b1c171"
-
 
 def tree_digest(directory: Path) -> str:
     """SHA-256 over every file below ``directory`` in sorted relative-path
@@ -138,23 +133,6 @@ def tree_digest(directory: Path) -> str:
     for path in sorted(p for p in directory.rglob("*") if p.is_file()):
         rel = path.relative_to(directory).as_posix()
         digest.update(f"{rel}\n{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
-    return digest.hexdigest()
-
-
-def records_digest(traces) -> str:
-    """SHA-256 of session traces with every field as ``repr(float(x))``, so
-    each float's exact bits, signed zeros included, count."""
-    digest = hashlib.sha256()
-    for trace in traces:
-        for rec in trace:
-            fields = [rec.epoch]
-            for name in ("rate_kbps", "channel_state", "effective_bw_kbps", "download_s",
-                         "rebuffer_s", "buffer_s", "income", "buffering_cost",
-                         "variation_cost"):
-                fields.extend(getattr(rec, name))
-            fields += [rec.bottleneck_cost, rec.stage_profit]
-            digest.update((",".join(repr(float(f)) for f in fields) + "\n").encode())
-        digest.update(b"--\n")
     return digest.hexdigest()
 
 
@@ -220,15 +198,6 @@ def test_stationary_flag_matches_golden(tmp_path):
     timed = _branch_run(tmp_path, "time_indexed", {}, ["proposed"])
     assert tree_digest(out / "traces") != tree_digest(timed / "traces")
     assert tree_digest(out) == BRANCH_DIGESTS["stationary"]
-
-
-def test_myopic_ewma_sessions_match_golden(fair_config):
-    ewma = Myopic(fair_config.ladder, estimator_factory=lambda: EwmaEstimator(0.3))
-    traces = [run_session(fair_config, ewma, run) for run in range(3)]
-    last = [run_session(fair_config, Myopic(fair_config.ladder), run) for run in range(3)]
-    assert records_digest(traces) != records_digest(last)
-    assert all(math.isfinite(rec.stage_profit) for trace in traces for rec in trace)
-    assert records_digest(traces) == EWMA_DIGEST
 
 
 # (users, cap, horizon): action digest and (epoch, state, value) samples.

@@ -10,40 +10,12 @@ import pytest
 from mdpstream import mdp
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
-from mdpstream.policies import (
-    EwmaEstimator,
-    LastSampleEstimator,
-    Myopic,
-    Proposed,
-    solve_ideal,
-)
+from mdpstream.policies import Myopic, Proposed, solve_ideal
 from mdpstream.sim import channel_paths
 from support import (
     all_states, feasible_tuples, make_channel, make_ladder, make_params, reference_solve_ideal,
     stage_value,
 )
-
-
-# ------------------------------- estimators --------------------------------
-
-
-def test_last_sample_estimator():
-    est = LastSampleEstimator()
-    assert est.value is None
-    est.add(410.0)
-    est.add(250.0)
-    assert est.value == 250.0
-
-
-def test_ewma_estimator():
-    est = EwmaEstimator(smoothing=0.5)
-    assert est.value is None
-    est.add(400.0)
-    assert est.value == 400.0
-    est.add(200.0)
-    assert est.value == 300.0  # 0.5*200 + 0.5*400
-    with pytest.raises(ValueError):
-        EwmaEstimator(smoothing=0.0)
 
 
 # ------------------------------ myopic policy ------------------------------

@@ -11,7 +11,7 @@ from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream import sim
 from mdpstream.model import ConfigurationError
-from mdpstream.policies import EwmaEstimator, IdealOracle, Myopic, Proposed
+from mdpstream.policies import IdealOracle, Myopic, Proposed
 from mdpstream.sim import (
     USER_COLUMNS,
     ScenarioConfig,
@@ -369,7 +369,7 @@ BRANCHES = {
 }
 
 
-@pytest.mark.parametrize("arm", ["proposed", "stationary", "myopic", "ewma", "ideal"])
+@pytest.mark.parametrize("arm", ["proposed", "stationary", "myopic", "ideal"])
 @pytest.mark.parametrize("branch", sorted(BRANCHES))
 def test_single_run_equals_its_batched_run(fair_config, branch, arm):
     # a run must not depend on which runs step with it: run_session(r)
@@ -384,7 +384,6 @@ def test_single_run_equals_its_batched_run(fair_config, branch, arm):
         "proposed": Proposed(table),
         "stationary": Proposed(table, stationary=True),
         "myopic": Myopic(config.ladder),
-        "ewma": Myopic(config.ladder, estimator_factory=lambda: EwmaEstimator(0.3)),
         "ideal": IdealOracle(),
     }[arm]
     batch = simulate(config, policy, channel_paths(config, range(3)))
