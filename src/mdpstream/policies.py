@@ -42,8 +42,8 @@ class Myopic:
     ladder: QualityLadder
 
     def decide(self, estimates_kbps) -> np.ndarray:
-        """Rate indices for (..., users) throughput estimates, where None
-        (or NaN) means no estimate yet."""
+        """Rate indices for (..., users) delivered bandwidths, where None
+        (or NaN) means nothing delivered yet."""
         estimates = np.asarray(estimates_kbps, dtype=float)
         idx = np.searchsorted(self.ladder.rates, estimates, side="right") - 1
         return np.where(np.isnan(estimates) | (idx < 0), 0, idx)

@@ -251,22 +251,20 @@ def test_myopic_overload_gets_rationed(fair_config):
         assert rec.effective_bw_kbps[u] == pytest.approx(min(raw, share))
 
 
-@pytest.mark.parametrize("scenario,cap,changes", [
-    ("fair", 600.0, {}), ("fair", 850.0, {}), ("diff", 600.0, {}), ("diff", 850.0, {}),
-    ("fair", 850.0, {"sharing_mode": "none"}), ("fair", 850.0, {"congestion_price": 0.0005}),
+@pytest.mark.parametrize("scenario,cap,sharing,price", [
+    ("fair", 600.0, "proportional", math.inf), ("fair", 850.0, "proportional", math.inf),
+    ("diff", 600.0, "proportional", math.inf), ("diff", 850.0, "proportional", math.inf),
+    ("fair", 850.0, "none", math.inf), ("fair", 850.0, "proportional", 0.0005),
 ], ids=["fair-600", "fair-850", "diff-600", "diff-850", "no_sharing", "finite_price"])
-def test_myopic_rates_match_reference(request, scenario, cap, changes):
+def test_myopic_rates_match_reference(request, scenario, cap, sharing, price):
     # the last-sample client: lowest rung first, then each user's highest
     # rung at or below what its previous segment was delivered
-    config = request.getfixturevalue(f"{scenario}_config").with_rate_cap(cap)
-    changes = dict(changes)
-    if "congestion_price" in changes:
-        config = replace(config, profit=replace(config.profit,
-                                                congestion_price=changes.pop("congestion_price")))
-    config = replace(config, **changes)
+    config = request.getfixturevalue(f"{scenario}_config")
+    profit = replace(config.profit, total_rate_cap_kbps=cap, congestion_price=price)
+    config = replace(config, profit=profit, sharing_mode=sharing)
     paths = channel_paths(config, range(config.num_runs))
     trace = simulate(config, Myopic(config.ladder), paths)
-    want = reference_myopic_rates(paths, config.ladder, config.channel, cap, config.sharing_mode)
+    want = reference_myopic_rates(paths, config.ladder, config.channel, cap, sharing)
     assert np.array_equal(trace.rate_kbps, want)
 
 
