@@ -451,6 +451,20 @@ def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
     assert sum(scanned) == tables.num_rate_vectors * len(gain)
 
 
+@pytest.mark.parametrize("priorities, fallbacks", [((0.25,) * 4, 13532), ((0.4, 0.3, 0.2, 0.1), 0)])
+def test_separable_certifies_as_many_pairs_as_before(fair_config, monkeypatch, priorities,
+                                                     fallbacks):
+    # the benchmark's solver-4u solve: a transform that certifies fewer
+    # pairs gives the same bits, only slower, so the fallback count is
+    # pinned; equal priorities tie users' swapped actions exactly
+    params = dataclasses.replace(fair_config.profit, user_priorities=priorities,
+                                 total_rate_cap_kbps=1700.0)
+    consts = derive_constants(fair_config.ladder, fair_config.channel, params)
+    scanned = _record_scans(monkeypatch)
+    backward_induction(fair_config.ladder, fair_config.channel, params, consts, 4)
+    assert sum(scanned) == fallbacks  # 0: the transform took every pair
+
+
 def test_size_rule_puts_benchmark_workloads_on_both_sides(fair_config, diff_config):
     # (tables, rows of one backward sweep, runs of one hindsight-plan cell)
     # for each benchmark workload: paper-2u, table-3u and solver-4u
@@ -470,16 +484,25 @@ def test_size_rule_puts_benchmark_workloads_on_both_sides(fair_config, diff_conf
         assert not mdp._use_separable(1, tables)
 
 
-def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch):
+@pytest.mark.parametrize("users, cap, size", [
+    pytest.param(3, 1275.0, (78, 8000), id="3u-scan"),
+    pytest.param(4, 1700.0, (385, 160000), id="4u-transform"),
+])
+def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch, users, cap,
+                                                        size):
+    # 3 users scan q in small blocks; 4 users take the transform, whose
+    # working arrays stay small only because it chunks the rows
     params = dataclasses.replace(
-        fair_config.profit, user_priorities=(1 / 3,) * 3, total_rate_cap_kbps=1275.0
+        fair_config.profit, user_priorities=(1 / users,) * users, total_rate_cap_kbps=cap
     )
     consts = derive_constants(fair_config.ladder, fair_config.channel, params)
-    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, params, consts, 3)
+    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, params, consts, users)
     rates, chans = tables.num_rate_vectors, tables.num_chan_vectors
     actions = len(tables.action_digits)
-    assert (actions, rates * chans) == (78, 8000)
-    monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * actions)
+    assert (actions, rates * chans) == size
+    assert mdp._use_separable(chans, tables) == (users == 4)
+    if users == 3:
+        monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * actions)
     v_next = np.zeros((rates, chans))
     tracemalloc.start()
     try:
