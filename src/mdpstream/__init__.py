@@ -40,7 +40,6 @@ The ``demos`` directory in the repository walks through each capability.
 """
 
 from .economics import (
-    INFEASIBLE,
     DerivedConstants,
     ProfitParams,
     derive_constants,
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigurationError",
     "DerivedConstants",
     "IdealOracle",
-    "INFEASIBLE",
     "InfeasibleModelError",
     "Myopic",
     "PolicyTable",

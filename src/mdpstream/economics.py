@@ -19,19 +19,6 @@ VARIATION_SYMMETRIC = "symmetric"
 VARIATION_DOWNWARD_ONLY = "downward_only"
 
 
-class Infeasible:
-    """Marker value for a hard-infeasible outcome: the congestion price is
-    infinite and the aggregate rate cap was exceeded."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFEASIBLE"
-
-
-INFEASIBLE = Infeasible()
-
-
 @dataclass(frozen=True)
 class ProfitParams:
     """Weights and prices of the operator profit model.
@@ -223,16 +210,12 @@ def smoothness_cost(
 def bottleneck_cost(
     action_rates_kbps: tuple[float, ...] | list[float],
     params: ProfitParams,
-) -> float | Infeasible:
-    """Charge for aggregate rate above the shared cap.
-
-    Returns INFEASIBLE instead of a number when the congestion price is
-    infinite and the cap is exceeded; callers must filter such actions
-    rather than do arithmetic with the result.
+) -> float:
+    """Charge for aggregate rate above the shared cap: the congestion price
+    times the excess, so ``inf`` when an infinite price forbids exceeding
+    the cap; the solver keeps only actions with a finite charge.
     """
     excess = left_sum(action_rates_kbps) - params.total_rate_cap_kbps
     if excess <= 0.0:
         return 0.0
-    if math.isinf(params.congestion_price):
-        return INFEASIBLE
     return params.congestion_price * excess

@@ -12,6 +12,7 @@ give the same decisions and value bits.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import astuple, dataclass
 from functools import lru_cache, reduce
@@ -64,14 +65,14 @@ def _digit_grid(base: int, n: int) -> np.ndarray:
 
 def feasible_actions(num_users: int, ladder: QualityLadder, params: ProfitParams) -> np.ndarray:
     """Rate indices, int64 (actions, users), of every joint rate assignment
-    that ``economics.bottleneck_cost`` does not rule infeasible, in
+    that ``economics.bottleneck_cost`` charges a finite amount, in
     canonical (lexicographic) order."""
     if num_users != params.num_users:
         raise ConfigurationError(
             f"params carry {params.num_users} priorities but {num_users} users requested"
         )
     digits = _digit_grid(len(ladder), num_users)
-    keep = [economics.bottleneck_cost(rates, params) is not economics.INFEASIBLE
+    keep = [math.isfinite(economics.bottleneck_cost(rates, params))
             for rates in np.array(ladder.rates)[digits].tolist()]
     if not any(keep):
         raise InfeasibleModelError(

@@ -7,12 +7,11 @@ agreement with the production solver actually means something.
 
 import csv
 from itertools import product
-from math import isclose, prod
+from math import inf, isclose, prod
 
 import numpy as np
 
 from mdpstream.economics import (
-    INFEASIBLE,
     ProfitParams,
     derive_constants,
     playback_income,
@@ -113,7 +112,8 @@ def feasible_tuples(ladder, params):
 
 def stage_value(ladder, channel, params, consts, prev_rate_idx, action, next_chan_idx):
     """Stage profit recomputed from the scalar economics pieces; ``action``
-    holds each user's rate index."""
+    holds each user's rate index.  ``-inf`` where an infinite price
+    forbids the action."""
     total = 0.0
     for u, lam in enumerate(params.user_priorities):
         rate = ladder.rates[action[u]]
@@ -124,10 +124,7 @@ def stage_value(ladder, channel, params, consts, prev_rate_idx, action, next_cha
             - buffering_cost(rate, bw, params, consts)
             - smoothness_cost(prev, rate, params, consts)
         )
-    charge = bottleneck_cost([ladder.rates[i] for i in action], params)
-    if charge is INFEASIBLE:
-        return INFEASIBLE
-    return total - charge
+    return total - bottleneck_cost([ladder.rates[i] for i in action], params)
 
 
 def build_stage_table(ladder, channel, params, consts):
@@ -144,7 +141,7 @@ def build_stage_table(ladder, channel, params, consts):
         for ai, action in enumerate(actions):
             for chans in product(range(k), repeat=n):
                 val = stage_value(ladder, channel, params, consts, prev, action, chans)
-                assert val is not INFEASIBLE  # feasible_actions filtered already
+                assert val > -inf  # feasible_actions filtered already
                 table[prev, ai, chans] = val
     return actions, table
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mdpstream import mdp
-from mdpstream.economics import INFEASIBLE, bottleneck_cost, derive_constants
+from mdpstream.economics import bottleneck_cost, derive_constants
 from mdpstream.mdp import (
     POLICY_TABLE_FORMAT,
     InfeasibleModelError,
@@ -145,7 +145,7 @@ def test_action_tie_order_matches_brute_force(fair_config, diff_config, scenario
         params = dataclasses.replace(params, user_priorities=(1 / users,) * users)
     rates = config.ladder.rates
     feasible = [digits for digits in itertools.product(range(len(rates)), repeat=users)
-                if bottleneck_cost([rates[i] for i in digits], params) is not INFEASIBLE]
+                if bottleneck_cost([rates[i] for i in digits], params) < math.inf]
     want = sorted(feasible, key=lambda digits: (left_sum(rates[i] for i in digits), digits))
     got = solver_tables(config.ladder, config.channel, params).action_digits
     assert got.dtype == np.int64
