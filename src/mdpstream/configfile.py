@@ -37,7 +37,14 @@ def _whole(value, field: str) -> int:
     return int(value)
 
 
-_CONVERT = {int: _whole, float: _float, tuple[float, ...]: _floats, str: lambda value, field: value}
+def _string(value, field: str) -> str:
+    """``value`` itself, refusing a non-string: null or a list would pass as a name."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+_CONVERT = {int: _whole, float: _float, tuple[float, ...]: _floats, str: _string}
 
 
 def _schema(cls, built: tuple[str, ...] = ()) -> dict:

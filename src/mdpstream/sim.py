@@ -59,6 +59,7 @@ class ScenarioConfig:
             f"initial rate index {self.initial_rate_index} outside the ladder",
         )
         _require(self.num_runs >= 1, "need at least one run")
+        _require(self.rng_seed >= 0, f"rng_seed must be nonnegative, got {self.rng_seed!r}")
         _require(
             self.sharing_mode in (SHARING_PROPORTIONAL, SHARING_NONE),
             f"unknown sharing mode {self.sharing_mode!r}",

@@ -208,13 +208,17 @@ def test_repeated_runs_are_byte_identical(workspace):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
 
 
-def test_seed_override_changes_results(workspace):
+def test_seed_override_changes_results(workspace, capsys):
     tmp, _, spec_path, tables = workspace
     args = ["run", "--spec", str(spec_path), "--tables-dir", str(tables)]
     assert main(args + ["--out-dir", str(tmp / "a")]) == 0
     assert main(args + ["--out-dir", str(tmp / "c"), "--seed", "777"]) == 0
     assert (tmp / "a" / "summary.csv").read_bytes() != \
         (tmp / "c" / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(args + ["--out-dir", str(tmp / "d"), "--seed", "-1"]) == 1
+    assert "rng_seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not (tmp / "d" / "summary.csv").exists()
 
 
 def test_stationary_flag_runs(workspace):
@@ -355,17 +359,30 @@ def test_out_of_region_representative_refused_by_every_command(tmp_path, capsys)
     assert not (tmp_path / "t.ptab").exists()
 
 
-@pytest.mark.parametrize("field, value, where", [
-    ("transition entries", float("nan"), lambda data: (data["channel"]["transition"][1], -1)),
-    ("ladder rates", float("inf"), lambda data: (data["ladder_kbps"], -1)),
-    ("segment_seconds", float("inf"), lambda data: (data, "segment_seconds")),
-    ("frames_per_second", float("inf"), lambda data: (data, "frames_per_second")),
-    ("frames_per_second", float("nan"), lambda data: (data, "frames_per_second")),
+# ids as before the non-numeric cases were added
+@pytest.mark.parametrize("field, value, where, need", [
+    pytest.param("transition entries", float("nan"),
+                 lambda data: (data["channel"]["transition"][1], -1), "finite",
+                 id="transition entries-nan-<lambda>"),
+    pytest.param("ladder rates", float("inf"), lambda data: (data["ladder_kbps"], -1), "finite",
+                 id="ladder rates-inf-<lambda>"),
+    pytest.param("segment_seconds", float("inf"), lambda data: (data, "segment_seconds"),
+                 "finite", id="segment_seconds-inf-<lambda>"),
+    pytest.param("frames_per_second", float("inf"), lambda data: (data, "frames_per_second"),
+                 "finite", id="frames_per_second-inf-<lambda>"),
+    pytest.param("frames_per_second", float("nan"), lambda data: (data, "frames_per_second"),
+                 "finite", id="frames_per_second-nan-<lambda>"),
+    pytest.param("rng_seed", -1, lambda data: (data, "rng_seed"), "nonnegative",
+                 id="rng_seed--1"),
+    pytest.param("name", None, lambda data: (data, "name"), "a string", id="name-null"),
+    pytest.param("name", ["a", "b"], lambda data: (data, "name"), "a string", id="name-list"),
 ])
-def test_non_finite_model_numbers_refused(tmp_path, capsys, field, value, where):
+def test_non_finite_model_numbers_refused(tmp_path, capsys, field, value, where, need):
     # before, a NaN transition entry crashed validate inside the stationary
-    # solve, solve exited 0 with NaN table values, and an infinite segment
-    # duration or frame rate passed validate and put nan and inf in summary.csv
+    # solve, solve exited 0 with NaN table values, an infinite segment
+    # duration or frame rate passed validate and put nan and inf in
+    # summary.csv, a negative seed passed validate and crashed run inside
+    # numpy, and a null or list name passed every command
     data = yaml.safe_load((BUNDLED / "fair.cfg").read_text(encoding="utf-8"))
     container, key = where(data)
     container[key] = value
@@ -378,7 +395,7 @@ def test_non_finite_model_numbers_refused(tmp_path, capsys, field, value, where)
                  ["solve", "--config", str(scenario), "--out", str(tmp_path / "t.ptab")],
                  ["run", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]):
         assert main(argv) == 1, argv
-        assert f"{field} must be finite, got {value!r}" in capsys.readouterr().err, argv
+        assert f"{field} must be {need}, got {value!r}" in capsys.readouterr().err, argv
     assert not (tmp_path / "t.ptab").exists()
     assert not (tmp_path / "out" / "summary.csv").exists()
 
