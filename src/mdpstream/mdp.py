@@ -196,7 +196,7 @@ def _scan(gain, variation, tables: _ActionTables, q: np.ndarray, out: np.ndarray
 
 
 def _separable_rows(tables: _ActionTables) -> int:
-    """Rows per chunk of the transform: its nine (grid points x rows)
+    """Rows per chunk of the transform: its ten or so (grid points x rows)
     working arrays then stay near ``_BLOCK_FLOATS``."""
     return max(1, _BLOCK_FLOATS // (8 * len(tables.grid_action)))
 
@@ -222,7 +222,10 @@ def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray) -> N
     ``gain - bottleneck`` is laid on the full m^n grid of action digits
     (``-inf`` where no action is feasible); pass u replaces digit u of the
     action by digit u of the rate vector, subtracting ``penalty[u]`` and
-    carrying the best and second-best value and the best grid point.  Every
+    carrying the best and second-best value and the best grid point, from
+    ``-inf`` over the rungs of digit u in order.  Each pass reads digit u as
+    the first axis and moves the new rate digit behind the earlier ones, so
+    every elementwise step runs over whole contiguous blocks.  Every
     path, like every q element, is within (n + 2) M 2^-53 of its exact sum
     (n + 1 subtractions, or additions, plus the n products together), where
     M bounds |gain| + |bottleneck| + sum_u |penalty[u]|.  So a best more than
@@ -234,59 +237,37 @@ def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray) -> N
     m, n = tables.variation.shape[0], len(tables.penalty)
     grid = m ** n
     step = min(len(gain), _separable_rows(tables))
-    laid = np.full((gain.shape[1] + 1, step), -np.inf)  # last row: no action
     bound = 8 * (n + 2) * 2.0 ** -52 * (np.abs(gain).max() + tables.error_scale)
-    values = np.empty((2, 2, grid * step))  # best and second, read and written in turn
-    points = np.empty((2, grid * step), dtype=np.intp)
-    cand, spare, low = np.empty((3, grid * step))
-    beats = np.empty(grid * step, dtype=bool)
     pairs = max(1, _BLOCK_FLOATS // gain.shape[1])  # fallback pairs per scan
     for lo in range(0, len(gain), step):
         rows = min(step, len(gain) - lo)
-        size = grid * rows
-        np.subtract(gain[lo:lo + rows].T, tables.bottleneck[:, None], out=laid[:-1, :rows])
-        best = values[1, 0, :size].reshape(grid, rows)
-        np.take(laid[:, :rows], tables.grid_action, axis=0, out=best)
-        second, point = None, np.arange(grid)[:, None]
+        laid = np.vstack([gain[lo:lo + rows].T - tables.bottleneck[:, None],
+                          np.full(rows, -np.inf)])  # last row: no action
+        best = laid[tables.grid_action]
+        second = np.full_like(best, -np.inf)
+        point = np.arange(grid)[:, None].repeat(rows, axis=1)
         for u in range(n):
-            # axes: rate digits before u, digit u, action digits after u, rows
-            shape = (m ** u, m, m ** (n - u - 1), rows)
-            best_in, point_in = best.reshape(shape), point.reshape(shape[:3] + (-1,))
-            second_in = None if second is None else second.reshape(shape)
-            best, second = (v[:size].reshape(shape) for v in values[u % 2])
-            point = points[u % 2, :size].reshape(shape)
-            c, s, w, hit = (x[:size].reshape(shape) for x in (cand, spare, low, beats))
+            # axes: action digit u; action digits after u, rate digits before u; rows
+            best_in, second_in, point_in = (x.reshape(m, -1, rows) for x in (best, second, point))
+            best = second = -np.inf
+            point = 0
             for a in range(m):
                 pen = tables.penalty[u, :, a, None, None]  # over digit u of the rate vector
-                if a == 0:
-                    np.subtract(best_in[:, :1], pen, out=best)
-                    if second_in is None:
-                        second.fill(-np.inf)
-                    else:
-                        np.subtract(second_in[:, :1], pen, out=second)
-                    np.copyto(point, point_in[:, :1])
-                    continue
-                np.subtract(best_in[:, a:a + 1], pen, out=c)
-                if second_in is not None:
-                    np.subtract(second_in[:, a:a + 1], pen, out=s)
-                    np.maximum(second, s, out=second)
-                np.minimum(best, c, out=w)
-                np.maximum(second, w, out=second)
-                np.greater(c, best, out=hit)
-                np.copyto(point, point_in[:, a:a + 1], where=hit)
-                np.maximum(best, c, out=best)
-        gap = cand[:size].reshape(grid, rows)
+                cand = best_in[a] - pen
+                second = np.maximum(np.maximum(second, second_in[a] - pen),
+                                    np.minimum(best, cand))
+                point = np.where(cand > best, point_in[a], point)
+                best = np.maximum(best, cand)
+            best, second, point = (x.transpose(1, 0, 2) for x in (best, second, point))
+        choice[:, lo:lo + rows] = tables.grid_action[point.reshape(grid, rows)]
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, not certified
-            np.subtract(best.reshape(grid, rows), second.reshape(grid, rows), out=gap)
-        out = choice[:, lo:lo + rows]
-        np.take(tables.grid_action, point.reshape(grid, rows), out=out)
-        vec, row = np.nonzero(~(gap > bound))
+            vec, row = np.nonzero(~(best - second > bound).reshape(grid, rows))
         buf = np.empty((min(pairs, len(vec)), gain.shape[1]))
         for p in range(0, len(vec), pairs):
             v, r = vec[p:p + pairs], row[p:p + pairs]
             pick = np.empty(len(v), dtype=np.int64)
             _scan(gain[lo + r], tables.variation_by_action[v], tables, buf[:len(v)], pick)
-            out[v, r] = pick
+            choice[v, lo + r] = pick
 
 
 def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarray]:
