@@ -359,7 +359,7 @@ def test_out_of_region_representative_refused_by_every_command(tmp_path, capsys)
     assert not (tmp_path / "t.ptab").exists()
 
 
-# ids as before the non-numeric cases were added
+# the first five ids are the ones pytest gave the three-parameter form
 @pytest.mark.parametrize("field, value, where, need", [
     pytest.param("transition entries", float("nan"),
                  lambda data: (data["channel"]["transition"][1], -1), "finite",
