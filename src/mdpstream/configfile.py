@@ -58,12 +58,13 @@ _SCENARIO_FIELDS = _schema(ScenarioConfig, built=("ladder", "channel", "profit")
 _PROFIT_FIELDS = _schema(ProfitParams)
 _SCENARIO_KEYS = {"ladder_kbps", "channel", "profit", *_SCENARIO_FIELDS}
 _CHANNEL_KEYS = {"transition", "state_bandwidth_kbps", "boundaries_kbps"}
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader  # libyaml if built
 
 
 def read_yaml(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
     except OSError as err:
         raise ConfigurationError(f"cannot read {path}: {err}") from err
     except yaml.YAMLError as err:

@@ -304,13 +304,11 @@ def _backup(tables: _ActionTables, v_next: np.ndarray) -> tuple[np.ndarray, np.n
     writes touch separate buffers, so within-sweep updates cannot leak.
 
     Every q element is ``((playbuf + future) - variation) - bottleneck``,
-    and each future term is its own matvec (a single gemm rounds
-    differently), so values and first-maximizer choices match a
-    full-tensor reduction (``tests/support.full_tensor_backup``) bit for bit.
+    its future term from one stacked matmul per sweep, which numpy runs as
+    one gemv per action (never one gemm, which rounds differently), so values
+    and choices match ``tests/support.full_tensor_backup`` bit for bit.
     """
-    future = np.stack(
-        [tables.joint_channel @ v_next[i] for i in tables.action_multi], axis=1
-    )
+    future = np.matmul(tables.joint_channel, v_next[tables.action_multi, :, None])[..., 0].T
     return _best(tables.expected_playbuf_by_action + future, tables)
 
 

@@ -11,9 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import economics
+from . import economics, mdp
 from .economics import DerivedConstants, ProfitParams, derive_constants
-from .mdp import variation_table
 from .model import (ChannelModel, ConfigurationError, QualityLadder, _require, _require_finite,
                     left_sum)
 from .policies import IdealOracle, Myopic, Proposed, check_channel_indices, solve_ideal
@@ -174,9 +173,16 @@ def channel_paths(config: ScenarioConfig, runs: Sequence[int]) -> np.ndarray:
     Each user's generator draws the initial state from the stationary
     distribution, then one uniform per step.
     """
-    channel = config.channel
+    channel, horizon, n = config.channel, config.horizon, config.num_users
+    # float64 draws, int64 paths, every float64 trace column but channel_state (the paths)
+    needed = 8 * len(runs) * (n * (2 * (horizon + 1) + (len(USER_COLUMNS) - 1) * horizon)
+                              + 2 * horizon)
+    _require(needed <= mdp.DEFAULT_MEMORY_CAP_BYTES,
+             f"simulating {len(runs)} runs x horizon {horizon} x {n} users needs {needed} "
+             f"bytes, over the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer "
+             "runs or a shorter horizon")
     draws = np.array([
-        [rng.random(config.horizon + 1) for rng in user_rngs(config.rng_seed, run, config.num_users)]
+        [rng.random(horizon + 1) for rng in user_rngs(config.rng_seed, run, n)]
         for run in runs
     ])  # (runs, users, horizon + 1)
     stationary_cum = np.cumsum(channel.stationary_distribution())
@@ -290,7 +296,7 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     costs = [economics.buffering_cost(r, e, params, consts) for r, e in keys.view(float).tolist()]
     buffering[short] = np.array(costs)[which.reshape(-1)]
     prev = np.concatenate([np.full((runs, 1, n), config.initial_rate_index), chosen[:, :-1]], axis=1)
-    var_cost = variation_table(ladder, params, consts)[prev, chosen]
+    var_cost = mdp.variation_table(ladder, params, consts)[prev, chosen]
     charge = np.zeros((runs, horizon))  # an infinite price rations the cap, never bills it
     if math.isfinite(params.congestion_price):  # one bottleneck_cost per distinct rate vector
         vectors, which = np.unique(rates.reshape(-1, n), axis=0, return_inverse=True)

@@ -258,6 +258,13 @@ def full_tensor_backup(tables, v_next):
     return values, q.argmax(axis=0), ties
 
 
+def per_action_future(tables, v_next):
+    """The future term of one sweep, (channel vectors, actions), as one
+    ``joint_channel @ v_next[i]`` matvec per action stacked by a Python
+    list: the bits ``mdp._backup``'s one stacked matmul must reproduce."""
+    return np.stack([tables.joint_channel @ v_next[i] for i in tables.action_multi], axis=1)
+
+
 # --------------------- reference hindsight planner ---------------------
 
 

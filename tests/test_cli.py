@@ -1,13 +1,14 @@
 """End-to-end command line checks on a small scenario."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from mdpstream import cli
+from mdpstream import cli, mdp
 from mdpstream.cli import (
     ExperimentSpec,
     _csv_line,
@@ -466,6 +467,30 @@ def test_malformed_experiment_file_names_the_form(tmp_path, capsys, fields, form
     rc = main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert form in capsys.readouterr().err
+
+
+def test_oversized_run_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    save_scenario(fair_scenario(), str(tmp_path / "s.cfg"))
+    spec_path = tmp_path / "exp.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "scenario": "s.cfg", "arms": ["myopic"],
+        "sweep": {"axis": "horizon", "values": [20000]},
+    }), encoding="utf-8")
+    # 15 runs x 2 users x horizon 20,000 hold 52.8 MB of cell arrays (about
+    # 100 MB at their peak) against a cap of 1 MB
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        rc = main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "15 runs x horizon 20000 x 2 users needs 52800480 bytes" in err
+    assert f"over the memory cap of {1 << 20} bytes; use fewer runs or a shorter horizon" in err
+    assert peak < 1 << 20
+    assert not list((tmp_path / "o").rglob("*.csv"))
 
 
 def test_horizon_sweep_values_must_be_whole():

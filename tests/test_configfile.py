@@ -150,6 +150,54 @@ def test_not_yaml_rejected(tmp_path):
         load_scenario(str(path))
 
 
+# YAML forms a hand-written run spec may use: flow and block collections,
+# ints, floats, exponents, infinities, nulls, 1.1 booleans, quotes, comments
+RUN_SPEC = """\
+scenario: "fair.cfg"  # beside this file
+arms: [proposed, myopic, 'ideal']
+sweep:
+  axis: rate_cap
+  values:
+    - 600
+    - 850.0
+    - 1.0e+3
+    - .inf
+    - -.INF
+notes: {draft: yes, owner: ~, retries: 0x1F, ratio: 1e3}
+"""
+
+
+@pytest.mark.parametrize("name", [*sorted(path.name for path in BUNDLED.glob("*.cfg")),
+                                  "exp.yaml"])
+def test_libyaml_reads_what_the_python_loader_reads(tmp_path, name):
+    path = BUNDLED / name
+    if name == "exp.yaml":
+        path = tmp_path / name
+        path.write_text(RUN_SPEC, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        want = yaml.load(fh, Loader=yaml.SafeLoader)
+    # repr tells 1 from 1.0 and True from 1, which == does not
+    assert repr(configfile.read_yaml(str(path))) == repr(want)
+
+
+def test_loader_is_libyaml_where_built():
+    # a PyYAML built with libyaml must not fall back to the Python parser unseen
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert configfile._LOADER is want
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("scenario: fair.cfg\n\tarms: [myopic]\n", id="tab-indent"),
+    pytest.param("scenario: fair.cfg\narms: [myopic\n", id="unclosed-bracket"),
+])
+def test_malformed_yaml_names_the_file(tmp_path, text):
+    path = tmp_path / "exp.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError) as err:
+        configfile.read_yaml(str(path))
+    assert str(err.value).startswith(f"{path} is not valid YAML: ")
+
+
 def test_non_mapping_rejected(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text("- just\n- a\n- list\n", encoding="utf-8")

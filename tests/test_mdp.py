@@ -28,6 +28,7 @@ from support import (
     make_channel,
     make_ladder,
     make_params,
+    per_action_future,
     random_instance,
 )
 
@@ -389,6 +390,30 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
             assert np.any(np.signbit(tables.bottleneck))
         else:
             assert ties > 0 if instance is _symmetric_instance else charged > 0
+
+
+@pytest.mark.parametrize("users, cap", [(2, 850.0), (3, 1275.0), (4, 1700.0)])
+def test_stacked_future_term_equals_per_action_matvecs(fair_config, monkeypatch, users, cap):
+    # _backup hands _best the gain playbuf + future; an equal gain from the
+    # same playbuf means a bit-identical future term
+    tables = _workload_tables(fair_config, users, (1 / users,) * users, cap)
+    gains = []
+    best = mdp._best
+
+    def recording(gain, tables):
+        gains.append(gain)
+        return best(gain, tables)
+
+    monkeypatch.setattr(mdp, "_best", recording)
+    rng = np.random.default_rng(18)
+    shape = (tables.num_rate_vectors, tables.num_chan_vectors)
+    v_next = np.zeros(shape)
+    for _ in range(3):  # random values, then the solve's own from zero
+        for v in (rng.normal(scale=30.0, size=shape), v_next):
+            values = mdp._backup(tables, v)[0]
+            want = tables.expected_playbuf_by_action + per_action_future(tables, v)
+            assert gains.pop().tobytes() == want.tobytes()
+        v_next = values
 
 
 def _record_scans(monkeypatch):

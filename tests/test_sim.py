@@ -9,7 +9,7 @@ import pytest
 
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
-from mdpstream import sim
+from mdpstream import mdp, sim
 from mdpstream.model import ConfigurationError
 from mdpstream.policies import IdealOracle, Myopic, Proposed
 from mdpstream.sim import (
@@ -412,6 +412,24 @@ def test_channel_paths_match_scalar_draws(fair_config):
                 state = min(int(np.searchsorted(cumulative[state], draw, side="right")), 3)
                 path.append(state)
             assert paths[row, :, user].tolist() == path
+
+
+def test_cell_memory_guard_counts_the_cell_arrays(fair_config, monkeypatch):
+    # the float64 draws are the size of the int64 paths; channel_state is a
+    # view of the paths, every other trace column an array of its own
+    config = fair_config.with_horizon(30)
+    paths = channel_paths(config, range(3))
+    trace = simulate(config, Myopic(ladder=config.ladder), paths)
+    assert np.shares_memory(trace.channel_state, paths)
+    held = 2 * paths.nbytes + sum(column.nbytes for name, column in vars(trace).items()
+                                  if name != "channel_state")
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", held)
+    assert np.array_equal(channel_paths(config, range(3)), paths)
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", held - 1)
+    with pytest.raises(ConfigurationError, match=(
+            f"3 runs x horizon 30 x 2 users needs {held} bytes, over the memory cap of "
+            f"{held - 1} bytes; use fewer runs or a shorter horizon")):
+        channel_paths(config, range(3))
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
