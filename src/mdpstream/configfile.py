@@ -58,7 +58,7 @@ _SCENARIO_FIELDS = _schema(ScenarioConfig, built=("ladder", "channel", "profit")
 _PROFIT_FIELDS = _schema(ProfitParams)
 _SCENARIO_KEYS = {"ladder_kbps", "channel", "profit", *_SCENARIO_FIELDS}
 _CHANNEL_KEYS = {"transition", "state_bandwidth_kbps", "boundaries_kbps"}
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader  # libyaml if built
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader  # C parser if built
 
 
 def read_yaml(path: str) -> dict:
