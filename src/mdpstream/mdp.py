@@ -318,8 +318,6 @@ def backward_induction(
     params: ProfitParams,
     consts: DerivedConstants,
     horizon: int,
-    *,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> PolicyTable:
     """Solve the finite-horizon adaptation problem by backward induction.
 
@@ -329,7 +327,7 @@ def backward_induction(
     smallest rate vector, so solves are fully deterministic.
 
     A sweep's working memory is bounded; the returned table grows with
-    states x horizon, so one over ``memory_cap_bytes`` is refused up front.
+    states x horizon, so one over ``DEFAULT_MEMORY_CAP_BYTES`` is refused up front.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be at least 1, got {horizon}")
@@ -339,10 +337,10 @@ def backward_induction(
     id_dtype = np.min_scalar_type(num_actions - 1)
     # float64 values, an action id per (epoch, state), the int64 digit list
     needed = size * (8 * (horizon + 1) + id_dtype.itemsize * horizon) + 8 * n * num_actions
-    if needed > memory_cap_bytes:
+    if needed > DEFAULT_MEMORY_CAP_BYTES:
         raise ConfigurationError(
-            f"policy table needs {needed} bytes ({size} states x horizon {horizon}), over "
-            f"the memory cap of {memory_cap_bytes} bytes; use fewer users or a shorter horizon"
+            f"policy table needs {needed} bytes ({size} states x horizon {horizon}), over the "
+            f"memory cap of {DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer users or a shorter horizon"
         )
 
     tables = _action_tables(ladder, channel, params, consts, n)

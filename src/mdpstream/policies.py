@@ -12,7 +12,7 @@ import numpy as np
 from .economics import DerivedConstants, ProfitParams
 from . import mdp
 from .mdp import PolicyTable
-from .model import ChannelModel, QualityLadder
+from .model import ChannelModel, QualityLadder, _require
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,13 @@ def solve_ideal(
     pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio for c in visited])
     where = where.reshape(runs, horizon)
 
-    plan = np.empty((horizon, tables.num_rate_vectors, runs),
-                    dtype=np.min_scalar_type(len(tables.action_digits) - 1))
+    id_dtype = np.min_scalar_type(len(tables.action_digits) - 1)
+    needed = horizon * tables.num_rate_vectors * runs * id_dtype.itemsize
+    _require(needed <= mdp.DEFAULT_MEMORY_CAP_BYTES,
+             f"the hindsight plan for {runs} runs x horizon {horizon} needs {needed} bytes, over "
+             f"the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer runs or a "
+             "shorter horizon")
+    plan = np.empty((horizon, tables.num_rate_vectors, runs), dtype=id_dtype)
     v_next = np.zeros((tables.num_rate_vectors, runs))
     for t in range(horizon - 1, -1, -1):
         v_next, plan[t] = mdp._best(pay_of[where[:, t]] + v_next[tables.action_multi].T, tables)

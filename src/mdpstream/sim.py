@@ -5,8 +5,9 @@ runs of a cell are held together as (runs, horizon, users) arrays."""
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -138,18 +139,6 @@ def user_rngs(seed: int, run_index: int, num_users: int) -> list[np.random.Gener
     ]
 
 
-def _walk(channel: ChannelModel, first: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Markov paths from the states ``first`` (any shape), one step per draw
-    along the last axis of ``draws``; shaped ``first.shape + (steps + 1,)``."""
-    k, steps = channel.num_states, draws.shape[-1]
-    # every state's successor at every step: searchsorted(row, draw, "right"), capped
-    below = np.cumsum(channel.transition, axis=1) <= draws[..., None, None]
-    successor = np.minimum(below.sum(axis=-1), k - 1).reshape(np.size(first), steps, k).tolist()
-    paths = [list(accumulate(table, lambda state, row: row[state], initial=start))
-             for start, table in zip(np.ravel(first).tolist(), successor)]
-    return np.array(paths, dtype=np.int64).reshape(np.shape(first) + (steps + 1,))
-
-
 def sample_channel_path(
     channel: ChannelModel,
     initial_state: int,
@@ -158,11 +147,17 @@ def sample_channel_path(
 ) -> np.ndarray:
     """Realized channel states, length ``num_steps + 1`` starting from
     ``initial_state``."""
-    if not 0 <= initial_state < channel.num_states:
+    state, k = operator.index(initial_state), channel.num_states
+    if not 0 <= state < k:
         raise ValueError(f"initial state {initial_state} out of range")
     if num_steps < 0:
         raise ValueError(f"num_steps must be nonnegative, got {num_steps}")
-    return _walk(channel, np.int64(initial_state), rng.random(num_steps))
+    cumulative = np.cumsum(channel.transition, axis=1).tolist()
+    path = [state]
+    for draw in rng.random(num_steps).tolist():
+        state = min(bisect_right(cumulative[state], draw), k - 1)
+        path.append(state)
+    return np.array(path, dtype=np.int64)
 
 
 def channel_paths(config: ScenarioConfig, runs: Sequence[int]) -> np.ndarray:
@@ -171,24 +166,23 @@ def channel_paths(config: ScenarioConfig, runs: Sequence[int]) -> np.ndarray:
     A path depends only on (seed, run, user), never on the policy, so arms
     compared at the same run index face identical bandwidth realizations.
     Each user's generator draws the initial state from the stationary
-    distribution, then one uniform per step.
+    distribution, then walks ``sample_channel_path``.
     """
     channel, horizon, n = config.channel, config.horizon, config.num_users
-    # float64 draws, int64 paths, every float64 trace column but channel_state (the paths)
+    # int64 paths, simulate's float64 raw bandwidths, every trace column but channel_state
     needed = 8 * len(runs) * (n * (2 * (horizon + 1) + (len(USER_COLUMNS) - 1) * horizon)
                               + 2 * horizon)
     _require(needed <= mdp.DEFAULT_MEMORY_CAP_BYTES,
              f"simulating {len(runs)} runs x horizon {horizon} x {n} users needs {needed} "
              f"bytes, over the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer "
              "runs or a shorter horizon")
-    draws = np.array([
-        [rng.random(horizon + 1) for rng in user_rngs(config.rng_seed, run, n)]
-        for run in runs
-    ])  # (runs, users, horizon + 1)
-    stationary_cum = np.cumsum(channel.stationary_distribution())
-    first = np.searchsorted(stationary_cum, draws[..., 0], side="right")
-    first = np.minimum(first, channel.num_states - 1)
-    return np.swapaxes(_walk(channel, first, draws[..., 1:]), 1, 2)
+    paths = np.empty((len(runs), horizon + 1, n), np.int64)
+    stationary_cum = np.cumsum(channel.stationary_distribution()).tolist()
+    for i, run in enumerate(runs):
+        for u, rng in enumerate(user_rngs(config.rng_seed, run, n)):
+            first = min(bisect_right(stationary_cum, rng.random()), channel.num_states - 1)
+            paths[i, :, u] = sample_channel_path(channel, first, horizon, rng)
+    return paths
 
 
 def effective_bandwidth(
@@ -305,13 +299,12 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     weighted = np.array(params.user_priorities) * ((income - buffering) - var_cost)
     profit = left_sum(weighted.T).T - charge
 
-    buffers, stalls = [np.full((runs, n), config.initial_buffer_seconds)], []
+    buffers, stalls = np.empty_like(download), np.empty_like(download)
     for t in range(horizon):
-        level, stall = step_buffer(buffers[-1], config.segment_seconds, download[:, t])
-        buffers.append(level)
-        stalls.append(stall)
-    return Trace(rates, paths[:, 1:], effective, download, np.stack(stalls, axis=1),
-                 np.stack(buffers[1:], axis=1), income, buffering, var_cost, charge, profit)
+        level = buffers[:, t - 1] if t else config.initial_buffer_seconds
+        buffers[:, t], stalls[:, t] = step_buffer(level, config.segment_seconds, download[:, t])
+    return Trace(rates, paths[:, 1:], effective, download, stalls, buffers, income, buffering,
+                 var_cost, charge, profit)
 
 
 def run_session(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,

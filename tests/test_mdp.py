@@ -264,16 +264,18 @@ def test_zero_priority_user_reduces_to_single_user():
                     assert table2.actions(t, *state)[1] == 0
 
 
-def test_solver_rejects_bad_horizon_and_cap():
+def test_solver_rejects_bad_horizon_and_cap(monkeypatch):
     ladder, channel, params, consts = small_model()
     with pytest.raises(ConfigurationError):
         backward_induction(ladder, channel, params, consts, 0)
     # 16 states x horizon 2: 3 value rows of 8 bytes and 2 uint8 action ids,
     # plus the digit list of 4 actions x 2 users at 8 bytes
     needed = 16 * (3 * 8 + 2 * 1) + 4 * 2 * 8
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", needed - 1)
     with pytest.raises(ConfigurationError, match=f"needs {needed} bytes"):
-        backward_induction(ladder, channel, params, consts, 2, memory_cap_bytes=needed - 1)
-    backward_induction(ladder, channel, params, consts, 2, memory_cap_bytes=needed)
+        backward_induction(ladder, channel, params, consts, 2)
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", needed)
+    backward_induction(ladder, channel, params, consts, 2)
     tight = make_params(cap=150.0)
     with pytest.raises(InfeasibleModelError):
         backward_induction(
@@ -583,7 +585,7 @@ def test_table_save_load_round_trip(tmp_path):
     assert (tmp_path / "small.ptab").read_bytes() == (tmp_path / "again.ptab").read_bytes()
 
 
-def test_action_ids_take_the_smallest_unsigned_type(fair_config, fair_table):
+def test_action_ids_take_the_smallest_unsigned_type(fair_config, fair_table, monkeypatch):
     assert (len(fair_table.action_digits), fair_table.action_ids.dtype) == (13, np.uint8)
     # the 4-user benchmark size, counted rather than solved
     four = dataclasses.replace(fair_config.profit, user_priorities=(0.25,) * 4,
@@ -592,10 +594,10 @@ def test_action_ids_take_the_smallest_unsigned_type(fair_config, fair_table):
     # the guard counts 2-byte ids: 20^4 states x (5 float64 values + 4 ids),
     # plus 385 x 4 int64 digits
     needed = 20 ** 4 * (5 * 8 + 4 * 2) + 385 * 4 * 8
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", needed - 1)
     with pytest.raises(ConfigurationError, match=f"needs {needed} bytes"):
         backward_induction(fair_config.ladder, fair_config.channel, four,
-                           derive_constants(fair_config.ladder, fair_config.channel, four), 4,
-                           memory_cap_bytes=needed - 1)
+                           derive_constants(fair_config.ladder, fair_config.channel, four), 4)
 
 
 def test_action_rate_indices_gather_the_full_tensor_choices():

@@ -1,6 +1,7 @@
 """Session simulator: channel sampling, bandwidth sharing, buffers, traces."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -93,6 +94,14 @@ def test_sample_path_with_zero_steps_is_the_start():
     assert (path.dtype, path.tolist()) == (np.int64, [2])
     with pytest.raises(ValueError, match="num_steps must be nonnegative, got -1"):
         sample_channel_path(make_channel(), 2, -1, np.random.default_rng(0))
+
+
+def test_sample_path_refuses_a_non_integer_start():
+    with pytest.raises(TypeError):
+        sample_channel_path(make_channel(), 2.0, 10, np.random.default_rng(0))
+    path = sample_channel_path(make_channel(), np.int64(2), 10, np.random.default_rng(0))
+    assert path.tolist() == sample_channel_path(make_channel(), 2, 10,
+                                                np.random.default_rng(0)).tolist()
 
 
 def test_sample_path_empirical_frequencies_match_matrix():
@@ -415,8 +424,9 @@ def test_channel_paths_match_scalar_draws(fair_config):
 
 
 def test_cell_memory_guard_counts_the_cell_arrays(fair_config, monkeypatch):
-    # the float64 draws are the size of the int64 paths; channel_state is a
-    # view of the paths, every other trace column an array of its own
+    # simulate's float64 raw bandwidths are counted at the size of the int64
+    # paths; channel_state is a view of the paths, every other trace column
+    # an array of its own
     config = fair_config.with_horizon(30)
     paths = channel_paths(config, range(3))
     trace = simulate(config, Myopic(ladder=config.ladder), paths)
@@ -430,6 +440,41 @@ def test_cell_memory_guard_counts_the_cell_arrays(fair_config, monkeypatch):
             f"3 runs x horizon 30 x 2 users needs {held} bytes, over the memory cap of "
             f"{held - 1} bytes; use fewer runs or a shorter horizon")):
         channel_paths(config, range(3))
+
+
+def test_channel_paths_hold_little_more_than_the_paths(fair_config):
+    # 15 runs x 2 users x horizon 20,000: 4.8 MB of int64 paths; a walk that
+    # tabulates every state's successor first peaks near 92 MB
+    config = fair_config.with_horizon(20_000)
+    tracemalloc.start()
+    try:
+        paths = channel_paths(config, range(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * paths.nbytes
+
+
+def test_oversized_ideal_plan_refused_before_allocating(fair_config, monkeypatch):
+    # 4 users at cap 1700: 625 rate vectors and 385 actions, so a uint16 plan
+    # of 400 x 625 x 3 ids is 1.5 MB, while the cell arrays that
+    # channel_paths counts stay under the 1 MiB cap
+    four = replace(fair_config.profit, user_priorities=(0.25,) * 4, total_rate_cap_kbps=1700.0)
+    config = replace(fair_config, profit=four, num_users=4, horizon=400, num_runs=3)
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
+    paths = channel_paths(config, range(3))
+    # build the cached 4-user tables first, so the peak is what this cell allocates
+    mdp._action_tables(config.ladder, config.channel, four, config.derived_constants(), 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=(
+                "the hindsight plan for 3 runs x horizon 400 needs 1500000 bytes, over the "
+                f"memory cap of {1 << 20} bytes; use fewer runs or a shorter horizon")):
+            simulate(config, IdealOracle(), paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
