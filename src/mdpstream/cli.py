@@ -24,10 +24,11 @@ from .mdp import (
     feasible_actions,
     scenario_fingerprint,
 )
-from .metrics import PER_USER_METRICS, SessionSummary, aggregate_runs, summarize
+from .metrics import PER_USER_METRICS, SessionSummary, aggregate_runs, summarize_runs
+from .metrics import summarize  # noqa: F401  (perfbench wraps this name)
 from .model import ConfigurationError, state_space_size
 from .policies import IdealOracle, Myopic, Proposed
-from .sim import USER_COLUMNS, ScenarioConfig, Trace, channel_paths, simulate
+from .sim import USER_COLUMNS, ScenarioConfig, Trace, channel_paths, decide, score
 from .sim import run_session  # noqa: F401  (perfbench traces the sessions under this name)
 
 ARMS = ("proposed", "myopic", "ideal", "client_centric")
@@ -189,6 +190,14 @@ def _write_trace(path: str, header: bytes, texts: np.ndarray, codes: np.ndarray)
     _write_bytes(path, [header, *texts[codes].tolist()])
 
 
+def _write_traces(paths: list[str], header: bytes, trace: Trace) -> None:
+    """Write run i of ``trace`` as CSV to ``paths[i]``, through one
+    ``_trace_text``."""
+    codes, texts = _trace_text(trace)
+    for path, run_codes in zip(paths, codes):
+        _write_trace(path, header, texts, run_codes)
+
+
 def _summary_header(num_users: int) -> list[str]:
     return ["arm", "sweep_axis", "sweep_value", "run", *(
         f"u{u}_{name}" for u in range(1, num_users + 1) for name in PER_USER_METRICS
@@ -230,6 +239,10 @@ def run_experiment(
     summary_rows = [_summary_header(config.num_users)]
     aggregate_rows = [["arm", "sweep_axis", "sweep_value"]]
 
+    runs = range(config.num_runs)
+    longest = max(scenario.horizon for _, scenario in _sweep_configs(config, spec))
+    # every sweep value faces the same paths, a shorter horizon a prefix of them
+    all_paths = channel_paths(config.with_horizon(longest), runs, arms=len(spec.arms))
     for value, scenario in _sweep_configs(config, spec):
         table: PolicyTable | None = None
         if "proposed" in spec.arms:
@@ -251,7 +264,8 @@ def run_experiment(
                     f"policy table {table_path} was solved for another scenario; {fix}"
                 )
 
-        paths = channel_paths(scenario, range(scenario.num_runs))  # shared by every arm
+        paths = all_paths[:, :scenario.horizon + 1]
+        decisions = []
         for arm in spec.arms:
             if arm == "proposed":
                 policy = Proposed(table=table, stationary=stationary)
@@ -259,25 +273,28 @@ def run_experiment(
                 policy = IdealOracle()
             else:  # myopic and client_centric share the client rule
                 policy = Myopic(ladder=scenario.ladder)
+            decisions.append(decide(scenario, policy, paths))
+        # every arm's runs stacked along the run axis, scored and summarized at once
+        trace = score(scenario, np.concatenate(decisions), np.concatenate([paths] * len(spec.arms)))
+        del decisions  # the guard counts the stacked copy only
+        summaries = summarize_runs(trace.rate_kbps, trace.rebuffer_s, trace.stage_profit, scenario,
+                                   [(arm, run) for arm in spec.arms for run in runs])
+        for i, arm in enumerate(spec.arms):
+            cell = slice(i * len(runs), (i + 1) * len(runs))
+            tags = [_cell_tag(arm, spec.sweep_axis, value, run) for run in runs]
+            _write_traces([os.path.join(traces_dir, f"trace_{tag}.csv") for tag in tags],
+                          trace_header, trace.select(cell))
+            summary_rows += [_summary_row(summary, spec.sweep_axis, value)
+                             for summary in summaries[cell]]
 
-            trace = simulate(scenario, policy, paths)
-            codes, texts = _trace_text(trace)
-            summaries = []
-            for run in range(scenario.num_runs):
-                tag = _cell_tag(arm, spec.sweep_axis, value, run)
-                _write_trace(os.path.join(traces_dir, f"trace_{tag}.csv"), trace_header, texts,
-                             codes[run])
-                summary = summarize(trace, scenario, arm=arm, run_index=run)
-                summaries.append(summary)
-                summary_rows.append(_summary_row(summary, spec.sweep_axis, value))
-
-            agg = aggregate_runs(summaries)
+            agg = aggregate_runs(summaries[cell])
             if len(aggregate_rows) == 1:  # the first cell names the columns
                 aggregate_rows[0] += [f"{key}_{stat}" for key in agg for stat in ("mean", "std")]
             row = [arm, spec.sweep_axis, "" if value is None else _fmt(value)]
             for mean, std in agg.values():
                 row += [_fmt(mean), _fmt(std)]
             aggregate_rows.append(row)
+        del trace, summaries  # freed before the next sweep value's pass, not under it
 
     summary_path = os.path.join(out_dir, "summary.csv")
     _write_bytes(summary_path, map(_csv_line, summary_rows))

@@ -434,6 +434,27 @@ class PolicyTable:
         ids = self.action_ids[t, self.state_index(rate_indices, channel_indices)]
         return self.action_digits[ids]
 
+    def walk(self, rate_indices, channel_indices, stationary: bool = False) -> np.ndarray:
+        """Rate indices (runs, horizon, users) of sessions that start from the
+        (runs, users) ``rate_indices`` and observe the (runs, horizon, users)
+        ``channel_indices``: ``actions`` stepped epoch by epoch (row 0 at
+        every epoch when ``stationary``).  A state index splits into a rate
+        part and a channel part; the channel parts are computed for every
+        epoch at once and each action's rate part once, so an epoch is one
+        add and two gathers."""
+        rates, chans = np.asarray(rate_indices), np.asarray(channel_indices)
+        horizon = chans.shape[1]
+        if not stationary and horizon > self.horizon:
+            raise ValueError(f"decision epoch {self.horizon} outside [0, {self.horizon})")
+        chan_part = self.state_index(np.zeros_like(chans), chans).T
+        rate_part = self.state_index(self.action_digits, np.zeros_like(self.action_digits))
+        at = self.state_index(rates, np.zeros_like(rates))
+        ids = np.empty(chan_part.shape, self.action_ids.dtype)
+        for t in range(horizon):
+            ids[t] = self.action_ids[0 if stationary else t][at + chan_part[t]]
+            at = rate_part[ids[t]]
+        return self.action_digits[ids.T]
+
     def save(self, path: str) -> None:
         """Write three ASCII header lines (format tag with format and ordering
         versions, dimensions, ``fingerprint=``), then ``values``,

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .model import left_sum
 from .sim import ScenarioConfig, SegmentRecord, Trace
 
@@ -38,6 +40,38 @@ class SessionSummary:
     profit: float
 
 
+def summarize_runs(
+    rate_kbps: np.ndarray,
+    rebuffer_s: np.ndarray,
+    stage_profit: np.ndarray,
+    config: ScenarioConfig,
+    labels: Sequence[tuple[str, int]],
+) -> list[SessionSummary]:
+    """Summarize every run of (runs, horizon, users) rates and stall times
+    and (runs, horizon) stage profits at once, run i under the (arm, run
+    index) pair ``labels[i]``.  Sums run left to right along the horizon,
+    each run's on its own, so a summary does not depend on which runs are
+    summarized with it."""
+    horizon = stage_profit.shape[1]
+    # left_sum(x.transpose(1, 0, 2)) sums over the horizon axis
+    total_stall = left_sum(rebuffer_s.transpose(1, 0, 2))
+    wall = horizon * config.segment_seconds + total_stall
+    columns = (
+        left_sum(rate_kbps.transpose(1, 0, 2)) / horizon,
+        total_stall / wall,
+        np.count_nonzero(rebuffer_s > 0, axis=1) / wall,
+        total_stall * config.frames_per_second / wall,
+        # Jumps between delivered segments only; the initial rate index is a
+        # solver convention, not a segment.
+        np.count_nonzero(np.abs(np.diff(rate_kbps, axis=1))
+                         >= config.profit.variation_threshold_kbps, axis=1),
+    )
+    per_user = zip(*(map(tuple, column.tolist()) for column in columns))
+    profits = left_sum(stage_profit.T).tolist()
+    return [SessionSummary(arm, run, *fields, profit)
+            for (arm, run), fields, profit in zip(labels, per_user, profits)]
+
+
 def summarize(
     trace: Sequence[SegmentRecord] | Trace,
     config: ScenarioConfig,
@@ -45,45 +79,16 @@ def summarize(
     run_index: int = 0,
 ) -> SessionSummary:
     """Summarize one session: a list of records, or run ``run_index`` of a
-    columnar ``Trace``.  Sums run left to right over Python floats."""
+    columnar ``Trace``, through ``summarize_runs``."""
     names = ("rate_kbps", "rebuffer_s", "stage_profit")
     if isinstance(trace, Trace):
-        rate_rows, stall_rows, profits = (getattr(trace, f)[run_index].tolist() for f in names)
-    else:
-        rate_rows, stall_rows, profits = ([getattr(rec, f) for rec in trace] for f in names)
-    if not profits:
+        columns = [getattr(trace, name)[[run_index]] for name in names]
+    elif not trace:
         raise ValueError("cannot summarize an empty trace")
-    n = config.num_users
-    horizon = len(profits)
-    nominal = horizon * config.segment_seconds
-    threshold = config.profit.variation_threshold_kbps
-
-    avg_bitrate, ratios, events, frames, variations = [], [], [], [], []
-    for u in range(n):
-        rates = [row[u] for row in rate_rows]
-        stalls = [row[u] for row in stall_rows]
-        total_stall = left_sum(stalls)
-        wall = nominal + total_stall
-        avg_bitrate.append(left_sum(rates) / horizon)
-        ratios.append(total_stall / wall)
-        events.append(sum(1 for s in stalls if s > 0) / wall)
-        frames.append(total_stall * config.frames_per_second / wall)
-        # Jumps between delivered segments only; the initial rate index is a
-        # solver convention, not a segment.
-        variations.append(sum(
-            1 for a, b in zip(rates, rates[1:]) if abs(b - a) >= threshold
-        ))
-
-    return SessionSummary(
-        arm=arm,
-        run_index=run_index,
-        avg_bitrate_kbps=tuple(avg_bitrate),
-        buffering_ratio=tuple(ratios),
-        stall_events_per_second=tuple(events),
-        stalled_frames_per_second=tuple(frames),
-        significant_variations=tuple(variations),
-        profit=left_sum(profits),
-    )
+    else:
+        columns = [np.array([[getattr(rec, name) for rec in trace]], dtype=float)
+                   for name in names]
+    return summarize_runs(*columns, config, [(arm, run_index)])[0]
 
 
 def aggregate_runs(

@@ -130,6 +130,10 @@ class Trace:
         shared = (self.bottleneck_cost[run].tolist(), self.stage_profit[run].tolist())
         return [SegmentRecord(t, *row) for t, row in enumerate(zip(*per_user, *shared))]
 
+    def select(self, runs: slice) -> "Trace":
+        """The runs ``runs`` of this trace, every column a view."""
+        return Trace(**{name: column[runs] for name, column in vars(self).items()})
+
 
 def user_rngs(seed: int, run_index: int, num_users: int) -> list[np.random.Generator]:
     """Independent, reproducible per-user generators for one (seed, run)."""
@@ -160,22 +164,30 @@ def sample_channel_path(
     return np.array(path, dtype=np.int64)
 
 
-def channel_paths(config: ScenarioConfig, runs: Sequence[int]) -> np.ndarray:
+def channel_paths(config: ScenarioConfig, runs: Sequence[int], arms: int = 1) -> np.ndarray:
     """Realized channel states of the given runs, (runs, horizon + 1, users).
 
     A path depends only on (seed, run, user), never on the policy, so arms
-    compared at the same run index face identical bandwidth realizations.
-    Each user's generator draws the initial state from the stationary
+    compared at the same run index face identical bandwidth realizations,
+    and a shorter horizon's paths are a prefix of a longer one's.  Each
+    user's generator draws the initial state from the stationary
     distribution, then walks ``sample_channel_path``.
+
+    Before drawing, the cell is refused if ``score`` over ``arms`` arms'
+    decisions stacked on these runs would hold more than the memory cap.
     """
     channel, horizon, n = config.channel, config.horizon, config.num_users
-    # int64 paths, simulate's float64 raw bandwidths, every trace column but channel_state
-    needed = 8 * len(runs) * (n * (2 * (horizon + 1) + (len(USER_COLUMNS) - 1) * horizon)
-                              + 2 * horizon)
+    rows = arms * len(runs)
+    needed = 8 * ((len(runs) + rows) * n * (horizon + 1)  # int64 paths, drawn and stacked
+                  + rows * n * horizon  # int64 decisions
+                  # float64 trace columns; channel_state is a view of the paths
+                  + rows * ((len(USER_COLUMNS) - 1) * n + 2) * horizon
+                  # one epoch's step_buffer arrays, then array headers and cost lists
+                  + 8 * rows * n) + (1 << 16)
     _require(needed <= mdp.DEFAULT_MEMORY_CAP_BYTES,
-             f"simulating {len(runs)} runs x horizon {horizon} x {n} users needs {needed} "
-             f"bytes, over the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer "
-             "runs or a shorter horizon")
+             f"simulating {arms} arm(s) x {len(runs)} runs x horizon {horizon} x {n} users needs "
+             f"{needed} bytes, over the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use "
+             "fewer runs or a shorter horizon")
     paths = np.empty((len(runs), horizon + 1, n), np.int64)
     stationary_cum = np.cumsum(channel.stationary_distribution()).tolist()
     for i, run in enumerate(runs):
@@ -234,70 +246,98 @@ def step_buffer(buffer_s, segment_s: float, download_s):
     return remaining + segment_s, rebuffer
 
 
-def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
-             paths: np.ndarray) -> Trace:
-    """Simulate the runs whose ``channel_paths`` are given, all under one
-    policy arm and all stepping together.
+def _once_per_value(cost, values: np.ndarray) -> np.ndarray:
+    """``cost(v)`` for every element v of ``values``, called once per
+    distinct value.  The distinct values come from one sort: without an
+    inverse, ``np.unique`` hashes instead and imports ``numpy.ma``, about
+    2 MB of resident memory."""
+    keys = np.sort(values, axis=None)
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    costs = np.array([cost(key) for key in keys.tolist()], dtype=float)
+    return costs[np.searchsorted(keys, values)]
 
-    Decisions come first: one plan for all runs (ideal), or one step per
-    epoch over the whole (runs, users) array from each run's previous rates
-    (proposed: a table gather on the state; myopic: the bandwidth the
-    previous segment was delivered, a function of that state).  The rest is
-    one pass over the horizon; only the buffer recurrence steps per epoch.
-    Profit is scored against the delivered bandwidth.  Sums over users run
-    left to right from 0.0 and costs come from the scalar economics
-    functions, so a run's numbers do not depend on which other runs step
-    with it.
-    """
-    consts = config.derived_constants()
-    params, ladder, channel = config.profit, config.ladder, config.channel
+
+def decide(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
+           paths: np.ndarray) -> np.ndarray:
+    """Rate indices (runs, horizon, users) that one policy arm chooses on the
+    runs whose ``channel_paths`` are given: one plan for all runs (ideal), a
+    walk of the solved table (proposed), or one step per epoch over the
+    whole (runs, users) array from the bandwidth each user's previous
+    segment was delivered (myopic)."""
     runs, horizon, n = len(paths), config.horizon, config.num_users
     if paths.shape != (runs, horizon + 1, n):
         raise ValueError(f"paths shaped {paths.shape}, expected (runs, {horizon + 1}, {n})")
-    check_channel_indices(paths, channel.num_states)
+    check_channel_indices(paths, config.channel.num_states)
+    if isinstance(policy, IdealOracle):
+        return solve_ideal(paths, (config.initial_rate_index,) * n, config.ladder, config.channel,
+                           config.profit, config.derived_constants())
+    if isinstance(policy, Proposed):
+        start = np.full((runs, n), config.initial_rate_index)
+        return policy.table.walk(start, paths[:, :-1], policy.stationary)
+    if not isinstance(policy, Myopic):
+        raise TypeError(f"unknown policy {policy!r}")
+    rate_of = np.array(config.ladder.rates)
+    raw = np.array(config.channel.state_bandwidth)[paths[:, 1:-1]]
+    chosen = np.empty((runs, horizon, n), dtype=np.int64)
+    chosen[:, 0] = policy.decide(None)
+    for t in range(1, horizon):
+        chosen[:, t] = policy.decide(effective_bandwidth(
+            rate_of[chosen[:, t - 1]], raw[:, t - 1], config.profit.total_rate_cap_kbps,
+            config.sharing_mode))
+    return chosen
+
+
+def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trace:
+    """Score the rate indices ``chosen`` (rows, horizon, users) on the runs
+    whose ``channel_paths`` are given, row by row: the delivered bandwidth,
+    income, costs, charge and profit in one pass over the horizon, then the
+    buffer recurrence one ``step_buffer`` per epoch.
+
+    Profit is scored against the delivered bandwidth.  Sums over users run
+    left to right from 0.0 and costs come from the scalar economics
+    functions, so a row's numbers do not depend on which other rows (other
+    runs, or other arms' decisions stacked on the same runs) step with it.
+    Whole-cell temporaries are freed before the buffer loop, so the pass
+    holds no more than ``channel_paths`` counts for its rows.
+    """
+    consts = config.derived_constants()
+    params, ladder, n = config.profit, config.ladder, config.num_users
+    rows, horizon = len(chosen), config.horizon
+    if chosen.shape != (rows, horizon, n) or paths.shape != (rows, horizon + 1, n):
+        raise ValueError(f"decisions shaped {chosen.shape} and paths {paths.shape}, expected "
+                         f"(rows, {horizon}, {n}) and (rows, {horizon + 1}, {n})")
 
     rate_of = np.array(ladder.rates)
-    raw = np.array(channel.state_bandwidth)[paths[:, 1:]]
-    cap = params.total_rate_cap_kbps
-    if isinstance(policy, IdealOracle):
-        chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
-                             ladder, channel, params, consts)
-    elif isinstance(policy, (Proposed, Myopic)):
-        chosen = np.empty((runs, horizon, n), dtype=np.int64)
-        prev = np.full((runs, n), config.initial_rate_index)
-        for t in range(horizon):
-            if isinstance(policy, Proposed):
-                chosen[:, t] = policy.decide(t, prev, paths[:, t])
-            else:
-                chosen[:, t] = policy.decide(None if t == 0 else effective_bandwidth(
-                    rate_of[prev], raw[:, t - 1], cap, config.sharing_mode))
-            prev = chosen[:, t]
-    else:
-        raise TypeError(f"unknown policy {policy!r}")
-
     rates = rate_of[chosen]
-    effective = effective_bandwidth(rates, raw, cap, config.sharing_mode)
+    effective = effective_bandwidth(rates, np.array(config.channel.state_bandwidth)[paths[:, 1:]],
+                                    params.total_rate_cap_kbps, config.sharing_mode)
     download = rates * config.segment_seconds / effective
     short = rates > effective
     # playback_income depends on the rate alone once the rate is carried
     income_of = np.array([economics.playback_income(r, r, params, consts) for r in ladder.rates])
     income = np.where(short, 0.0, income_of[chosen])
-    # one scalar buffering_cost per distinct (rate, delivered) bit pair;
-    # np.log may round unlike math.log
-    buffering = np.zeros((runs, horizon, n))
-    pairs = np.stack([rates[short], effective[short]], axis=1)
-    keys, which = np.unique(pairs.view(np.int64), axis=0, return_inverse=True)
-    costs = [economics.buffering_cost(r, e, params, consts) for r, e in keys.view(float).tolist()]
-    buffering[short] = np.array(costs)[which.reshape(-1)]
-    prev = np.concatenate([np.full((runs, 1, n), config.initial_rate_index), chosen[:, :-1]], axis=1)
-    var_cost = mdp.variation_table(ladder, params, consts)[prev, chosen]
-    charge = np.zeros((runs, horizon))  # an infinite price rations the cap, never bills it
+    # one scalar buffering_cost per rung and distinct delivered bandwidth
+    # (positive, so distinct values are distinct bits); np.log may round
+    # unlike math.log
+    buffering = np.zeros((rows, horizon, n))
+    for i, rate in enumerate(ladder.rates):
+        at = short & (chosen == i)
+        buffering[at] = _once_per_value(
+            lambda e: economics.buffering_cost(rate, e, params, consts), effective[at])
+    del short, at
+    var_cost = np.empty((rows, horizon, n))
+    variation = mdp.variation_table(ladder, params, consts)
+    var_cost[:, 0] = variation[config.initial_rate_index, chosen[:, 0]]
+    var_cost[:, 1:] = variation[chosen[:, :-1], chosen[:, 1:]]
+    charge = np.zeros((rows, horizon))  # an infinite price rations the cap, never bills it
     if math.isfinite(params.congestion_price):  # one bottleneck_cost per distinct rate vector
-        vectors, which = np.unique(rates.reshape(-1, n), axis=0, return_inverse=True)
-        costs = [economics.bottleneck_cost(v, params) for v in vectors.tolist()]
-        charge = np.array(costs)[which.reshape(-1)].reshape(runs, horizon)
+        shape = (len(ladder),) * n
+        charge = _once_per_value(lambda code: economics.bottleneck_cost(
+            [ladder.rates[d] for d in np.unravel_index(code, shape)], params),
+            np.ravel_multi_index(np.moveaxis(chosen, -1, 0), shape))
     weighted = np.array(params.user_priorities) * ((income - buffering) - var_cost)
     profit = left_sum(weighted.T).T - charge
+    del weighted
 
     buffers, stalls = np.empty_like(download), np.empty_like(download)
     for t in range(horizon):
@@ -305,6 +345,13 @@ def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
         buffers[:, t], stalls[:, t] = step_buffer(level, config.segment_seconds, download[:, t])
     return Trace(rates, paths[:, 1:], effective, download, stalls, buffers, income, buffering,
                  var_cost, charge, profit)
+
+
+def simulate(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
+             paths: np.ndarray) -> Trace:
+    """Simulate the runs whose ``channel_paths`` are given, all under one
+    policy arm: its ``decide``, then one ``score`` pass."""
+    return score(config, decide(config, policy, paths), paths)
 
 
 def run_session(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,

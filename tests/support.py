@@ -19,8 +19,11 @@ from mdpstream.economics import (
     smoothness_cost,
     bottleneck_cost,
 )
-from mdpstream.mdp import _ActionTables, feasible_actions
-from mdpstream.model import ChannelModel, QualityLadder
+from mdpstream.mdp import _ActionTables, feasible_actions, variation_table
+from mdpstream.metrics import SessionSummary
+from mdpstream.model import ChannelModel, QualityLadder, left_sum
+from mdpstream.policies import IdealOracle, Proposed, solve_ideal
+from mdpstream.sim import Trace, effective_bandwidth, step_buffer
 
 
 def make_ladder(rates=(95.11, 183.53, 364.63, 493.02, 798.09)):
@@ -370,3 +373,87 @@ def reference_write_trace(path, trace, num_users):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# --------------------- reference simulator and summaries ---------------------
+
+
+def reference_simulate(config, policy, paths):
+    """One policy arm's ``Trace`` from its own decisions and its own scoring,
+    stepped per epoch: the proposed arm through ``PolicyTable.actions``,
+    then the buffers one ``step_buffer`` per epoch.  The stacked scoring
+    pass and the proposed arm's index walk must match it bit for bit."""
+    consts = config.derived_constants()
+    params, ladder, channel = config.profit, config.ladder, config.channel
+    runs, horizon, n = len(paths), config.horizon, config.num_users
+
+    rate_of = np.array(ladder.rates)
+    raw = np.array(channel.state_bandwidth)[paths[:, 1:]]
+    cap = params.total_rate_cap_kbps
+    if isinstance(policy, IdealOracle):
+        chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
+                             ladder, channel, params, consts)
+    else:
+        chosen = np.empty((runs, horizon, n), dtype=np.int64)
+        prev = np.full((runs, n), config.initial_rate_index)
+        for t in range(horizon):
+            if isinstance(policy, Proposed):
+                chosen[:, t] = policy.decide(t, prev, paths[:, t])
+            else:
+                chosen[:, t] = policy.decide(None if t == 0 else effective_bandwidth(
+                    rate_of[prev], raw[:, t - 1], cap, config.sharing_mode))
+            prev = chosen[:, t]
+
+    rates = rate_of[chosen]
+    effective = effective_bandwidth(rates, raw, cap, config.sharing_mode)
+    download = rates * config.segment_seconds / effective
+    short = rates > effective
+    income_of = np.array([playback_income(r, r, params, consts) for r in ladder.rates])
+    income = np.where(short, 0.0, income_of[chosen])
+    buffering = np.zeros((runs, horizon, n))
+    pairs = np.stack([rates[short], effective[short]], axis=1)
+    keys, which = np.unique(pairs.view(np.int64), axis=0, return_inverse=True)
+    costs = [buffering_cost(r, e, params, consts) for r, e in keys.view(float).tolist()]
+    buffering[short] = np.array(costs)[which.reshape(-1)]
+    prev = np.concatenate([np.full((runs, 1, n), config.initial_rate_index), chosen[:, :-1]],
+                          axis=1)
+    var_cost = variation_table(ladder, params, consts)[prev, chosen]
+    charge = np.zeros((runs, horizon))
+    if np.isfinite(params.congestion_price):
+        vectors, which = np.unique(rates.reshape(-1, n), axis=0, return_inverse=True)
+        costs = [bottleneck_cost(v, params) for v in vectors.tolist()]
+        charge = np.array(costs)[which.reshape(-1)].reshape(runs, horizon)
+    weighted = np.array(params.user_priorities) * ((income - buffering) - var_cost)
+    profit = left_sum(weighted.T).T - charge
+
+    buffers, stalls = np.empty_like(download), np.empty_like(download)
+    for t in range(horizon):
+        level = buffers[:, t - 1] if t else config.initial_buffer_seconds
+        buffers[:, t], stalls[:, t] = step_buffer(level, config.segment_seconds, download[:, t])
+    return Trace(rates, paths[:, 1:], effective, download, stalls, buffers, income, buffering,
+                 var_cost, charge, profit)
+
+
+def reference_summarize(records, config, arm="", run_index=0):
+    """One session's ``SessionSummary`` from its list of records, each sum
+    taken left to right over Python floats, one user at a time.  The
+    batched ``metrics.summarize_runs`` must equal it on every field."""
+    rate_rows = [rec.rate_kbps for rec in records]
+    stall_rows = [rec.rebuffer_s for rec in records]
+    profits = [rec.stage_profit for rec in records]
+    horizon = len(profits)
+    nominal = horizon * config.segment_seconds
+    threshold = config.profit.variation_threshold_kbps
+    avg_bitrate, ratios, events, frames, variations = [], [], [], [], []
+    for u in range(config.num_users):
+        rates = [row[u] for row in rate_rows]
+        stalls = [row[u] for row in stall_rows]
+        total_stall = left_sum(stalls)
+        wall = nominal + total_stall
+        avg_bitrate.append(left_sum(rates) / horizon)
+        ratios.append(total_stall / wall)
+        events.append(sum(1 for s in stalls if s > 0) / wall)
+        frames.append(total_stall * config.frames_per_second / wall)
+        variations.append(sum(1 for a, b in zip(rates, rates[1:]) if abs(b - a) >= threshold))
+    return SessionSummary(arm, run_index, tuple(avg_bitrate), tuple(ratios), tuple(events),
+                          tuple(frames), tuple(variations), left_sum(profits))

@@ -1,6 +1,7 @@
 """End-to-end command line checks on a small scenario."""
 
 import csv
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mdpstream import cli, mdp
+from mdpstream import cli, mdp, sim
 from mdpstream.cli import (
     ExperimentSpec,
     _csv_line,
@@ -302,6 +303,82 @@ def test_rate_cap_sweep(workspace):
     assert "trace_proposed_rate_cap600_run0.csv" in names
 
 
+def test_one_scoring_pass_per_sweep_value(workspace, monkeypatch):
+    # the arms' decisions are stacked and scored together, so step_buffer
+    # steps once per epoch of each sweep value, not once per arm; the paths
+    # are drawn once per run call, at the longest horizon
+    tmp, scenario_path, _, tables = workspace
+    assert main(["solve", "--config", str(scenario_path), "--rate-cap", "600",
+                 "--out", str(tables / table_filename("small", 600.0, 6))]) == 0
+    calls = {"step_buffer": 0, "channel_paths": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(sim, "step_buffer")
+    counted(cli, "channel_paths")
+    # no tables at the swept horizons, so that sweep runs the client-side arms
+    for axis, values, arms, epochs in (
+            ("rate_cap", [850, 600], ["proposed", "myopic", "ideal"], 6 + 6),
+            ("horizon", [4, 2], ["myopic", "ideal"], 4 + 2)):
+        calls.update(step_buffer=0, channel_paths=0)
+        spec_path = tmp / f"{axis}.yaml"
+        spec_path.write_text(yaml.safe_dump({
+            "scenario": "small.cfg", "arms": arms, "sweep": {"axis": axis, "values": values},
+        }), encoding="utf-8")
+        assert main(["run", "--spec", str(spec_path), "--out-dir", str(tmp / axis),
+                     "--tables-dir", str(tables)]) == 0
+        assert calls == {"step_buffer": epochs, "channel_paths": 1}, axis
+
+
+def test_horizon_sweep_traces_equal_runs_at_each_horizon(tmp_path):
+    # paths drawn at the longest horizon and cut to a shorter one give the
+    # files a run at that horizon alone writes
+    for horizon in (3, 7):
+        save_scenario(fair_scenario(horizon=horizon, num_runs=2, name="h"),
+                      str(tmp_path / f"h{horizon}.cfg"))
+        (tmp_path / f"h{horizon}.yaml").write_text(yaml.safe_dump(
+            {"scenario": f"h{horizon}.cfg", "arms": ["myopic", "ideal"]}), encoding="utf-8")
+        assert main(["run", "--spec", str(tmp_path / f"h{horizon}.yaml"),
+                     "--out-dir", str(tmp_path / f"alone{horizon}")]) == 0
+    (tmp_path / "sweep.yaml").write_text(yaml.safe_dump({
+        "scenario": "h3.cfg", "arms": ["myopic", "ideal"],
+        "sweep": {"axis": "horizon", "values": [7, 3]},
+    }), encoding="utf-8")
+    assert main(["run", "--spec", str(tmp_path / "sweep.yaml"),
+                 "--out-dir", str(tmp_path / "sweep")]) == 0
+    for horizon in (3, 7):
+        for arm in ("myopic", "ideal"):
+            for run in (0, 1):
+                alone = tmp_path / f"alone{horizon}" / "traces" / f"trace_{arm}_run{run}.csv"
+                swept = (tmp_path / "sweep" / "traces"
+                         / f"trace_{arm}_horizon{horizon}_run{run}.csv")
+                assert swept.read_bytes() == alone.read_bytes(), (horizon, arm, run)
+
+
+def test_three_arm_run_refused_where_one_arm_passes(tmp_path, capsys, monkeypatch):
+    # the guard counts every arm stacked into the scoring pass
+    save_scenario(fair_scenario(horizon=50, num_runs=4), str(tmp_path / "s.cfg"))
+    for name, arms in (("one", ["myopic"]), ("three", ["myopic", "client_centric", "ideal"])):
+        (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(
+            {"scenario": "s.cfg", "arms": arms}), encoding="utf-8")
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 0)
+    run = ["run", "--out-dir", str(tmp_path / "out"), "--spec"]
+    assert main(run + [str(tmp_path / "one.yaml")]) == 1
+    one = int(re.search(r"needs (\d+) bytes", capsys.readouterr().err).group(1))
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", one)
+    assert main(run + [str(tmp_path / "one.yaml")]) == 0
+    assert main(run + [str(tmp_path / "three.yaml")]) == 1
+    assert "simulating 3 arm(s) x 4 runs x horizon 50 x 2 users needs" in capsys.readouterr().err
+    assert len(list((tmp_path / "out" / "traces").iterdir())) == 4  # the one-arm run's
+
+
 def test_validate_accepts_bundled_scenarios(capsys):
     assert main(["validate", "--config", str(BUNDLED / "fair.cfg")]) == 0
     out = capsys.readouterr().out
@@ -476,8 +553,8 @@ def test_oversized_run_refused_before_allocating(tmp_path, capsys, monkeypatch):
         "scenario": "s.cfg", "arms": ["myopic"],
         "sweep": {"axis": "horizon", "values": [20000]},
     }), encoding="utf-8")
-    # 15 runs x 2 users x horizon 20,000 hold 52.8 MB of cell arrays (about
-    # 100 MB at their peak) against a cap of 1 MB
+    # 15 runs x 2 users x horizon 20,000: the scoring pass holds 57.7 MB
+    # against a cap of 1 MB
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
     tracemalloc.start()
     try:
@@ -487,7 +564,7 @@ def test_oversized_run_refused_before_allocating(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     assert rc == 1
     err = capsys.readouterr().err
-    assert "15 runs x horizon 20000 x 2 users needs 52800480 bytes" in err
+    assert "1 arm(s) x 15 runs x horizon 20000 x 2 users needs 57667936 bytes" in err
     assert f"over the memory cap of {1 << 20} bytes; use fewer runs or a shorter horizon" in err
     assert peak < 1 << 20
     assert not list((tmp_path / "o").rglob("*.csv"))

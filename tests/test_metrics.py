@@ -1,12 +1,15 @@
 """Session summaries and cross-run aggregation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from mdpstream.metrics import SessionSummary, aggregate_runs, summarize
-from mdpstream.policies import Proposed
-from mdpstream.sim import ScenarioConfig, SegmentRecord, run_session
-from support import make_channel, make_ladder, make_params
+from mdpstream.mdp import backward_induction
+from mdpstream.metrics import SessionSummary, aggregate_runs, summarize, summarize_runs
+from mdpstream.policies import IdealOracle, Myopic, Proposed
+from mdpstream.sim import ScenarioConfig, SegmentRecord, channel_paths, decide, run_session, score
+from support import make_channel, make_ladder, make_params, reference_summarize
 
 
 def one_user_config(**overrides):
@@ -190,3 +193,42 @@ def test_fair_run_zero_summary_snapshot(fair_config, fair_table):
     assert s.buffering_ratio == (0.0, 0.0)
     assert s.significant_variations == (0, 0)
     assert s.profit == pytest.approx(24.042978192852555, abs=1e-9)
+
+
+def as_read_back(records):
+    """``records`` as the benchmark's checks read them back from a trace
+    CSV: every float through its 12-digit text, the channel states as ints."""
+    def cell(value):
+        return int(value) if isinstance(value, int) else float(format(value, ".12g"))
+
+    return [SegmentRecord(*(tuple(map(cell, value)) if isinstance(value, tuple) else cell(value)
+                            for value in (getattr(rec, f.name) for f in fields(rec))))
+            for rec in records]
+
+
+@pytest.mark.parametrize("scenario", ["fair", "diff"])
+def test_batched_summaries_equal_the_per_run_reference(request, scenario):
+    # the paper's 2 scenarios x caps 600 and 850 x 3 arms x 15 runs, every
+    # arm stacked into one pass as the CLI stacks them: 180 runs in all
+    base = request.getfixturevalue(f"{scenario}_config")
+    for cap in (600.0, 850.0):
+        config = base.with_rate_cap(cap)
+        table = backward_induction(config.ladder, config.channel, config.profit,
+                                   config.derived_constants(), config.horizon)
+        arms = {"proposed": Proposed(table), "myopic": Myopic(config.ladder),
+                "ideal": IdealOracle()}
+        paths = channel_paths(config, range(15), arms=3)
+        trace = score(config, np.concatenate([decide(config, p, paths) for p in arms.values()]),
+                      np.concatenate([paths] * 3))
+        labels = [(arm, run) for arm in arms for run in range(15)]
+        got = summarize_runs(trace.rate_kbps, trace.rebuffer_s, trace.stage_profit, config, labels)
+        assert np.any(trace.rebuffer_s > 0)  # the stall sums are exercised
+        for row, (arm, run) in enumerate(labels):
+            records = trace.records(row)
+            assert got[row] == reference_summarize(records, config, arm, run), (cap, arm, run)
+            assert summarize(trace, config, arm, row) == reference_summarize(
+                records, config, arm, row)
+            if run == 0:
+                read = as_read_back(records)
+                assert summarize(read, config, arm, run) == reference_summarize(
+                    read, config, arm, run)

@@ -1,6 +1,7 @@
 """Session simulator: channel sampling, bandwidth sharing, buffers, traces."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -17,14 +18,17 @@ from mdpstream.sim import (
     USER_COLUMNS,
     ScenarioConfig,
     channel_paths,
+    decide,
     effective_bandwidth,
     run_session,
     sample_channel_path,
+    score,
     simulate,
     step_buffer,
     user_rngs,
 )
-from support import make_channel, make_ladder, make_params, reference_myopic_rates, stage_value
+from support import (make_channel, make_ladder, make_params, reference_myopic_rates,
+                     reference_simulate, stage_value)
 
 
 # ------------------------------ configuration ------------------------------
@@ -405,6 +409,88 @@ def test_single_run_equals_its_batched_run(fair_config, branch, arm):
         assert np.any(batch.bottleneck_cost > 0)  # the billing branch is taken
 
 
+def _reference_case(request, case):
+    """(config, stationary) of one branch the per-arm reference covers."""
+    scenario, cap, changes = STACKED_CASES[case]
+    config = request.getfixturevalue(f"{scenario}_config").with_rate_cap(cap)
+    changes = dict(changes)
+    stationary = changes.pop("stationary", False)
+    profit = replace(config.profit, congestion_price=changes.pop("congestion_price", math.inf))
+    if "num_users" in changes:
+        profit = replace(profit, user_priorities=(1 / changes["num_users"],) * changes["num_users"])
+    return replace(config, profit=profit, **changes), stationary
+
+
+STACKED_CASES = {
+    "fair-600": ("fair", 600.0, {}),
+    "fair-850": ("fair", 850.0, {}),
+    "diff-600": ("diff", 600.0, {}),
+    "diff-850": ("diff", 850.0, {}),
+    "3-users": ("fair", 1275.0, {"num_users": 3, "horizon": 20}),
+    "finite-price": ("fair", 850.0, {"congestion_price": 0.0005}),
+    "no-sharing": ("diff", 600.0, {"sharing_mode": "none"}),
+    "stationary": ("fair", 600.0, {"stationary": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_pass_and_walk_match_the_per_arm_reference(request, case):
+    # every arm simulated on its own, the proposed arm stepping
+    # PolicyTable.actions per epoch: each Trace column of the three arms
+    # stacked into one scoring pass, and of simulate, has the same bytes
+    config, stationary = _reference_case(request, case)
+    table = backward_induction(config.ladder, config.channel, config.profit,
+                               config.derived_constants(), config.horizon)
+    arms = (Proposed(table, stationary=stationary), Myopic(config.ladder), IdealOracle())
+    runs = 4
+    paths = channel_paths(config, range(runs), arms=len(arms))
+    stacked = score(config, np.concatenate([decide(config, arm, paths) for arm in arms]),
+                    np.concatenate([paths] * len(arms)))
+    for i, arm in enumerate(arms):
+        expected = reference_simulate(config, arm, paths)
+        for got in (stacked.select(slice(i * runs, (i + 1) * runs)), simulate(config, arm, paths)):
+            for name, column in vars(expected).items():
+                assert getattr(got, name).dtype == column.dtype, (name, arm)
+                assert getattr(got, name).tobytes() == column.tobytes(), (name, arm)
+    if "congestion_price" in STACKED_CASES[case][2]:
+        assert np.any(stacked.bottleneck_cost > 0)
+    if config.sharing_mode == sim.SHARING_PROPORTIONAL:
+        assert np.any(stacked.effective_bw_kbps < np.array(config.channel.state_bandwidth)[
+            np.concatenate([paths] * len(arms))[:, 1:]])  # the cap rations someone
+    assert np.any(stacked.buffering_cost > 0)
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("users", [2, 3])
+def test_table_walk_matches_stepping_actions(fair_config, stationary, users):
+    profit = replace(fair_config.profit, user_priorities=(1 / users,) * users,
+                     total_rate_cap_kbps=425.0 * users)
+    config = replace(fair_config, profit=profit, num_users=users, horizon=12)
+    table = backward_induction(config.ladder, config.channel, profit,
+                               config.derived_constants(), config.horizon)
+    chans = channel_paths(config, range(6))[:, :-1]
+    start = np.random.default_rng(3).integers(0, len(config.ladder), size=(6, users))
+    walked = table.walk(start, chans, stationary)
+    prev = start
+    for t in range(config.horizon):
+        prev = table.actions(0 if stationary else t, prev, chans[:, t])
+        assert np.array_equal(walked[:, t], prev), t
+    assert walked.dtype == np.int64 and walked.shape == (6, 12, users)
+
+
+def test_table_walk_refuses_what_actions_refuses(fair_config, fair_table):
+    chans = channel_paths(fair_config.with_horizon(201), range(2))[:, :-1]
+    start = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"decision epoch 200 outside \[0, 200\)"):
+        fair_table.walk(start, chans)
+    assert fair_table.walk(start, chans, stationary=True).shape == (2, 201, 2)
+    chans[1, 7, 0] = 4
+    with pytest.raises(ValueError, match="state out of range"):
+        fair_table.walk(start, chans[:, :10])
+    with pytest.raises(ValueError, match="table solved for 2 users"):
+        fair_table.walk(start[:, :1], chans[:, :10, :1])
+
+
 def test_channel_paths_match_scalar_draws(fair_config):
     # reference: one generator per (seed, run, user), one scalar draw for
     # the stationary start and one per step, each step a searchsorted
@@ -424,15 +510,17 @@ def test_channel_paths_match_scalar_draws(fair_config):
 
 
 def test_cell_memory_guard_counts_the_cell_arrays(fair_config, monkeypatch):
-    # simulate's float64 raw bandwidths are counted at the size of the int64
-    # paths; channel_state is a view of the paths, every other trace column
-    # an array of its own
+    # one arm: the paths drawn and their stacked copy, the int64 decisions
+    # (as large as rate_kbps), every trace column but channel_state (a view
+    # of the paths), eight (runs, users) arrays of one buffer step, and
+    # 64 KiB for array headers and cost lists
     config = fair_config.with_horizon(30)
     paths = channel_paths(config, range(3))
     trace = simulate(config, Myopic(ladder=config.ladder), paths)
     assert np.shares_memory(trace.channel_state, paths)
-    held = 2 * paths.nbytes + sum(column.nbytes for name, column in vars(trace).items()
-                                  if name != "channel_state")
+    held = (2 * paths.nbytes + trace.rate_kbps.nbytes
+            + sum(column.nbytes for name, column in vars(trace).items() if name != "channel_state")
+            + 8 * trace.rate_kbps[:, 0].nbytes + (1 << 16))
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", held)
     assert np.array_equal(channel_paths(config, range(3)), paths)
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", held - 1)
@@ -440,6 +528,48 @@ def test_cell_memory_guard_counts_the_cell_arrays(fair_config, monkeypatch):
             f"3 runs x horizon 30 x 2 users needs {held} bytes, over the memory cap of "
             f"{held - 1} bytes; use fewer runs or a shorter horizon")):
         channel_paths(config, range(3))
+
+
+def _counted_bytes(config, runs, arms, monkeypatch):
+    """The bytes ``channel_paths`` counts for ``arms`` arms on ``runs``
+    runs, read from its refusal under a cap of 0."""
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 0)
+    with pytest.raises(ConfigurationError, match=r"needs (\d+) bytes") as refusal:
+        channel_paths(config, range(runs), arms=arms)
+    monkeypatch.undo()
+    return int(re.search(r"needs (\d+) bytes", str(refusal.value)).group(1))
+
+
+def test_scoring_pass_peaks_within_its_count(fair_config, fair_table, monkeypatch):
+    # three arms stacked on 5 runs x horizon 4,000, traced from the draw of
+    # the paths to the end of the pass: about 10 MB, all within the count
+    # and the count no more than 2% above the peak
+    config = replace(fair_config, horizon=4000, num_runs=5,
+                     profit=replace(fair_config.profit, congestion_price=0.0005))
+    arms = (Proposed(fair_table, stationary=True), Myopic(config.ladder), IdealOracle())
+    needed = _counted_bytes(config, 5, len(arms), monkeypatch)
+    small = config.with_horizon(5)  # the lazy imports and caches of a first call
+    small_paths = channel_paths(small, range(5))
+    score(small, np.concatenate([decide(small, arm, small_paths) for arm in arms]),
+          np.concatenate([small_paths] * len(arms)))
+    tracemalloc.start()
+    try:
+        paths = channel_paths(config, range(5), arms=len(arms))
+        chosen = np.concatenate([decide(config, arm, paths) for arm in arms])
+        trace = score(config, chosen, np.concatenate([paths] * len(arms)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(trace.bottleneck_cost > 0) and np.any(trace.buffering_cost > 0)
+    assert 0.98 * needed <= peak <= needed, (peak, needed)
+
+
+def test_shorter_horizon_paths_are_a_prefix(fair_config):
+    # a horizon sweep draws its paths once, at the longest horizon
+    long = channel_paths(fair_config.with_horizon(50), range(4))
+    for horizon in (1, 20, 49):
+        assert np.array_equal(channel_paths(fair_config.with_horizon(horizon), range(4)),
+                              long[:, :horizon + 1])
 
 
 def test_channel_paths_hold_little_more_than_the_paths(fair_config):
