@@ -144,58 +144,48 @@ def _csv_line(cells) -> bytes:
 
 
 def _write_bytes(path: str, parts) -> None:
-    """Write the joined byte strings ``parts`` to ``path`` through a
+    """Write the byte strings ``parts`` in turn to ``path`` through a
     temporary file, so a reader never sees half a file."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.writelines(parts)
     os.replace(tmp, path)
 
 
-def _trace_text(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Every run of ``trace`` as CSV cell texts, each distinct value of a
-    column formatted once.
+def _write_trace(path: str, header: bytes, cells: list[bytes]) -> None:
+    """Write one run as CSV: ``header``, then the run's cell texts."""
+    _write_bytes(path, (header, b"".join(cells)))
 
-    Returns (runs, horizon x CSV columns) codes into an object array of
-    ASCII texts, each ending in its separator (CRLF in the last column,
-    ``,`` elsewhere), so ``texts[codes[run]]`` joined is the run's rows.  A
-    column's values are keyed by their int64 value (``epoch``,
-    ``channel_state``) or float64 bits (the rest, so ``-0.0`` and ``0.0``
-    stay apart), the users' columns of one name together.
+
+def _write_traces(paths: list[str], header: bytes, trace: Trace) -> None:
+    """Write run i of ``trace`` as CSV to ``paths[i]``: the bytes
+    ``csv.writer`` writes from ``format(x, ".12g")`` float cells and ``str``
+    integer cells.
+
+    Each distinct value of a column name is formatted once, as ASCII text
+    ending in its separator (CRLF after ``stage_profit``, ``,`` elsewhere),
+    and each CSV cell holds the code of its text.  Values are keyed by their
+    int64 value (``epoch``, ``channel_state``) or float64 bits (the rest, so
+    ``-0.0`` and ``0.0`` stay apart), the users' columns of one name together.
     """
-    runs, horizon, _ = trace.rate_kbps.shape
+    runs, horizon, n = trace.rate_kbps.shape
+    width, step = 3 + len(USER_COLUMNS) * n, len(USER_COLUMNS)
+    codes = np.empty((runs, horizon, width), np.intp)
     names = ("epoch", *USER_COLUMNS, "bottleneck_cost", "stage_profit")
-    columns = (np.broadcast_to(np.arange(horizon)[:, None], (runs, horizon, 1)),
-               *(getattr(trace, name) for name in USER_COLUMNS),
-               trace.bottleneck_cost[..., None], trace.stage_profit[..., None])
-    texts: list[bytes] = []
-    by_name = []
-    for name, values in zip(names, columns):
+    slots = (slice(0, 1), *(slice(1 + j, width - 2, step) for j in range(step)), -2, -1)
+    texts = []
+    for name, slot in zip(names, slots):
+        values = np.arange(horizon)[:, None] if name == "epoch" else getattr(trace, name)
         integer = name in ("epoch", "channel_state")
         keys = (values.astype(np.int64, copy=False) if integer
                 else values.astype(np.float64, copy=False).view(np.int64))
         distinct, inverse = np.unique(keys, return_inverse=True)
-        by_name.append(inverse.reshape(values.shape) + len(texts))
+        np.add(inverse.reshape(values.shape), len(texts), out=codes[..., slot])
         form = (b"%d" if integer else b"%.12g") + (b"\r\n" if name == "stage_profit" else b",")
         texts += [form % x for x in (distinct if integer else distinct.view(np.float64)).tolist()]
-    per_user = np.stack(by_name[1:-2], axis=-1).reshape(runs, horizon, -1)
-    codes = np.concatenate([by_name[0], per_user, *by_name[-2:]], axis=-1)
-    return codes.reshape(runs, -1), np.array(texts, dtype=object)
-
-
-def _write_trace(path: str, header: bytes, texts: np.ndarray, codes: np.ndarray) -> None:
-    """Write one run as CSV: ``header``, then the cell texts at that run's
-    ``codes`` from ``_trace_text``; the bytes ``csv.writer`` writes from
-    ``format(x, ".12g")`` float cells and ``str`` integer cells."""
-    _write_bytes(path, [header, *texts[codes].tolist()])
-
-
-def _write_traces(paths: list[str], header: bytes, trace: Trace) -> None:
-    """Write run i of ``trace`` as CSV to ``paths[i]``, through one
-    ``_trace_text``."""
-    codes, texts = _trace_text(trace)
-    for path, run_codes in zip(paths, codes):
-        _write_trace(path, header, texts, run_codes)
+    texts = np.array(texts, dtype=object)  # indexed by code; rebinding frees the list
+    for path, run_codes in zip(paths, codes.reshape(runs, -1)):
+        _write_trace(path, header, texts[run_codes].tolist())
 
 
 def _summary_header(num_users: int) -> list[str]:

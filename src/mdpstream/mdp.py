@@ -32,6 +32,13 @@ class InfeasibleModelError(RuntimeError):
     """No joint action satisfies the aggregate rate cap."""
 
 
+def require_memory(what: str, needed: int, fix: str) -> None:
+    """Refuse a working set of ``needed`` bytes over the memory cap."""
+    if needed > DEFAULT_MEMORY_CAP_BYTES:
+        raise ConfigurationError(f"{what} needs {needed} bytes, over the memory cap of "
+                                 f"{DEFAULT_MEMORY_CAP_BYTES} bytes; {fix}")
+
+
 def state_index(rates, chans, m: int, k: int):
     """Canonical index of (..., users) arrays of rate and channel indices on
     an m-rung ladder with k channel states: base-(m*k) digits
@@ -337,11 +344,8 @@ def backward_induction(
     id_dtype = np.min_scalar_type(num_actions - 1)
     # float64 values, an action id per (epoch, state), the int64 digit list
     needed = size * (8 * (horizon + 1) + id_dtype.itemsize * horizon) + 8 * n * num_actions
-    if needed > DEFAULT_MEMORY_CAP_BYTES:
-        raise ConfigurationError(
-            f"policy table needs {needed} bytes ({size} states x horizon {horizon}), over the "
-            f"memory cap of {DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer users or a shorter horizon"
-        )
+    require_memory(f"a policy table of {size} states x horizon {horizon}", needed,
+                   "use fewer users or a shorter horizon")
 
     tables = _action_tables(ladder, channel, params, consts, n)
     values = np.zeros((horizon + 1, size))

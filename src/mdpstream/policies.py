@@ -12,7 +12,7 @@ import numpy as np
 from .economics import DerivedConstants, ProfitParams
 from . import mdp
 from .mdp import PolicyTable
-from .model import ChannelModel, QualityLadder, _require
+from .model import ChannelModel, QualityLadder
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,6 @@ class Proposed:
 
     table: PolicyTable
     stationary: bool = False
-
-    def decide(self, epoch: int, rate_indices, channel_indices) -> np.ndarray:
-        """Rate indices for the states given as (..., users) arrays of the
-        previous rate indices and the observed channel states."""
-        return self.table.actions(0 if self.stationary else epoch, rate_indices, channel_indices)
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,8 @@ def solve_ideal(
 
     id_dtype = np.min_scalar_type(len(tables.action_digits) - 1)
     needed = horizon * tables.num_rate_vectors * runs * id_dtype.itemsize
-    _require(needed <= mdp.DEFAULT_MEMORY_CAP_BYTES,
-             f"the hindsight plan for {runs} runs x horizon {horizon} needs {needed} bytes, over "
-             f"the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use fewer runs or a "
-             "shorter horizon")
+    mdp.require_memory(f"the hindsight plan for {runs} runs x horizon {horizon}", needed,
+                       "use fewer runs or a shorter horizon")
     plan = np.empty((horizon, tables.num_rate_vectors, runs), dtype=id_dtype)
     v_next = np.zeros((tables.num_rate_vectors, runs))
     for t in range(horizon - 1, -1, -1):

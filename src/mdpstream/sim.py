@@ -184,10 +184,8 @@ def channel_paths(config: ScenarioConfig, runs: Sequence[int], arms: int = 1) ->
                   + rows * ((len(USER_COLUMNS) - 1) * n + 2) * horizon
                   # one epoch's step_buffer arrays, then array headers and cost lists
                   + 8 * rows * n) + (1 << 16)
-    _require(needed <= mdp.DEFAULT_MEMORY_CAP_BYTES,
-             f"simulating {arms} arm(s) x {len(runs)} runs x horizon {horizon} x {n} users needs "
-             f"{needed} bytes, over the memory cap of {mdp.DEFAULT_MEMORY_CAP_BYTES} bytes; use "
-             "fewer runs or a shorter horizon")
+    mdp.require_memory(f"simulating {arms} arm(s) x {len(runs)} runs x horizon {horizon} x {n} "
+                       "users", needed, "use fewer runs or a shorter horizon")
     paths = np.empty((len(runs), horizon + 1, n), np.int64)
     stationary_cum = np.cumsum(channel.stationary_distribution()).tolist()
     for i, run in enumerate(runs):
@@ -316,15 +314,13 @@ def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trac
     # playback_income depends on the rate alone once the rate is carried
     income_of = np.array([economics.playback_income(r, r, params, consts) for r in ladder.rates])
     income = np.where(short, 0.0, income_of[chosen])
-    # one scalar buffering_cost per rung and distinct delivered bandwidth
-    # (positive, so distinct values are distinct bits); np.log may round
-    # unlike math.log
+    # one scalar buffering_cost per distinct shortfall (positive, so distinct
+    # values are distinct bits), which is all it reads of the rate and the
+    # bandwidth; np.log may round unlike math.log
     buffering = np.zeros((rows, horizon, n))
-    for i, rate in enumerate(ladder.rates):
-        at = short & (chosen == i)
-        buffering[at] = _once_per_value(
-            lambda e: economics.buffering_cost(rate, e, params, consts), effective[at])
-    del short, at
+    buffering[short] = _once_per_value(
+        lambda gap: economics.buffering_cost(gap, 0.0, params, consts), (rates - effective)[short])
+    del short
     var_cost = np.empty((rows, horizon, n))
     variation = mdp.variation_table(ladder, params, consts)
     var_cost[:, 0] = variation[config.initial_rate_index, chosen[:, 0]]

@@ -398,7 +398,8 @@ def reference_simulate(config, policy, paths):
         prev = np.full((runs, n), config.initial_rate_index)
         for t in range(horizon):
             if isinstance(policy, Proposed):
-                chosen[:, t] = policy.decide(t, prev, paths[:, t])
+                chosen[:, t] = policy.table.actions(0 if policy.stationary else t, prev,
+                                                    paths[:, t])
             else:
                 chosen[:, t] = policy.decide(None if t == 0 else effective_bandwidth(
                     rate_of[prev], raw[:, t - 1], cap, config.sharing_mode))

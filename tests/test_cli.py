@@ -13,8 +13,7 @@ from mdpstream import cli, mdp, sim
 from mdpstream.cli import (
     ExperimentSpec,
     _csv_line,
-    _trace_text,
-    _write_trace,
+    _write_traces,
     load_experiment_spec,
     main,
     table_filename,
@@ -56,12 +55,17 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def trace_header(num_users):
+    return _csv_line(["epoch", *(f"u{u}_{name}" for u in range(1, num_users + 1)
+                                 for name in USER_COLUMNS), "bottleneck_cost", "stage_profit"])
+
+
 def write_run(path, trace, run):
-    """Write one run of ``trace`` the way ``run_experiment`` does."""
-    header = _csv_line(["epoch", *(f"u{u}_{name}" for u in range(1, trace.rate_kbps.shape[2] + 1)
-                                   for name in USER_COLUMNS), "bottleneck_cost", "stage_profit"])
-    codes, texts = _trace_text(trace)
-    _write_trace(str(path), header, texts, codes[run])
+    """Write run ``run`` of ``trace`` to ``path`` the way ``run_experiment``
+    does: every run of the trace through one ``_write_traces``, the other
+    runs beside it."""
+    _write_traces([str(path) if r == run else f"{path}.run{r}" for r in range(len(trace.rate_kbps))],
+                  trace_header(trace.rate_kbps.shape[2]), trace)
 
 
 def test_trace_writer_matches_reference(tmp_path):
@@ -143,28 +147,68 @@ def test_trace_writer_keeps_zero_signs_and_kinds_apart(tmp_path):
     assert rows[1].startswith(b"0,-0,1,-0,")
 
 
+def cell_keys(trace, run):
+    """(column name, int64 key) of every CSV cell of run ``run``, row by row:
+    integers by value, floats by their bits."""
+    def keyed(name, column):
+        ints = column if name in ("epoch", "channel_state") else column.view(np.int64)
+        return [(name, key) for key in ints.tolist()]
+
+    horizon, n = trace.rate_kbps.shape[1:]
+    rows = zip(keyed("epoch", np.arange(horizon)),
+               *(keyed(name, getattr(trace, name)[run, :, u])
+                 for u in range(n) for name in USER_COLUMNS),
+               keyed("bottleneck_cost", trace.bottleneck_cost[run]),
+               keyed("stage_profit", trace.stage_profit[run]))
+    return [key for row in rows for key in row]
+
+
 def test_trace_writer_formats_each_cell_once(workspace, monkeypatch):
-    # 2 arms x 2 sweep values: one _trace_text call per cell, each text
-    # array holding every column's distinct values once
+    # 2 arms x 2 sweep values: one _write_traces call per cell, and within a
+    # cell one text object per distinct value of a column name, shared by
+    # every run and user that holds the value
     tmp, _, _, _ = workspace
     spec = ExperimentSpec(scenario_path=str(tmp / "small.cfg"), arms=("myopic", "ideal"),
                           sweep_axis="horizon", sweep_values=(4.0, 6.0))
-    calls = []
+    calls, write_traces, write_trace = [], cli._write_traces, cli._write_trace
 
-    def recording(trace):
-        calls.append((trace, _trace_text(trace)))
-        return calls[-1][1]
+    def recording_traces(paths, header, trace):
+        calls.append((trace, []))
+        write_traces(paths, header, trace)
 
-    monkeypatch.setattr(cli, "_trace_text", recording)
+    def recording_trace(path, header, cells):
+        calls[-1][1].append(cells)
+        write_trace(path, header, cells)
+
+    monkeypatch.setattr(cli, "_write_traces", recording_traces)
+    monkeypatch.setattr(cli, "_write_trace", recording_trace)
     cli.run_experiment(fair_scenario(horizon=6, num_runs=2, name="small"), spec, str(tmp / "out"))
-    assert len(calls) == 4
-    assert [trace.rate_kbps.shape[1] for trace, _ in calls] == [4, 4, 6, 6]
-    for trace, (codes, texts) in calls:
-        columns = [np.arange(trace.rate_kbps.shape[1])] + [
-            getattr(trace, name) if name == "channel_state" else getattr(trace, name).view(np.int64)
-            for name in (*USER_COLUMNS, "bottleneck_cost", "stage_profit")]
-        assert len(texts) == sum(len(np.unique(column)) for column in columns)
-        assert codes.shape == (2, trace.rate_kbps.shape[1] * (3 + 2 * len(USER_COLUMNS)))
+    assert [(trace.rate_kbps.shape[1], len(runs)) for trace, runs in calls] == [(4, 2), (4, 2),
+                                                                              (6, 2), (6, 2)]
+    for trace, runs in calls:
+        seen = {}
+        for run, cells in enumerate(runs):
+            for key, text in zip(cell_keys(trace, run), cells, strict=True):
+                assert seen.setdefault(key, text) is text, key
+        # the runs' cell lists are all alive, so no two text objects share an id
+        assert len({id(text) for cells in runs for text in cells}) == len(seen)
+        assert len(seen) > len({text for cells in runs for text in cells})  # "0," per name
+
+
+def test_trace_writer_peak_memory(tmp_path):
+    # one myopic arm of fair, 15 runs x H2,000: 630,000 CSV cells, whose
+    # codes alone take 8 bytes each
+    config = fair_scenario(horizon=2000)
+    trace = simulate(config, Myopic(config.ladder), channel_paths(config, range(15)))
+    cells = 15 * 2000 * (3 + 2 * len(USER_COLUMNS))
+    paths = [str(tmp_path / f"run{run}.csv") for run in range(15)]
+    tracemalloc.start()
+    try:
+        _write_traces(paths, trace_header(2), trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * cells, peak / (8 * cells)
 
 
 def test_table_filename_layout():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdpstream import presets
 from mdpstream.economics import (
     ProfitParams,
     bottleneck_cost,
@@ -164,6 +165,21 @@ def test_buffering_log_base_invariance(defaults):
     short = 364.63 - 256.0
     base10 = 0.5 * math.log10(short / MIN_SHORTFALL) / math.log10(703.09 / MIN_SHORTFALL)
     assert buffering_cost(364.63, 256.0, params, consts) == pytest.approx(base10, abs=1e-12)
+
+
+POSITIVE = st.one_of(st.floats(min_value=50.0, max_value=900.0),  # the ladder and link range
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+@pytest.mark.parametrize("scenario", [presets.fair_scenario(), presets.differentiated_scenario()],
+                         ids=["fair", "diff"])
+@given(rate=POSITIVE, bandwidth=POSITIVE)
+@settings(max_examples=300)
+def test_buffering_reads_only_the_shortfall(scenario, rate, bandwidth):
+    # sim.score prices each distinct shortfall once, as buffering_cost(gap, 0.0, ...)
+    params, consts = scenario.profit, scenario.derived_constants()
+    got = buffering_cost(rate, bandwidth, params, consts)
+    assert got.hex() == buffering_cost(rate - bandwidth, 0.0, params, consts).hex()
 
 
 # ------------------------------ smoothness cost ----------------------------

@@ -10,7 +10,7 @@ import pytest
 from mdpstream import mdp
 from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
-from mdpstream.policies import Myopic, Proposed, solve_ideal
+from mdpstream.policies import Myopic, solve_ideal
 from mdpstream.sim import channel_paths
 from support import (
     all_states, feasible_tuples, make_channel, make_ladder, make_params, reference_solve_ideal,
@@ -52,32 +52,40 @@ def state_arrays(config):
     return (states, *(np.array(part) for part in zip(*states)))
 
 
+def walk_against_actions(table, rates, paths, stationary=False):
+    """Assert that the table walk from ``rates`` over ``paths`` steps
+    ``actions`` epoch by epoch, at epoch 0 throughout when ``stationary``."""
+    got, prev = table.walk(rates, paths, stationary), rates
+    for t in range(paths.shape[1]):
+        want = table.actions(0 if stationary else t, prev, paths[:, t])
+        assert np.array_equal(got[:, t], want), t
+        prev = want
+
+
 def test_proposed_looks_up_table(fair_config, fair_table):
-    policy = Proposed(fair_table)
+    # every state starts a walk over the whole horizon on random channels
     states, rates, chans = state_arrays(fair_config)
-    for epoch in (0, 150, 199):
-        got = policy.decide(epoch, rates, chans)
-        want = [fair_table.actions(epoch, *state).tolist() for state in states]
-        assert got.tolist() == want
-    assert policy.decide(0, [0, 0], [2, 2]).tolist() == fair_table.actions(0, (0, 0), (2, 2)).tolist()
+    paths = np.random.default_rng(3).integers(0, 4, (len(states), 200, 2))
+    paths[:, 0] = chans
+    walk_against_actions(fair_table, rates, paths)
     with pytest.raises(ValueError):
-        policy.decide(200, rates, chans)  # past the table's horizon
+        fair_table.walk(rates, np.zeros((len(states), 201, 2), int))  # past the table's horizon
     with pytest.raises(ValueError):
-        policy.decide(0, [5, 0], [0, 0])  # rate index outside the ladder
+        fair_table.walk([[5, 0]], [[[0, 0]]])  # rate index outside the ladder
     with pytest.raises(ValueError):
-        policy.decide(0, [-1, 0], [0, 0])  # would wrap to index -80
+        fair_table.walk([[-1, 0]], [[[0, 0]]])  # would wrap to index -80
     with pytest.raises(ValueError):
-        policy.decide(0, [0, 0], [0, -1])  # would read another state's row
+        fair_table.walk([[0, 0]], [[[0, -1]]])  # would read another state's row
     with pytest.raises(ValueError):
-        policy.decide(0, [0, 0, 0], [0, 0, 0])  # three users, two-user table
+        fair_table.walk([[0, 0, 0]], [[[0, 0, 0]]])  # three users, two-user table
 
 
 def test_proposed_stationary_reuses_epoch_zero(fair_config, fair_table):
-    policy = Proposed(fair_table, stationary=True)
+    # past the table's horizon too
     states, rates, chans = state_arrays(fair_config)
-    want = [fair_table.actions(0, *state).tolist() for state in states]
-    for epoch in (0, 50, 199, 500):
-        assert policy.decide(epoch, rates, chans).tolist() == want
+    paths = np.random.default_rng(4).integers(0, 4, (len(states), 500, 2))
+    paths[:, 0] = chans
+    walk_against_actions(fair_table, rates, paths, stationary=True)
 
 
 # ----------------------------- hindsight planner ---------------------------
