@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 from dataclasses import astuple, dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -181,6 +181,13 @@ class _ActionTables:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
 
+    @cached_property
+    def reachable_variation(self) -> np.ndarray:
+        """``variation_by_action`` at the rate vectors a plan reaches after epoch 0."""
+        rows = self.variation_by_action[self.action_multi]
+        rows.flags.writeable = False
+        return rows
+
 
 # One scenario's tables, built once for its solve and its hindsight plans
 # and shared read-only (a ChannelModel hashes by identity).
@@ -277,30 +284,35 @@ def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray) -> N
             choice[v, lo + r] = pick
 
 
-def _best(gain: np.ndarray, tables: _ActionTables) -> tuple[np.ndarray, np.ndarray]:
+def _best(gain: np.ndarray, tables: _ActionTables,
+          vectors=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Best value and action for every (rate vector, row of ``gain``), where
     ``gain`` is (rows, actions) of everything in q but the variation
-    penalty and the bottleneck charge; both results are (rate vectors, rows).
+    penalty and the bottleneck charge; both results are (rate vectors, rows),
+    taken over the rate vectors indexed by ``vectors`` (all by default).
 
     q is ``(gain - variation) - bottleneck`` and the first maximizer wins:
     actions are in tie-break order.  Large instances (``_use_separable``)
-    take the certified transform of ``_separable``; the rest scan q block
-    by block of rate vectors in one reused buffer.  Either way the values
-    are taken once at the choices by the same expression as q.
+    take the certified transform of ``_separable`` over the full grid; the
+    rest scan q block by block of rate vectors in one reused buffer.  Either
+    way the values are taken once at the choices by the same expression as q.
     """
     num_actions = gain.shape[1]
-    choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
+    variation = (tables.reachable_variation if vectors is tables.action_multi
+                 else tables.variation_by_action[vectors])
     if _use_separable(len(gain), tables):
+        choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
         _separable(gain, tables, choice)
+        choice = choice[vectors]
     else:
-        rows = max(1, _BLOCK_FLOATS // gain.size)
-        buf = np.empty((min(rows, len(choice)),) + gain.shape)
-        for lo in range(0, len(choice), rows):
-            _scan(gain, tables.variation_by_action[lo:lo + rows, None, :], tables,
-                  buf[:len(choice) - lo], choice[lo:lo + rows])
+        choice = np.empty((len(variation), len(gain)), dtype=np.int64)
+        step = max(1, _BLOCK_FLOATS // gain.size)
+        buf = np.empty((min(step, len(choice)),) + gain.shape)
+        for lo in range(0, len(choice), step):
+            _scan(gain, variation[lo:lo + step, None, :], tables,
+                  buf[:len(choice) - lo], choice[lo:lo + step])
     values = gain.take(choice + np.arange(0, gain.size, num_actions))
-    values -= tables.variation_by_action.take(
-        choice + np.arange(0, tables.variation_by_action.size, num_actions)[:, None])
+    values -= variation.take(choice + np.arange(0, variation.size, num_actions)[:, None])
     values -= tables.bottleneck.take(choice)
     return values, choice
 

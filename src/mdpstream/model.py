@@ -130,14 +130,13 @@ class ChannelModel:
         return self.state_bandwidth[0]
 
     def stationary_distribution(self) -> np.ndarray:
-        """Long-run state distribution, solved from the balance equations."""
-        k = self.num_states
-        a = np.vstack([self.transition.T - np.eye(k), np.ones((1, k))])
-        b = np.zeros(k + 1)
-        b[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        sol = np.clip(sol, 0.0, None)
-        return sol / sol.sum()
+        """Long-run state distribution from the balance equations, solved once."""
+        if "_stationary" not in vars(self):
+            a = np.vstack([self.transition.T - np.eye(self.num_states), np.ones(self.num_states)])
+            sol = np.clip(np.linalg.lstsq(a, np.eye(len(a))[-1], rcond=None)[0], 0.0, None)
+            object.__setattr__(self, "_stationary", sol / sol.sum())
+            self._stationary.setflags(write=False)
+        return self._stationary
 
 
 def map_bandwidth_to_state(measured_kbps: float, channel: ChannelModel) -> int:

@@ -72,8 +72,8 @@ def solve_ideal(
     them; entry t is the state during segment t, so the decision at epoch
     t is scored against entry t + 1.  With the path fixed the only state
     left is the rate vector, and one backward recursion over (runs, rate
-    vectors) is exact.  Each epoch reduces q for every run at once with the
-    solver's own ``mdp._best``, so ties break the same way.
+    vectors a plan can reach) is exact.  Each epoch reduces q for every run
+    at once with the solver's own ``mdp._best``, so ties break the same way.
     """
     paths = np.asarray(channel_paths, dtype=np.int64)
     n = params.num_users
@@ -89,23 +89,27 @@ def solve_ideal(
     multi = int(np.ravel_multi_index(digits, (len(ladder),) * n))
 
     tables = mdp._action_tables(ladder, channel, params, consts, n)
-    # Priority-weighted pay once per joint channel vector the paths visit.
-    visited, where = np.unique(paths[:, 1:].reshape(-1, n), axis=0, return_inverse=True)
-    prio = np.array(params.user_priorities)
-    pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio for c in visited])
-    where = where.reshape(runs, horizon)
-
-    id_dtype = np.min_scalar_type(len(tables.action_digits) - 1)
-    needed = horizon * tables.num_rate_vectors * runs * id_dtype.itemsize
+    num_actions = len(tables.action_digits)
+    id_dtype = np.min_scalar_type(num_actions - 1)
+    needed = horizon * num_actions * runs * id_dtype.itemsize
     mdp.require_memory(f"the hindsight plan for {runs} runs x horizon {horizon}", needed,
                        "use fewer runs or a shorter horizon")
-    plan = np.empty((horizon, tables.num_rate_vectors, runs), dtype=id_dtype)
-    v_next = np.zeros((tables.num_rate_vectors, runs))
+    # Priority-weighted pay once per joint channel vector the paths visit, by base-k code.
+    k = channel.num_states
+    codes, where = np.unique(paths[:, 1:] @ k ** np.arange(n - 1, -1, -1), return_inverse=True)
+    prio = np.array(params.user_priorities)
+    pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio
+                       for c in np.array(np.unravel_index(codes, (k,) * n)).T])
+    where = where.reshape(runs, horizon)
+
+    # A plan stands at the initial rate vector at epoch 0 (row 0), at an action's after it.
+    plan = np.empty((horizon, num_actions, runs), dtype=id_dtype)
+    v_next = np.zeros((num_actions, runs))
     for t in range(horizon - 1, -1, -1):
-        v_next, plan[t] = mdp._best(pay_of[where[:, t]] + v_next[tables.action_multi].T, tables)
+        vectors = tables.action_multi if t else np.array([multi])
+        v_next, plan[t, :len(vectors)] = mdp._best(pay_of[where[:, t]] + v_next.T, tables, vectors)
     chosen = np.empty((runs, horizon), dtype=np.int64)
-    at = np.full(runs, multi)
+    at = np.zeros(runs, dtype=np.int64)
     for t in range(horizon):
-        chosen[:, t] = plan[t, at, np.arange(runs)]
-        at = tables.action_multi[chosen[:, t]]
+        chosen[:, t] = at = plan[t, at, np.arange(runs)]
     return tables.action_digits[chosen]

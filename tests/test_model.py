@@ -112,6 +112,35 @@ def test_stationary_distribution_two_state():
     )
 
 
+def test_stationary_distribution_solved_once_and_read_only(monkeypatch):
+    # the balance-equation solve written out in full; the stored result
+    # must carry its bits, refuse writes and cost one lstsq per model
+    channel = make_channel()
+    k = channel.num_states
+    a = np.vstack([channel.transition.T - np.eye(k), np.ones((1, k))])
+    b = np.zeros(k + 1)
+    b[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    sol = np.clip(sol, 0.0, None)
+    want = sol / sol.sum()
+
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    pi = channel.stationary_distribution()
+    assert pi.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        pi[0] = 0.5
+    assert channel.stationary_distribution() is pi
+    assert len(calls) == 1
+    other = make_channel()
+    assert other.stationary_distribution().tobytes() == want.tobytes() and len(calls) == 2
+
+
 # --------------------------- bandwidth -> state ----------------------------
 
 

@@ -210,9 +210,9 @@ def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeyp
     # recursion over that run alone, however _best blocks its q
     default, best, rows = mdp._BLOCK_FLOATS, mdp._best, []
 
-    def recording(gain, tables):
+    def recording(gain, tables, *reachable):
         rows.append(len(gain))
-        return best(gain, tables)
+        return best(gain, tables, *reachable)
 
     monkeypatch.setattr(mdp, "_best", recording)
     for name, config in planner_instances(fair_config, diff_config):
@@ -235,3 +235,24 @@ def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeyp
             rows.clear()
             assert np.array_equal(solve_ideal(paths, *args), want), (name, block_floats)
             assert rows == [config.num_runs] * config.horizon  # every run in one recursion
+
+
+def test_plan_reduces_only_reachable_rate_vectors(fair_config, monkeypatch):
+    # after epoch 0 a plan stands at a feasible action's rate vector, at
+    # epoch 0 at the initial one, so no other (rate vector, run) pair is scanned
+    config = fair_config.with_rate_cap(600.0)
+    params, n, runs = config.profit, config.num_users, config.num_runs
+    scan, pairs = mdp._scan, []
+
+    def recording(gain, variation, tables, q, out):
+        pairs.append(out.size)
+        scan(gain, variation, tables, q, out)
+
+    monkeypatch.setattr(mdp, "_scan", recording)
+    args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params,
+            config.derived_constants())
+    num_actions = len(mdp._action_tables(*args[1:], n).action_digits)
+    assert num_actions < len(config.ladder) ** n
+    solve_ideal(channel_paths(config, range(runs)), *args)
+    # one scan per epoch, from the last epoch back to epoch 0
+    assert pairs == [num_actions * runs] * (config.horizon - 1) + [runs]

@@ -586,11 +586,11 @@ def test_channel_paths_hold_little_more_than_the_paths(fair_config):
 
 
 def test_oversized_ideal_plan_refused_before_allocating(fair_config, monkeypatch):
-    # 4 users at cap 1700: 625 rate vectors and 385 actions, so a uint16 plan
-    # of 400 x 625 x 3 ids is 1.5 MB, while the cell arrays that
+    # 4 users at cap 1700: 385 actions, so a uint16 plan of 500 x 385 x 3
+    # ids is 1,155,000 B, while the 618,496 B of cell arrays that
     # channel_paths counts stay under the 1 MiB cap
     four = replace(fair_config.profit, user_priorities=(0.25,) * 4, total_rate_cap_kbps=1700.0)
-    config = replace(fair_config, profit=four, num_users=4, horizon=400, num_runs=3)
+    config = replace(fair_config, profit=four, num_users=4, horizon=500, num_runs=3)
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
     paths = channel_paths(config, range(3))
     # build the cached 4-user tables first, so the peak is what this cell allocates
@@ -598,13 +598,13 @@ def test_oversized_ideal_plan_refused_before_allocating(fair_config, monkeypatch
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError, match=(
-                "the hindsight plan for 3 runs x horizon 400 needs 1500000 bytes, over the "
+                "the hindsight plan for 3 runs x horizon 500 needs 1155000 bytes, over the "
                 f"memory cap of {1 << 20} bytes; use fewer runs or a shorter horizon")):
             simulate(config, IdealOracle(), paths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_500_000
+    assert peak < 1_155_000
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
