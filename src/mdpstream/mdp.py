@@ -198,15 +198,34 @@ _action_tables = lru_cache(maxsize=1)(_ActionTables)
 _BLOCK_FLOATS = 1 << 17
 
 
-def _scan(gain, variation, tables: _ActionTables, q: np.ndarray, out: np.ndarray) -> None:
+def _scan(gain, variation, tables: _ActionTables, q: np.ndarray, out: np.ndarray, margin=None) -> None:
     """The exact kernel: q = ``(gain - variation) - bottleneck`` into the
     buffer ``q`` (shaped as gain and variation broadcast), then the first
-    maximizer over actions into ``out``.  An all-+0.0 charge is skipped,
-    as ``x - 0.0`` is ``x`` bit for bit."""
+    maximizer over actions into ``out`` and its q minus the runner-up's into
+    ``margin``, if given.  An all-+0.0 charge is skipped: ``x - 0.0`` is ``x``."""
     np.subtract(gain, variation, out=q)
     if tables.charged:
         q -= tables.bottleneck
     q.argmax(axis=-1, out=out)
+    if margin is not None:  # the runner-up is the maximum once the best is -inf
+        at = np.arange(0, q.size, q.shape[-1]).reshape(out.shape) + out
+        best = q.take(at)
+        q.put(at, -np.inf)
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, never certified
+            np.subtract(best, q.max(axis=-1), out=margin)
+
+
+def _scan_pairs(gain, tables: _ActionTables, vec, row, choice, margin) -> None:
+    """``_scan`` at the (rate vector, row) pairs (``vec``, ``row``), gathered into reused buffers."""
+    step = max(1, _BLOCK_FLOATS // gain.shape[1])
+    q, variation = np.empty((2, min(step, len(vec)), gain.shape[1]))
+    pick, gap = np.empty(len(q), dtype=np.int64), np.empty(len(q))
+    for p in range(0, len(vec), step):
+        v, r, k = vec[p:p + step], row[p:p + step], min(step, len(vec) - p)
+        gain.take(r, axis=0, out=q[:k], mode="clip")  # indices are in range
+        tables.variation_by_action.take(v, axis=0, out=variation[:k], mode="clip")
+        _scan(q[:k], variation[:k], tables, q[:k], pick[:k], gap[:k])
+        choice[v, r], margin[v, r] = pick[:k], gap[:k]
 
 
 def _separable_rows(tables: _ActionTables) -> int:
@@ -215,77 +234,77 @@ def _separable_rows(tables: _ActionTables) -> int:
     return max(1, _BLOCK_FLOATS // (8 * len(tables.grid_action)))
 
 
-def _use_separable(rows: int, tables: _ActionTables) -> bool:
-    """The size rule.  Counted in q elements of the scan, the scan costs
-    rate vectors x actions per row.  The transform costs about 5 n m^(n+1)
-    per row (eight elementwise passes per user and rung over the m^n grid,
-    each element cheaper than a q element) plus 2^14 n m per chunk of rows
-    (those passes' fixed cost), for n users and m rungs."""
+def _use_separable(rows: int, tables: _ActionTables, pairs=None) -> bool:
+    """The size rule, in q elements of the scan: the scan costs actions per
+    (rate vector, row) pair it reduces (``pairs``, all by default), the
+    transform about 5 n m^(n+1) per row (eight elementwise passes per user
+    and rung over the m^n grid, each element cheaper than a q element) plus
+    2^14 n m per chunk of rows (those passes' fixed cost), for n users, m rungs."""
     m, n = tables.variation.shape[0], len(tables.penalty)
     chunks = -(-rows // _separable_rows(tables))
-    scan = tables.variation_by_action.size * rows
-    return scan > 5 * n * m ** (n + 1) * rows + (1 << 14) * n * m * chunks
+    pairs = tables.num_rate_vectors * rows if pairs is None else pairs
+    return len(tables.action_digits) * pairs > 5 * n * m ** (n + 1) * rows + (1 << 14) * n * m * chunks
 
 
-def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray) -> None:
-    """Fill ``choice`` (rate vectors, rows) with the first maximizer of q by
-    a max-plus transform taken one user at a time, which the separable
-    penalty ``variation_by_action[r, a] = sum_u penalty[u][r_u, a_u]``
-    allows, and send each pair it cannot certify to ``_scan``.
+@np.errstate(invalid="ignore")  # inf - inf: NaN, not certified
+def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray, margin=None) -> None:
+    """Fill ``choice`` (rate vectors, rows) with the first maximizer of q, and
+    ``margin`` with best - second - the bound below, by a max-plus transform
+    taken one user at a time (the penalty ``variation_by_action[r, a] = sum_u
+    penalty[u][r_u, a_u]`` is separable); pairs it cannot certify go to ``_scan``.
 
     ``gain - bottleneck`` is laid on the full m^n grid of action digits
     (``-inf`` where no action is feasible); pass u replaces digit u of the
     action by digit u of the rate vector, subtracting ``penalty[u]`` and
-    carrying the best and second-best value and the best grid point, from
-    ``-inf`` over the rungs of digit u in order.  Each pass reads digit u as
-    the first axis and moves the new rate digit behind the earlier ones, so
-    every elementwise step runs over whole contiguous blocks.  Every
-    path, like every q element, is within (n + 2) M 2^-53 of its exact sum
-    (n + 1 subtractions, or additions, plus the n products together), where
-    M bounds |gain| + |bottleneck| + sum_u |penalty[u]|.  So a best more than
-    8 (n + 2) M 2^-52, four times the most that rounding can close, above
-    the second is the unique maximizer of q too, and hence the first; a
-    tie, a near tie and any NaN or infinity (the comparison is false) fall
-    back to the exact scan.
+    carrying the best and second-best value and the best grid point from
+    rung 0 over the rungs of digit u, in place.  Each pass reads digit u as
+    the first axis and moves the new rate digit behind the earlier ones.
+    Every path, like every q element, is within (n + 2) M 2^-53 of its exact
+    sum (n + 1 subtractions, or additions, plus the n products together),
+    where M bounds |gain| + |bottleneck| + sum_u |penalty[u]|.  So a best
+    more than 8 (n + 2) M 2^-52, four times the most that rounding can
+    close, above the second is the unique maximizer of q too, and hence the
+    first; a tie, a near tie and any NaN or infinity (the comparison is
+    false) fall back to the exact scan.
     """
     m, n = tables.variation.shape[0], len(tables.penalty)
     grid = m ** n
     step = min(len(gain), _separable_rows(tables))
     bound = 8 * (n + 2) * 2.0 ** -52 * (np.abs(gain).max() + tables.error_scale)
-    pairs = max(1, _BLOCK_FLOATS // gain.shape[1])  # fallback pairs per scan
     for lo in range(0, len(gain), step):
         rows = min(step, len(gain) - lo)
         laid = np.vstack([gain[lo:lo + rows].T - tables.bottleneck[:, None],
                           np.full(rows, -np.inf)])  # last row: no action
-        best = laid[tables.grid_action]
-        second = np.full_like(best, -np.inf)
-        point = np.arange(grid)[:, None].repeat(rows, axis=1)
+        now = [laid[tables.grid_action], np.full((grid, rows), -np.inf),
+               np.indices((grid, rows), np.min_scalar_type(grid))[0]]
+        best, second, point = out = [np.empty((m, grid // m, rows), x.dtype) for x in now]
+        (cand, low), more = np.empty((2, m, grid // m, rows)), np.empty(best.shape, dtype=bool)
         for u in range(n):
-            # axes: action digit u; action digits after u, rate digits before u; rows
-            best_in, second_in, point_in = (x.reshape(m, -1, rows) for x in (best, second, point))
-            best = second = -np.inf
-            point = 0
-            for a in range(m):
-                pen = tables.penalty[u, :, a, None, None]  # over digit u of the rate vector
-                cand = best_in[a] - pen
-                second = np.maximum(np.maximum(second, second_in[a] - pen),
-                                    np.minimum(best, cand))
-                point = np.where(cand > best, point_in[a], point)
-                best = np.maximum(best, cand)
-            best, second, point = (x.transpose(1, 0, 2) for x in (best, second, point))
-        choice[:, lo:lo + rows] = tables.grid_action[point.reshape(grid, rows)]
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN, not certified
-            vec, row = np.nonzero(~(best - second > bound).reshape(grid, rows))
-        buf = np.empty((min(pairs, len(vec)), gain.shape[1]))
-        for p in range(0, len(vec), pairs):
-            v, r = vec[p:p + pairs], row[p:p + pairs]
-            pick = np.empty(len(v), dtype=np.int64)
-            _scan(gain[lo + r], tables.variation_by_action[v], tables, buf[:len(v)], pick)
-            choice[v, lo + r] = pick
+            # axes: action (out: rate) digit u; action digits after u, rate digits before u; rows
+            best_in, second_in, point_in = (x.reshape(m, -1, rows) for x in now)
+            pen = tables.penalty[u, :, :, None, None]  # over digit u of the rate vector
+            np.subtract(best_in[0], pen[:, 0], out=best)
+            np.subtract(second_in[0], pen[:, 0], out=second)
+            np.copyto(point, point_in[0])
+            for a in range(1, m):
+                np.subtract(best_in[a], pen[:, a], out=cand)
+                np.subtract(second_in[a], pen[:, a], out=low)
+                np.maximum(second, low, out=second)
+                np.minimum(best, cand, out=low)
+                np.maximum(second, low, out=second)
+                np.greater(cand, best, out=more)
+                np.copyto(point, point_in[a], where=more)
+                np.maximum(best, cand, out=best)
+            for x, y in zip(now, out):  # the new rate digit goes behind the earlier ones
+                np.copyto(x.reshape(-1, m, rows), y.transpose(1, 0, 2))
+        choice[:, lo:lo + rows] = tables.grid_action[now[2]]
+        gap = np.subtract(now[0] - now[1], bound,
+                          out=now[1] if margin is None else margin[:, lo:lo + rows])
+        _scan_pairs(gain[lo:lo + rows], tables, *np.nonzero(~(gap > 0)), choice[:, lo:lo + rows], gap)
 
 
-def _best(gain: np.ndarray, tables: _ActionTables,
-          vectors=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
+          carry=None) -> tuple[np.ndarray, np.ndarray]:
     """Best value and action for every (rate vector, row of ``gain``), where
     ``gain`` is (rows, actions) of everything in q but the variation
     penalty and the bottleneck charge; both results are (rate vectors, rows),
@@ -296,31 +315,56 @@ def _best(gain: np.ndarray, tables: _ActionTables,
     take the certified transform of ``_separable`` over the full grid; the
     rest scan q block by block of rate vectors in one reused buffer.  Either
     way the values are taken once at the choices by the same expression as q.
+
+    ``carry``, a dict a solve keeps once q outgrows one scan block (its fixed
+    cost is some 2^14 scanned q elements), certifies pairs instead.  It
+    holds the last gain, its scale M = max |gain| + ``error_scale``, the
+    choices (narrowest type, updated in place) and ``margin``, a lower bound
+    L on each pair's q minus its runner-up's.  Exact q moves by the change
+    in gain, so L falls by at most its spread S over the row, and rounding by
+    less than 2^-49 (M + M_last): 2^-53 (M + M_last) times 4 through q and 6
+    through S + slack, and 4 M_last 2^-53 through L <= 2 M_last.  A pair
+    whose L - (S + slack) stays positive, for a slack four times that, keeps
+    its choice, the unique maximizer, and carries that L; the rest (ties,
+    near ties, NaN, infinities) are rescanned, pair by pair or, where the
+    size rule prices that (3 q elements a pair) above it, with the sweep.
     """
-    num_actions = gain.shape[1]
     variation = (tables.reachable_variation if vectors is tables.action_multi
                  else tables.variation_by_action[vectors])
-    if _use_separable(len(gain), tables):
+    scale = None if carry is None else np.abs(gain).max() + tables.error_scale
+    margin = (None if carry is None else carry["margin"] if carry
+              else np.empty((len(variation), len(gain))))
+    if carry:
+        with np.errstate(invalid="ignore"):
+            margin -= np.ptp(gain - carry["gain"], axis=1) + 2.0 ** -47 * (scale + carry["scale"])
+        stale = 3 * (margin.size - np.count_nonzero(margin > 0))  # priced as blocked-scan pairs
+    if carry and stale < margin.size and not _use_separable(len(gain), tables, stale):
+        choice = carry["choice"]
+        _scan_pairs(gain, tables, *np.nonzero(~(margin > 0)), choice, margin)
+    elif _use_separable(len(gain), tables, len(variation) * len(gain)):
         choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
-        _separable(gain, tables, choice)
+        _separable(gain, tables, choice, margin)
         choice = choice[vectors]
     else:
         choice = np.empty((len(variation), len(gain)), dtype=np.int64)
         step = max(1, _BLOCK_FLOATS // gain.size)
         buf = np.empty((min(step, len(choice)),) + gain.shape)
         for lo in range(0, len(choice), step):
-            _scan(gain, variation[lo:lo + step, None, :], tables,
-                  buf[:len(choice) - lo], choice[lo:lo + step])
-    values = gain.take(choice + np.arange(0, gain.size, num_actions))
-    values -= variation.take(choice + np.arange(0, variation.size, num_actions)[:, None])
+            _scan(gain, variation[lo:lo + step, None, :], tables, buf[:len(choice) - lo],
+                  choice[lo:lo + step], None if margin is None else margin[lo:lo + step])
+    if carry is not None:
+        choice = choice.astype(np.min_scalar_type(len(tables.action_digits) - 1), copy=False)
+        carry.update(gain=gain, margin=margin, choice=choice, scale=scale)
+    values = gain.take(choice + np.arange(0, gain.size, gain.shape[1]))
+    values -= variation.take(choice + np.arange(0, variation.size, gain.shape[1])[:, None])
     values -= tables.bottleneck.take(choice)
     return values, choice
 
 
-def _backup(tables: _ActionTables, v_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _backup(tables: _ActionTables, v_next: np.ndarray, carry=None) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep: epoch-t values and chosen actions from epoch-t+1
-    values.  ``v_next`` has shape (rate vectors, channel vectors); reads and
-    writes touch separate buffers, so within-sweep updates cannot leak.
+    values (``carry``: see ``_best``).  ``v_next`` has shape (rate vectors,
+    channel vectors); reads and writes touch separate buffers.
 
     Every q element is ``((playbuf + future) - variation) - bottleneck``,
     its future term from one stacked matmul per sweep, which numpy runs as
@@ -328,7 +372,7 @@ def _backup(tables: _ActionTables, v_next: np.ndarray) -> tuple[np.ndarray, np.n
     and choices match ``tests/support.full_tensor_backup`` bit for bit.
     """
     future = np.matmul(tables.joint_channel, v_next[tables.action_multi, :, None])[..., 0].T
-    return _best(tables.expected_playbuf_by_action + future, tables)
+    return _best(tables.expected_playbuf_by_action + future, tables, carry=carry)
 
 
 def backward_induction(
@@ -366,8 +410,9 @@ def backward_induction(
     # Split per user and interleaved, a sweep's block is in canonical order (r0, c0, r1, ...).
     split, axes = (m,) * n + (k,) * n, [a for u in range(n) for a in (u, n + u)]
     v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
+    carry = {} if v_next.size * len(tables.action_digits) > _BLOCK_FLOATS else None
     for t in range(horizon - 1, -1, -1):
-        v_now, choice = _backup(tables, v_next)
+        v_now, choice = _backup(tables, v_next, carry)
         np.copyto(values[t].reshape((m, k) * n), v_now.reshape(split).transpose(axes))
         np.copyto(ids[t].reshape((m, k) * n), choice.reshape(split).transpose(axes), casting="unsafe")
         v_next = v_now

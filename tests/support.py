@@ -242,11 +242,9 @@ def fixed_plan_value(ladder, channel, params, consts, plan, rates, chans):
 # --------------------- reference solver sweep ---------------------
 
 
-def full_tensor_backup(tables, v_next):
-    """One backward sweep through the full (actions x rate vectors x channel
-    vectors) q tensor: the reference the blocked ``mdp._backup`` must match
-    bit for bit.  Returns the values, the first-maximizer choices and the
-    number of states whose maximum is reached by more than one action."""
+def full_tensor_q(tables, v_next):
+    """The full (actions x rate vectors x channel vectors) q tensor of one
+    backward sweep, one action at a time."""
     num_actions = len(tables.action_digits)
     q = np.empty((num_actions, tables.num_rate_vectors, tables.num_chan_vectors))
     for pos in range(num_actions):
@@ -256,6 +254,15 @@ def full_tensor_backup(tables, v_next):
             - tables.variation_by_action[:, pos][:, None]
             - tables.bottleneck[pos]
         )
+    return q
+
+
+def full_tensor_backup(tables, v_next):
+    """One backward sweep through the full q tensor: the reference the
+    blocked ``mdp._backup`` must match bit for bit.  Returns the values, the
+    first-maximizer choices and the number of states whose maximum is
+    reached by more than one action."""
+    q = full_tensor_q(tables, v_next)
     values = q.max(axis=0)
     ties = int(np.count_nonzero((q == values).sum(axis=0) > 1))
     return values, q.argmax(axis=0), ties

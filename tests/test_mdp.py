@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpstream import mdp
 from mdpstream.economics import bottleneck_cost, derive_constants
@@ -25,6 +27,7 @@ from support import (
     expectimax_value,
     fixed_plan_value,
     full_tensor_backup,
+    full_tensor_q,
     make_channel,
     make_ladder,
     make_params,
@@ -368,7 +371,7 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
         assert tables.num_rate_vectors % 3 == 1
     scanned = _record_scans(monkeypatch)
     for separable in (False, True):  # both reductions, whichever the size rule picks
-        monkeypatch.setattr(mdp, "_use_separable", lambda rows, tables: separable)
+        monkeypatch.setattr(mdp, "_use_separable", lambda *args: separable)
         v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
         ties = charged = 0
         scanned.clear()
@@ -394,6 +397,77 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
             assert ties > 0 if instance is _symmetric_instance else charged > 0
 
 
+def _check_certified_sweeps(tables, sweeps):
+    """Run ``sweeps`` backward sweeps from zero, each certified against the
+    last through one carry: values must equal the full tensor's bit for bit
+    and choices its first maximizers, and no carried margin may exceed the
+    full tensor's best q minus its runner-up."""
+    v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
+    carry = {}
+    for _ in range(sweeps):
+        values, choice = mdp._backup(tables, v_next, carry)
+        q = full_tensor_q(tables, v_next)
+        assert values.tobytes() == q.max(axis=0).tobytes()  # signed zeros too
+        assert np.array_equal(choice, q.argmax(axis=0))
+        top = np.sort(q, axis=0)  # the runner-up of a lone action is -inf
+        assert np.all(carry["margin"] <= top[-1] - (top[-2] if len(q) > 1 else -np.inf))
+        v_next = values
+
+
+@pytest.mark.parametrize("instance", [
+    _symmetric_instance, _finite_price_instance, _uncharged_finite_price_instance,
+    _negative_zero_price_instance,
+])
+@pytest.mark.parametrize("separable", [False, True, None], ids=["scan", "transform", "rule"])
+def test_certified_sweeps_match_full_tensor_bit_for_bit(monkeypatch, instance, separable):
+    # forced scan and forced transform for the whole sweeps and the margins
+    # they report, then the size rule (which scans these small instances)
+    ladder, channel, params, consts = instance()
+    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    if separable is not None:
+        monkeypatch.setattr(mdp, "_use_separable", lambda *args: separable)
+    recorded = _record_sweeps(monkeypatch)
+    _check_certified_sweeps(tables, 24)
+    fewest = min(scanned for _, scanned in recorded)
+    pairs = tables.num_rate_vectors * tables.num_chan_vectors
+    # the transform reduces whole sweeps; otherwise most pairs certify
+    assert fewest < pairs / 2 if not separable else fewest < pairs
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), users=st.integers(1, 3), finite_price=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_certified_sweeps_match_full_tensor_on_random_instances(seed, users, finite_price):
+    ladder, channel, params, consts = random_instance(np.random.default_rng(seed), 3, 3, users,
+                                                      finite_price)
+    tables = mdp._ActionTables(ladder, channel, params, consts, users)
+    _check_certified_sweeps(tables, 20)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gain_is_never_certified(monkeypatch, bad):
+    # after two good sweeps, one with a bad row (2) and a bad entry (row 4),
+    # then a good one again: a non-finite gain makes its sweep's scale M, and
+    # so the slack of that sweep and the next, non-finite, so both reduce
+    # every pair, and the results are still the full tensor's
+    ladder, channel, params, consts = _finite_price_instance()
+    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    monkeypatch.setattr(mdp, "_use_separable", lambda *args: False)
+    sweeps = _record_sweeps(monkeypatch)
+    good = tables.expected_playbuf_by_action
+    bad_gain = good + 1.0
+    bad_gain[2] = bad
+    bad_gain[4, 3] = bad
+    carry = {}
+    every_pair = tables.num_rate_vectors * len(good)
+    for step, gain in enumerate([good, good + 0.5, bad_gain, good + 1.5]):
+        values, choice = mdp._best(gain, tables, carry=carry)
+        want_values, want_choice = _full_tensor_best(gain, tables)
+        assert np.array_equal(choice, want_choice)
+        assert values.tobytes() == want_values.tobytes()
+        scanned = sweeps[-1][1]
+        assert scanned < every_pair if step == 1 else scanned == every_pair  # 1: good, certifies
+
+
 @pytest.mark.parametrize("users, cap", [(2, 850.0), (3, 1275.0), (4, 1700.0)])
 def test_stacked_future_term_equals_per_action_matvecs(fair_config, monkeypatch, users, cap):
     # _backup hands _best the gain playbuf + future; an equal gain from the
@@ -402,9 +476,9 @@ def test_stacked_future_term_equals_per_action_matvecs(fair_config, monkeypatch,
     gains = []
     best = mdp._best
 
-    def recording(gain, tables):
+    def recording(gain, tables, **carry):
         gains.append(gain)
-        return best(gain, tables)
+        return best(gain, tables, **carry)
 
     monkeypatch.setattr(mdp, "_best", recording)
     rng = np.random.default_rng(18)
@@ -424,9 +498,9 @@ def _record_scans(monkeypatch):
     sizes = []
     scan = mdp._scan
 
-    def recording(gain, variation, tables, q, out):
+    def recording(gain, variation, tables, q, out, *margin):
         sizes.append(out.size)
-        scan(gain, variation, tables, q, out)
+        scan(gain, variation, tables, q, out, *margin)
 
     monkeypatch.setattr(mdp, "_scan", recording)
     return sizes
@@ -451,7 +525,7 @@ def test_separable_best_on_one_row_at_four_users(fair_config, monkeypatch):
     # 2 and 3) tie exactly at some rate vectors, and those must fall back
     tables = _workload_tables(fair_config, 4, (0.25,) * 4, 1700.0)
     gain = (tables.playbuf[tables.action_digits, [0, 0, 3, 3]] @ np.full(4, 0.25))[None, :]
-    monkeypatch.setattr(mdp, "_use_separable", lambda rows, tables: True)
+    monkeypatch.setattr(mdp, "_use_separable", lambda *args: True)
     scanned = _record_scans(monkeypatch)
     values, choice = mdp._best(gain, tables)
     want_values, want_choice = _full_tensor_best(gain, tables)
@@ -469,7 +543,7 @@ def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
     gain = tables.expected_playbuf_by_action[:5].copy()
     gain[2] = bad
     gain[4, 3] = bad
-    monkeypatch.setattr(mdp, "_use_separable", lambda rows, tables: True)
+    monkeypatch.setattr(mdp, "_use_separable", lambda *args: True)
     scanned = _record_scans(monkeypatch)
     values, choice = mdp._best(gain, tables)
     want_values, want_choice = _full_tensor_best(gain, tables)
@@ -483,15 +557,82 @@ def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
 ])
 def test_separable_fallback_count_on_the_4_user_solve(fair_config, monkeypatch, priorities,
                                                       fallbacks):
-    # the benchmark's solver-4u solve: a transform that certifies fewer
-    # pairs gives the same bits, only slower, so the fallback count is
-    # pinned; equal priorities tie users' swapped actions exactly
+    # the benchmark's solver-4u solve as four full sweeps: a transform that
+    # certifies fewer pairs gives the same bits, only slower, so the fallback
+    # count is pinned; equal priorities tie users' swapped actions exactly
+    tables = _workload_tables(fair_config, 4, priorities, 1700.0)
+    scanned = _record_scans(monkeypatch)
+    v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
+    for _ in range(4):
+        v_next = mdp._backup(tables, v_next)[0]
+    assert sum(scanned) == fallbacks  # 0: the transform took every pair
+
+
+def _record_sweeps(monkeypatch):
+    """Wrap ``mdp._best``, ``mdp._separable`` and ``mdp._scan``; the returned
+    list gets one [took the transform, pairs reduced exactly] entry per
+    ``_best`` call."""
+    sweeps = []
+    best, separable, scan = mdp._best, mdp._separable, mdp._scan
+
+    def recording_best(*args, **carry):
+        sweeps.append([False, 0])
+        return best(*args, **carry)
+
+    def recording_separable(*args):
+        sweeps[-1][0] = True
+        separable(*args)
+
+    def recording_scan(gain, variation, tables, q, out, *margin):
+        sweeps[-1][1] += out.size
+        scan(gain, variation, tables, q, out, *margin)
+
+    monkeypatch.setattr(mdp, "_best", recording_best)
+    monkeypatch.setattr(mdp, "_separable", recording_separable)
+    monkeypatch.setattr(mdp, "_scan", recording_scan)
+    return sweeps
+
+
+@pytest.mark.parametrize("priorities, sweeps", [
+    ((0.25,) * 4, [[True, 3383], [True, 3383], [False, 13383], [False, 8105]]),
+    ((0.4, 0.3, 0.2, 0.1), [[True, 0], [True, 0], [True, 0], [False, 2633]]),
+])
+def test_certified_sweeps_on_the_4_user_solve(fair_config, monkeypatch, priorities, sweeps):
+    # the same solve through backward_induction, whose sweeps certify the
+    # last choices: the second certifies too few pairs and takes the
+    # transform again; from the third on the size rule scans only the pairs
+    # left uncertified, unless they cost more than the transform.  A
+    # certificate that covers less scans more pairs, or takes the transform
     params = dataclasses.replace(fair_config.profit, user_priorities=priorities,
                                  total_rate_cap_kbps=1700.0)
     consts = derive_constants(fair_config.ladder, fair_config.channel, params)
-    scanned = _record_scans(monkeypatch)
+    recorded = _record_sweeps(monkeypatch)
     backward_induction(fair_config.ladder, fair_config.channel, params, consts, 4)
-    assert sum(scanned) == fallbacks  # 0: the transform took every pair
+    assert recorded == sweeps
+
+
+def test_paper_solve_scans_every_sweep(fair_config, monkeypatch):
+    # a 2-user sweep's q (25 rate vectors x 16 channel vectors x 13 actions)
+    # fits one scan block, which scans faster than a certificate costs
+    recorded = _record_sweeps(monkeypatch)
+    backward_induction(fair_config.ladder, fair_config.channel, fair_config.profit,
+                       fair_config.derived_constants(), 6)
+    assert recorded == [[False, 400]] * 6
+
+
+def test_table_3u_solve_certifies_95_percent_from_the_third_sweep(fair_config, monkeypatch):
+    # the benchmark's table-3u solve: 3 users, cap 1275, H60; each sweep
+    # from the third scans at most 5% of its 8,000 pairs (the exact ties
+    # between users, which never certify, are 156)
+    params = dataclasses.replace(fair_config.profit, user_priorities=(1 / 3,) * 3,
+                                 total_rate_cap_kbps=1275.0)
+    consts = derive_constants(fair_config.ladder, fair_config.channel, params)
+    recorded = _record_sweeps(monkeypatch)
+    backward_induction(fair_config.ladder, fair_config.channel, params, consts, 60)
+    pairs = 8000
+    assert recorded[:2] == [[False, pairs]] * 2  # full scans: nothing certified yet
+    assert len(recorded) == 60
+    assert all(not transform and 0 < scanned <= 0.05 * pairs for transform, scanned in recorded[2:])
 
 
 def test_size_rule_puts_benchmark_workloads_on_both_sides(fair_config, diff_config):
@@ -507,20 +648,33 @@ def test_size_rule_puts_benchmark_workloads_on_both_sides(fair_config, diff_conf
     for tables, sweep_rows, runs in cases:
         assert sweep_rows == tables.num_chan_vectors
         assert mdp._use_separable(sweep_rows, tables) == (tables is four)
-        # solve_ideal passes every run of its call as a row: a 4-user cell
-        # takes the transform, one run at a time (solver-4u's plans) scans
-        assert mdp._use_separable(runs, tables) == (tables is four)
+        # solve_ideal passes every run of its call as a row, and the scan
+        # reduces each run's reachable rate vectors, one per action (the
+        # initial one alone at epoch 0): a 4-user cell takes the transform,
+        # one run at a time (solver-4u's plans) scans
+        actions = len(tables.action_digits)
+        assert mdp._use_separable(runs, tables, actions * runs) == (tables is four)
+        assert not mdp._use_separable(runs, tables, runs)
+        assert not mdp._use_separable(1, tables, actions)
         assert not mdp._use_separable(1, tables)
+    # priced at all 625 rate vectors per run, a 4-user plan of 2 runs took the
+    # transform; priced at its 385 reachable ones it scans, and 4 runs do not
+    assert mdp._use_separable(2, four) and not mdp._use_separable(2, four, 2 * 385)
+    assert mdp._use_separable(4, four, 4 * 385)
 
 
-@pytest.mark.parametrize("users, cap, size", [
-    pytest.param(3, 1275.0, (78, 8000), id="3u-scan"),
-    pytest.param(4, 1700.0, (385, 160000), id="4u-transform"),
+@pytest.mark.parametrize("users, cap, size, certified", [
+    pytest.param(3, 1275.0, (78, 8000), False, id="3u-scan"),
+    pytest.param(4, 1700.0, (385, 160000), False, id="4u-transform"),
+    pytest.param(3, 1275.0, (78, 8000), True, id="3u-certified"),
+    pytest.param(4, 1700.0, (385, 160000), True, id="4u-certified"),
 ])
 def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch, users, cap,
-                                                        size):
+                                                        size, certified):
     # 3 users scan q in small blocks; 4 users take the transform, whose
-    # working arrays stay small only because it chunks the rows
+    # working arrays stay small only because it chunks the rows.  A
+    # certified sweep (a solve's third) scans only the pairs it cannot
+    # certify, and also holds what it carries to the next sweep
     params = dataclasses.replace(
         fair_config.profit, user_priorities=(1 / users,) * users, total_rate_cap_kbps=cap
     )
@@ -533,17 +687,25 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
     if users == 3:
         monkeypatch.setattr(mdp, "_BLOCK_FLOATS", 4 * chans * actions)
     v_next = np.zeros((rates, chans))
+    carry = {} if certified else None
+    for _ in range(2 if certified else 0):
+        v_next = mdp._backup(tables, v_next, carry)[0]
+    sweeps = _record_sweeps(monkeypatch)
     tracemalloc.start()
     try:
-        mdp._backup(tables, v_next)
+        mdp._backup(tables, v_next, carry)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    if certified:  # not the transform, and not every pair
+        assert not sweeps[0][0] and 0 < sweeps[0][1] < rates * chans
     assert peak < actions * rates * chans * 8 / 2
     # one reused q block, the future term and the gain (channel vectors x
     # actions each), and five (rate vectors x channel vectors) arrays: the
-    # values, the choices and the gathers of q at the choices
-    assert peak < 8 * (mdp._BLOCK_FLOATS + 2 * chans * actions + 5 * rates * chans)
+    # values, the choices and the gathers of q at the choices; a certified
+    # sweep also carries the margins and the last gain
+    carried = 8 * (rates * chans + chans * actions) if certified else 0
+    assert peak < 8 * (mdp._BLOCK_FLOATS + 2 * chans * actions + 5 * rates * chans) + carried
 
 
 # ------------------------------- policy table ------------------------------

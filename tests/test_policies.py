@@ -227,10 +227,12 @@ def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeyp
         gain_floats = config.num_runs * len(tables.action_digits)
         for block_floats in (default, gain_floats, 3 * gain_floats):
             # default, then 1 and 3 rate vectors per scanned q block.  Every
-            # run of the call is one row of q, so 4 users take the transform
-            # by default; chunks of one row make it too dear
+            # run of the call is one row of q, and the scan is priced at each
+            # run's reachable rate vectors (one per action), so the 8-run
+            # 4-user plan takes the transform by default; chunks of one row
+            # make it too dear
             monkeypatch.setattr(mdp, "_BLOCK_FLOATS", block_floats)
-            separable = mdp._use_separable(config.num_runs, tables)
+            separable = mdp._use_separable(config.num_runs, tables, gain_floats)
             assert separable == (n == 4 and block_floats == default), (name, block_floats)
             rows.clear()
             assert np.array_equal(solve_ideal(paths, *args), want), (name, block_floats)
@@ -244,9 +246,9 @@ def test_plan_reduces_only_reachable_rate_vectors(fair_config, monkeypatch):
     params, n, runs = config.profit, config.num_users, config.num_runs
     scan, pairs = mdp._scan, []
 
-    def recording(gain, variation, tables, q, out):
+    def recording(gain, variation, tables, q, out, *margin):
         pairs.append(out.size)
-        scan(gain, variation, tables, q, out)
+        scan(gain, variation, tables, q, out, *margin)
 
     monkeypatch.setattr(mdp, "_scan", recording)
     args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params,
