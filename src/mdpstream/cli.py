@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .metrics import PER_USER_METRICS, SessionSummary, aggregate_runs, summarize
 from .metrics import summarize  # noqa: F401  (perfbench wraps this name)
 from .model import ConfigurationError, state_space_size
 from .policies import IdealOracle, Myopic, Proposed
-from .sim import USER_COLUMNS, ScenarioConfig, Trace, channel_paths, decide, score
+from .sim import USER_COLUMNS, ScenarioConfig, SegmentRecord, Trace, channel_paths, decide, score
 from .sim import run_session  # noqa: F401  (perfbench traces the sessions under this name)
 
 ARMS = ("proposed", "myopic", "ideal", "client_centric")
@@ -162,26 +162,25 @@ def _write_traces(paths: list[str], header: bytes, trace: Trace) -> None:
     ``csv.writer`` writes from ``format(x, ".12g")`` float cells and ``str``
     integer cells.
 
-    Each distinct value of a column name is formatted once, as ASCII text
-    ending in its separator (CRLF after ``stage_profit``, ``,`` elsewhere),
-    and each CSV cell holds the code of its text.  Values are keyed by their
-    int64 value (``epoch``, ``channel_state``) or float64 bits (the rest, so
-    ``-0.0`` and ``0.0`` stay apart), the users' columns of one name together.
+    Each distinct value of a column (the epoch, then ``trace``'s) is formatted
+    once, as ASCII text ending in its separator (CRLF after the last, ``,``
+    elsewhere), and each CSV cell holds the code of its text.  Values are
+    keyed by their int64 value (integer columns) or float64 bits (so ``-0.0``
+    and ``0.0`` stay apart), the users' columns of one name together.
     """
     runs, horizon, n = trace.rate_kbps.shape
     width, step = 3 + len(USER_COLUMNS) * n, len(USER_COLUMNS)
     codes = np.empty((runs, horizon, width), np.intp)
-    names = ("epoch", *USER_COLUMNS, "bottleneck_cost", "stage_profit")
+    columns = (np.arange(horizon)[:, None], *(getattr(trace, f.name) for f in fields(trace)))
     slots = (slice(0, 1), *(slice(1 + j, width - 2, step) for j in range(step)), -2, -1)
     texts = []
-    for name, slot in zip(names, slots):
-        values = np.arange(horizon)[:, None] if name == "epoch" else getattr(trace, name)
-        integer = name in ("epoch", "channel_state")
+    for values, slot in zip(columns, slots):
+        integer = values.dtype.kind == "i"
         keys = (values.astype(np.int64, copy=False) if integer
                 else values.astype(np.float64, copy=False).view(np.int64))
         distinct, inverse = np.unique(keys, return_inverse=True)
         np.add(inverse.reshape(values.shape), len(texts), out=codes[..., slot])
-        form = (b"%d" if integer else b"%.12g") + (b"\r\n" if name == "stage_profit" else b",")
+        form = (b"%d" if integer else b"%.12g") + (b"\r\n" if slot == -1 else b",")
         texts += [form % x for x in (distinct if integer else distinct.view(np.float64)).tolist()]
     texts = np.array(texts, dtype=object)  # indexed by code; rebinding frees the list
     for path, run_codes in zip(paths, codes.reshape(runs, -1)):
@@ -223,9 +222,10 @@ def run_experiment(
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
-    trace_header = _csv_line(["epoch", *(
+    epoch, *shared = [f.name for f in fields(SegmentRecord) if f.name not in USER_COLUMNS]
+    trace_header = _csv_line([epoch, *(
         f"u{u}_{name}" for u in range(1, config.num_users + 1) for name in USER_COLUMNS
-    ), "bottleneck_cost", "stage_profit"])
+    ), *shared])
     summary_rows = [_summary_header(config.num_users)]
     aggregate_rows = [["arm", "sweep_axis", "sweep_value"]]
 
@@ -255,17 +255,19 @@ def run_experiment(
                 )
 
         paths = all_paths[:, :scenario.horizon + 1]
-        decisions = []
-        for arm in spec.arms:
-            if arm == "proposed":
+        rules = ["myopic" if arm == "client_centric" else arm for arm in spec.arms]  # one client rule
+        decisions = {}
+        for rule in dict.fromkeys(rules):
+            if rule == "proposed":
                 policy = Proposed(table=table, stationary=stationary)
-            elif arm == "ideal":
+            elif rule == "ideal":
                 policy = IdealOracle()
-            else:  # myopic and client_centric share the client rule
+            else:
                 policy = Myopic(ladder=scenario.ladder)
-            decisions.append(decide(scenario, policy, paths))
+            decisions[rule] = decide(scenario, policy, paths)
         # every arm's runs stacked along the run axis, scored and summarized at once
-        trace = score(scenario, np.concatenate(decisions), np.concatenate([paths] * len(spec.arms)))
+        trace = score(scenario, np.concatenate([decisions[rule] for rule in rules]),
+                      np.concatenate([paths] * len(spec.arms)))
         del decisions  # the guard counts the stacked copy only
         summaries = summarize_runs(trace.rate_kbps, trace.rebuffer_s, trace.stage_profit, scenario,
                                    [(arm, run) for arm in spec.arms for run in runs])

@@ -3,20 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .model import left_sum
 from .sim import ScenarioConfig, SegmentRecord, Trace
-
-
-# The per-user fields of a ``SessionSummary``, in CSV order.
-PER_USER_METRICS = (
-    "avg_bitrate_kbps", "buffering_ratio", "stall_events_per_second",
-    "stalled_frames_per_second", "significant_variations",
-)
 
 
 @dataclass(frozen=True)
@@ -38,6 +31,11 @@ class SessionSummary:
     stalled_frames_per_second: tuple[float, ...]
     significant_variations: tuple[int, ...]
     profit: float
+
+
+# The per-user fields of a ``SessionSummary``, in CSV order: all but the
+# arm, the run index and the profit.
+PER_USER_METRICS = tuple(f.name for f in fields(SessionSummary))[2:-1]
 
 
 def summarize_runs(

@@ -49,11 +49,11 @@ class IdealOracle:
     """Marker arm: plan with hindsight against each session's sampled path."""
 
 
-def check_channel_indices(paths: np.ndarray, num_states: int) -> None:
-    """Refuse state indices outside [0, num_states); numpy would wrap -1."""
-    bad = paths[(paths < 0) | (paths >= num_states)]
+def check_indices(kind: str, indices: np.ndarray, count: int) -> None:
+    """Refuse ``kind`` indices outside [0, count); numpy would wrap -1."""
+    bad = indices[(indices < 0) | (indices >= count)]
     if bad.size:
-        raise ValueError(f"channel index {bad[0]} outside [0, {num_states})")
+        raise ValueError(f"{kind} index {bad[0]} outside [0, {count})")
 
 
 def solve_ideal(
@@ -82,7 +82,7 @@ def solve_ideal(
     runs, horizon = paths.shape[0], paths.shape[1] - 1
     if horizon < 1:
         raise ValueError("need at least one decision epoch")
-    check_channel_indices(paths, channel.num_states)
+    check_indices("channel", paths, channel.num_states)
     digits = tuple(int(i) for i in initial_rate_indices)
     if len(digits) != n or not all(0 <= d < len(ladder) for d in digits):
         raise ValueError(f"initial rate indices {digits}: need one per user, each on the ladder")

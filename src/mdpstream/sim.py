@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ from . import economics, mdp
 from .economics import DerivedConstants, ProfitParams, derive_constants
 from .model import (ChannelModel, ConfigurationError, QualityLadder, _require, _require_finite,
                     left_sum)
-from .policies import IdealOracle, Myopic, Proposed, check_channel_indices, solve_ideal
+from .policies import IdealOracle, Myopic, Proposed, check_indices, solve_ideal
 
 SHARING_PROPORTIONAL = "proportional"
 SHARING_NONE = "none"
@@ -79,38 +79,11 @@ class ScenarioConfig:
         return replace(self, horizon=horizon)
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """Everything observed for one segment period: per-user tuples plus the
-    shared charge.  Income and costs are per user and unweighted; the stage
-    profit applies the priorities and subtracts the bottleneck charge."""
-
-    epoch: int
-    rate_kbps: tuple[float, ...]
-    channel_state: tuple[int, ...]
-    effective_bw_kbps: tuple[float, ...]
-    download_s: tuple[float, ...]
-    rebuffer_s: tuple[float, ...]
-    buffer_s: tuple[float, ...]
-    income: tuple[float, ...]
-    buffering_cost: tuple[float, ...]
-    variation_cost: tuple[float, ...]
-    bottleneck_cost: float
-    stage_profit: float
-
-
-# The per-user trace columns, in CSV order.
-USER_COLUMNS = (
-    "rate_kbps", "channel_state", "effective_bw_kbps", "download_s", "rebuffer_s",
-    "buffer_s", "income", "buffering_cost", "variation_cost",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Every run of a cell, one array per trace column: (runs, horizon, users)
-    per user, (runs, horizon) for the shared charge and the stage profit.
-    Epoch t of run r holds what a ``SegmentRecord`` holds."""
+    """Every run of a cell, one array per trace column in CSV order: (runs,
+    horizon, users) per user, (runs, horizon) for the last two, the shared
+    charge and stage profit.  Epoch t of run r holds a ``SegmentRecord``."""
 
     rate_kbps: np.ndarray
     channel_state: np.ndarray
@@ -126,13 +99,26 @@ class Trace:
 
     def records(self, run: int) -> list[SegmentRecord]:
         """One ``SegmentRecord`` per segment of run ``run``."""
-        per_user = [map(tuple, getattr(self, name)[run].tolist()) for name in USER_COLUMNS]
-        shared = (self.bottleneck_cost[run].tolist(), self.stage_profit[run].tolist())
-        return [SegmentRecord(t, *row) for t, row in enumerate(zip(*per_user, *shared))]
+        k = len(USER_COLUMNS)
+        rows = zip(*(getattr(self, f.name)[run].tolist() for f in fields(self)))
+        return [SegmentRecord(t, *map(tuple, row[:k]), *row[k:]) for t, row in enumerate(rows)]
 
     def select(self, runs: slice) -> "Trace":
         """The runs ``runs`` of this trace, every column a view."""
         return Trace(**{name: column[runs] for name, column in vars(self).items()})
+
+
+# The per-user trace columns, in CSV order: every ``Trace`` column but the last two.
+USER_COLUMNS = tuple(f.name for f in fields(Trace))[:-2]
+
+SegmentRecord = make_dataclass(
+    "SegmentRecord",
+    [("epoch", int), *((f.name, tuple if f.name in USER_COLUMNS else float) for f in fields(Trace))],
+    frozen=True, namespace={"__module__": __name__, "__doc__": """Everything observed for one
+    segment period: its epoch, then each ``Trace`` column at it, per-user
+    tuples before the shared charge.  Income and costs are per user and
+    unweighted; the stage profit applies the priorities and subtracts the
+    bottleneck charge."""})
 
 
 def user_rngs(seed: int, run_index: int, num_users: int) -> list[np.random.Generator]:
@@ -265,7 +251,7 @@ def decide(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     runs, horizon, n = len(paths), config.horizon, config.num_users
     if paths.shape != (runs, horizon + 1, n):
         raise ValueError(f"paths shaped {paths.shape}, expected (runs, {horizon + 1}, {n})")
-    check_channel_indices(paths, config.channel.num_states)
+    check_indices("channel", paths, config.channel.num_states)
     if isinstance(policy, IdealOracle):
         return solve_ideal(paths, (config.initial_rate_index,) * n, config.ladder, config.channel,
                            config.profit, config.derived_constants())
@@ -304,6 +290,7 @@ def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trac
     if chosen.shape != (rows, horizon, n) or paths.shape != (rows, horizon + 1, n):
         raise ValueError(f"decisions shaped {chosen.shape} and paths {paths.shape}, expected "
                          f"(rows, {horizon}, {n}) and (rows, {horizon + 1}, {n})")
+    check_indices("rate", chosen, len(ladder))
 
     rate_of = np.array(ladder.rates)
     rates = rate_of[chosen]
@@ -326,11 +313,9 @@ def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trac
     var_cost[:, 0] = variation[config.initial_rate_index, chosen[:, 0]]
     var_cost[:, 1:] = variation[chosen[:, :-1], chosen[:, 1:]]
     charge = np.zeros((rows, horizon))  # an infinite price rations the cap, never bills it
-    if math.isfinite(params.congestion_price):  # one bottleneck_cost per distinct rate vector
-        shape = (len(ladder),) * n
-        charge = _once_per_value(lambda code: economics.bottleneck_cost(
-            [ladder.rates[d] for d in np.unravel_index(code, shape)], params),
-            np.ravel_multi_index(np.moveaxis(chosen, -1, 0), shape))
+    if math.isfinite(params.congestion_price):  # bottleneck_cost reads only the aggregate rate
+        charge = _once_per_value(lambda total: economics.bottleneck_cost((total,), params),
+                                 left_sum(rates.T).T)
     weighted = np.array(params.user_priorities) * ((income - buffering) - var_cost)
     profit = left_sum(weighted.T).T - charge
     del weighted

@@ -4,11 +4,14 @@ name still exist."""
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import os
 import re
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import mdpstream
 from mdpstream import cli, configfile, economics, mdp, metrics, model, policies, sim
@@ -53,6 +56,34 @@ def test_benchmark_entry_points_exist():
     assert policies.Myopic(ladder=config.ladder).decide([None]).tolist() == [0]
     assert policies.Proposed(table=table).table is table
     assert isinstance(policies.IdealOracle(), policies.IdealOracle)
+
+
+def test_output_columns_come_from_trace_and_session_summary():
+    # perfbench/checks.py names SegmentRecord through mdpstream.sim, builds
+    # it by keyword from a trace CSV and keeps its own copy of the per-user
+    # columns; the CSV headers are these names in this order
+    trace_names = tuple(field.name for field in dataclasses.fields(sim.Trace))
+    assert sim.USER_COLUMNS == trace_names[:-2]
+    assert trace_names[-2:] == ("bottleneck_cost", "stage_profit")
+    record = sim.SegmentRecord
+    assert tuple(field.name for field in dataclasses.fields(record)) == (
+        "epoch", *sim.USER_COLUMNS, "bottleneck_cost", "stage_profit")
+    assert record.__name__ == "SegmentRecord" and record.__module__ == "mdpstream.sim"
+    assert record.__doc__ and not record.__doc__.startswith("SegmentRecord(")
+    cells = [(0.0,)] * len(sim.USER_COLUMNS)
+    built = record(epoch=3, **dict(zip(sim.USER_COLUMNS, cells)), bottleneck_cost=0.5,
+                   stage_profit=1.5)
+    assert built == record(3, *cells, 0.5, 1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.epoch = 4
+    checks = importlib.util.spec_from_file_location(
+        "checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+    module = importlib.util.module_from_spec(checks)
+    checks.loader.exec_module(module)
+    assert module._USER_FIELDS == sim.USER_COLUMNS
+    summary_names = tuple(field.name for field in dataclasses.fields(metrics.SessionSummary))
+    assert summary_names == ("arm", "run_index", *metrics.PER_USER_METRICS, "profit")
+    assert len(metrics.PER_USER_METRICS) == 5
 
 
 def test_trace_writer_takes_the_output_path_first(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from mdpstream.cli import (
     table_filename,
 )
 from mdpstream.configfile import save_scenario
+from mdpstream.mdp import PolicyTable
 from mdpstream.model import ConfigurationError
 from mdpstream.policies import IdealOracle, Myopic
 from mdpstream.presets import fair_scenario
@@ -381,6 +382,31 @@ def test_one_scoring_pass_per_sweep_value(workspace, monkeypatch):
         assert calls == {"step_buffer": epochs, "channel_paths": 1}, axis
 
 
+def test_client_rule_decided_once_for_both_client_arms(workspace, monkeypatch):
+    # myopic and client_centric share one rule and one set of paths: it is
+    # decided once per sweep value, and the two arms' files are twins
+    tmp, _, _, tables = workspace
+    decided, decide = [], cli.decide
+
+    def counted(scenario, policy, paths):
+        decided.append(type(policy).__name__)
+        return decide(scenario, policy, paths)
+
+    monkeypatch.setattr(cli, "decide", counted)
+    (tmp / "client.yaml").write_text(yaml.safe_dump({
+        "scenario": "small.cfg", "arms": ["myopic", "client_centric", "ideal"],
+        "sweep": {"axis": "horizon", "values": [6, 4]},
+    }), encoding="utf-8")
+    assert main(["run", "--spec", str(tmp / "client.yaml"), "--out-dir", str(tmp / "client"),
+                 "--tables-dir", str(tables)]) == 0
+    assert decided == ["Myopic", "IdealOracle"] * 2
+    twins = sorted((tmp / "client" / "traces").glob("trace_client_centric_*.csv"))
+    assert len(twins) == 2 * 2
+    for twin in twins:
+        mine = twin.with_name(twin.name.replace("client_centric", "myopic"))
+        assert twin.read_bytes() == mine.read_bytes(), twin.name
+
+
 def test_horizon_sweep_traces_equal_runs_at_each_horizon(tmp_path):
     # paths drawn at the longest horizon and cut to a shorter one give the
     # files a run at that horizon alone writes
@@ -429,6 +455,36 @@ def test_validate_accepts_bundled_scenarios(capsys):
     assert "ok" in out
     assert "state space: 400" in out
     assert "feasible actions: 13" in out
+
+
+def test_validate_reports_grids_without_buffering_or_variation(tmp_path, capsys):
+    # every rate fits under the lowest bandwidth (95 Kbps) and the ladder
+    # spans 40 Kbps against a 350 Kbps threshold
+    data = yaml.safe_load((BUNDLED / "fair.cfg").read_text(encoding="utf-8"))
+    data["ladder_kbps"] = [50.0, 90.0]
+    path = tmp_path / "calm.cfg"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "buffering impossible on this grid (bandwidth always covers every rate)" in out
+    assert "ladder span never exceeds the variation threshold" in out
+    assert out.endswith("ok\n")
+
+
+def test_solve_refuses_an_infeasible_cap(tmp_path, capsys):
+    # two users at the lowest rung need 190.22 Kbps, over a 150 Kbps cap
+    out = tmp_path / "tables" / "tight.ptab"
+    assert main(["solve", "--config", str(BUNDLED / "fair.cfg"), "--rate-cap", "150",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: no feasible action")
+    assert not out.exists() and not out.parent.exists()
+
+
+def test_solve_horizon_override(tmp_path):
+    out = tmp_path / "short.ptab"
+    assert main(["solve", "--config", str(BUNDLED / "fair.cfg"), "--horizon", "3",
+                 "--out", str(out)]) == 0
+    assert PolicyTable.load(str(out)).horizon == 3
 
 
 def test_validate_flags_bad_transition_rows(tmp_path, capsys):

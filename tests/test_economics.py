@@ -70,6 +70,11 @@ def test_degenerate_grids():
     # ladder span below the variation threshold: jumps cannot trigger
     assert consts.variation_norm is None
     assert smoothness_cost(100.0, 200.0, params, consts) == 0.0
+    # span exactly at the threshold: a full-span jump triggers, but no span
+    # lies strictly beyond it, so there is no normalization and it is free
+    consts = derive_constants(make_ladder((100.0, 450.0)), channel, params)
+    assert consts.variation_norm is None
+    assert smoothness_cost(100.0, 450.0, params, consts) == 0.0
 
 
 def test_single_rung_ladder_earns_nothing():

@@ -568,6 +568,39 @@ def test_separable_fallback_count_on_the_4_user_solve(fair_config, monkeypatch, 
     assert sum(scanned) == fallbacks  # 0: the transform took every pair
 
 
+@pytest.mark.parametrize("priorities", [(0.25,) * 4, (0.4, 0.3, 0.2, 0.1)])
+def test_separable_margins_against_the_exact_gap(fair_config, monkeypatch, priorities):
+    # the first sweep of the 4-user solve; the rounding bound recomputed from
+    # its definition, 8 (n + 2) 2^-52 (max |gain| + max |bottleneck| +
+    # sum_u max |penalty[u]|): a rescanned pair reports its exact best minus
+    # second, a certified one at least half the bound less
+    tables = _workload_tables(fair_config, 4, priorities, 1700.0)
+    gain = tables.expected_playbuf_by_action
+    bound = 8 * (4 + 2) * 2.0 ** -52 * (np.abs(gain).max() + np.abs(tables.bottleneck).max()
+                                        + np.abs(tables.penalty).max(axis=(1, 2)).sum())
+    shape = (tables.num_rate_vectors, len(gain))
+    rescanned, step = np.zeros(shape, dtype=bool), mdp._separable_rows(tables)
+    scan_pairs, chunks = mdp._scan_pairs, []
+
+    def recording(chunk, tables, vec, row, *out):  # one call per chunk of rows, in order
+        rescanned[vec, row + step * len(chunks)] = True
+        chunks.append(len(chunk))
+        scan_pairs(chunk, tables, vec, row, *out)
+
+    monkeypatch.setattr(mdp, "_scan_pairs", recording)
+    choice, margin = np.empty(shape, dtype=np.int64), np.empty(shape)
+    mdp._separable(gain, tables, choice, margin)
+    assert sum(chunks) == len(gain)
+    exact = np.empty(shape)
+    for lo in range(0, len(gain), 4):  # the full tensor, four rows at a time
+        q = (gain[None, lo:lo + 4] - tables.variation_by_action[:, None, :]) - tables.bottleneck
+        top = np.partition(q, -2, axis=2)
+        exact[:, lo:lo + 4] = top[..., -1] - top[..., -2]
+    assert np.array_equal(margin[rescanned], exact[rescanned])
+    assert np.all(exact[~rescanned] - margin[~rescanned] >= bound / 2)
+    assert np.count_nonzero(~rescanned) > shape[0] * shape[1] // 2
+
+
 def _record_sweeps(monkeypatch):
     """Wrap ``mdp._best``, ``mdp._separable`` and ``mdp._scan``; the returned
     list gets one [took the transform, pairs reduced exactly] entry per

@@ -618,6 +618,20 @@ def test_simulate_refuses_channel_index_out_of_range(fair_config, fair_table, ba
             simulate(config, policy, paths)
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_score_refuses_rate_index_out_of_range(fair_config, bad):
+    # numpy would score -1 as the top rung and reject 5 without naming it,
+    # under an infinite price and a finite one alike
+    for price in (math.inf, 0.01):
+        config = replace(fair_config.with_horizon(3),
+                         profit=replace(fair_config.profit, congestion_price=price))
+        paths = channel_paths(config, range(2))
+        chosen = np.zeros((2, 3, 2), dtype=np.int64)
+        chosen[1, 2, 0] = bad
+        with pytest.raises(ValueError, match=rf"rate index {bad} outside \[0, 5\)"):
+            score(config, chosen, paths)
+
+
 def test_buffer_column_comes_from_step_buffer(fair_config, fair_table, monkeypatch):
     # the benchmark's smoke test corrupts step_buffer to credit 1% too much
     # content; every arm's buffer levels must show it, so the buffer
