@@ -9,6 +9,7 @@ infeasible (no action can respect the rate cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -395,6 +396,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ----------------------------- entry point -----------------------------
 
 
+@functools.cache  # built once per process; each parse_args returns a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdpstream",

@@ -6,7 +6,9 @@ induction producing a time-indexed policy table.
 The q reduction (``_best``) scans q exactly, or on large instances takes
 a separable max-plus transform whose every choice is certified against
 its rounding error, falling back to the scan where it cannot be; both
-give the same decisions and value bits.
+give the same decisions and value bits.  A solve's sweeps reuse one
+workspace, the scan reads its values from q at the choices, and the
+terminal sweep, where every next value is zero, skips the future term.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _by_action(per_user, vector_digits, action_digits, params) -> np.ndarray:
     """Priority-weighted per-user terms, (vectors, actions): entry (v, a) is
     the sum over users u of ``priority[u] * per_user[v's digit u, a's digit
     u]``, taken left to right from 0.0."""
-    return left_sum(weight * per_user[vector_digits[:, u, None], action_digits[None, :, u]]
+    return left_sum(weight * per_user[:, action_digits[:, u]][vector_digits[:, u]]
                     for u, weight in enumerate(params.user_priorities))
 
 
@@ -198,18 +200,20 @@ _action_tables = lru_cache(maxsize=1)(_ActionTables)
 _BLOCK_FLOATS = 1 << 17
 
 
-def _scan(gain, variation, tables: _ActionTables, q: np.ndarray, out: np.ndarray, margin=None) -> None:
+def _scan(gain, variation, tables: _ActionTables, q, out, margin=None, best=None, at=None) -> None:
     """The exact kernel: q = ``(gain - variation) - bottleneck`` into the
     buffer ``q`` (shaped as gain and variation broadcast), then the first
-    maximizer over actions into ``out`` and its q minus the runner-up's into
-    ``margin``, if given.  An all-+0.0 charge is skipped: ``x - 0.0`` is ``x``."""
+    maximizer over actions into ``out``, its q into ``best`` and its q minus
+    the runner-up's into ``margin``, if given (``at``: each row's offset in q).
+    An all-+0.0 charge is skipped: ``x - 0.0`` is ``x``."""
     np.subtract(gain, variation, out=q)
     if tables.charged:
         q -= tables.bottleneck
     q.argmax(axis=-1, out=out)
+    if margin is not None or best is not None:
+        at = (np.arange(0, q.size, q.shape[-1]).reshape(out.shape) if at is None else at) + out
+        best = q.take(at, out=best, mode="clip")
     if margin is not None:  # the runner-up is the maximum once the best is -inf
-        at = np.arange(0, q.size, q.shape[-1]).reshape(out.shape) + out
-        best = q.take(at)
         q.put(at, -np.inf)
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, never certified
             np.subtract(best, q.max(axis=-1), out=margin)
@@ -304,7 +308,7 @@ def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray, marg
 
 
 def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
-          carry=None) -> tuple[np.ndarray, np.ndarray]:
+          work=None, carry=None) -> tuple[np.ndarray, np.ndarray]:
     """Best value and action for every (rate vector, row of ``gain``), where
     ``gain`` is (rows, actions) of everything in q but the variation
     penalty and the bottleneck charge; both results are (rate vectors, rows),
@@ -313,8 +317,11 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     q is ``(gain - variation) - bottleneck`` and the first maximizer wins:
     actions are in tie-break order.  Large instances (``_use_separable``)
     take the certified transform of ``_separable`` over the full grid; the
-    rest scan q block by block of rate vectors in one reused buffer.  Either
-    way the values are taken once at the choices by the same expression as q.
+    rest scan q block by block of rate vectors in one buffer, kept in the
+    dict ``work`` for later calls with the same shapes and ``vectors``, and
+    take each block's values from q at the choices before the buffer is
+    reused.  The transform and certified pairs take them at the choices by
+    the same expression as q: the same bits.
 
     ``carry``, a dict a solve keeps once q outgrows one scan block (its fixed
     cost is some 2^14 scanned q elements), certifies pairs instead.  It
@@ -338,6 +345,7 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
         with np.errstate(invalid="ignore"):
             margin -= np.ptp(gain - carry["gain"], axis=1) + 2.0 ** -47 * (scale + carry["scale"])
         stale = 3 * (margin.size - np.count_nonzero(margin > 0))  # priced as blocked-scan pairs
+    values = None
     if carry and stale < margin.size and not _use_separable(len(gain), tables, stale):
         choice = carry["choice"]
         _scan_pairs(gain, tables, *np.nonzero(~(margin > 0)), choice, margin)
@@ -346,33 +354,55 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
         _separable(gain, tables, choice, margin)
         choice = choice[vectors]
     else:
-        choice = np.empty((len(variation), len(gain)), dtype=np.int64)
-        step = max(1, _BLOCK_FLOATS // gain.size)
-        buf = np.empty((min(step, len(choice)),) + gain.shape)
-        for lo in range(0, len(choice), step):
-            _scan(gain, variation[lo:lo + step, None, :], tables, buf[:len(choice) - lo],
-                  choice[lo:lo + step], None if margin is None else margin[lo:lo + step])
+        values = np.empty((len(variation), len(gain)))
+        choice = np.empty(values.shape, dtype=np.int64)
+        work = {} if work is None else work
+        if "scan" not in work:  # the q block, its rows' offsets, the variation (in full if q fits)
+            q = np.empty((min(max(1, _BLOCK_FLOATS // gain.size), len(variation)),) + gain.shape)
+            grid = variation[:, None] if len(q) < len(variation) else np.broadcast_to(
+                variation[:, None], q.shape).copy()
+            work["scan"] = q, np.arange(0, q.size, gain.shape[1]).reshape(q.shape[:2]), grid
+        buf, at, grid = work["scan"]
+        for lo in range(0, len(choice), len(buf)):
+            block, rows = slice(lo, lo + len(buf)), min(len(buf), len(choice) - lo)
+            _scan(gain, grid[block], tables, buf[:rows], choice[block],
+                  None if margin is None else margin[block], values[block], at[:rows])
     if carry is not None:
         choice = choice.astype(np.min_scalar_type(len(tables.action_digits) - 1), copy=False)
-        carry.update(gain=gain, margin=margin, choice=choice, scale=scale)
-    values = gain.take(choice + np.arange(0, gain.size, gain.shape[1]))
-    values -= variation.take(choice + np.arange(0, variation.size, gain.shape[1])[:, None])
-    values -= tables.bottleneck.take(choice)
+        carry.update(gain=gain.copy(), margin=margin, choice=choice, scale=scale)
+    if values is None:
+        values = gain.take(choice + np.arange(0, gain.size, gain.shape[1]))
+        values -= variation.take(choice + np.arange(0, variation.size, gain.shape[1])[:, None])
+        values -= tables.bottleneck.take(choice)
     return values, choice
 
 
-def _backup(tables: _ActionTables, v_next: np.ndarray, carry=None) -> tuple[np.ndarray, np.ndarray]:
+def _backup(tables: _ActionTables, v_next, carry=None, work=None) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep: epoch-t values and chosen actions from epoch-t+1
-    values (``carry``: see ``_best``).  ``v_next`` has shape (rate vectors,
-    channel vectors); reads and writes touch separate buffers.
+    values ``v_next`` (``carry``: see ``_best``).  ``work``, a dict a solve
+    keeps, holds ``rows``, v_next's flat index at each (action, channel
+    vector), by default for a v_next shaped (rate vectors, channel vectors),
+    and the buffers every sweep reuses: the values gathered there, the future
+    term and, in the gathered values' place, the gain.
 
     Every q element is ``((playbuf + future) - variation) - bottleneck``,
     its future term from one stacked matmul per sweep, which numpy runs as
     one gemv per action (never one gemm, which rounds differently), so values
-    and choices match ``tests/support.full_tensor_backup`` bit for bit.
+    and choices match ``tests/support.full_tensor_backup`` bit for bit.  The
+    terminal sweep (``v_next`` None) has v = 0 and skips the matmul: its
+    gain ``playbuf + 0.0`` has the same bits.
     """
-    future = np.matmul(tables.joint_channel, v_next[tables.action_multi, :, None])[..., 0].T
-    return _best(tables.expected_playbuf_by_action + future, tables, carry=carry)
+    chans = tables.num_chan_vectors
+    work = {"rows": tables.action_multi[:, None] * chans + np.arange(chans)} if work is None else work
+    if "future" not in work:
+        work["gathered"], work["future"] = np.empty((2,) + work["rows"].shape + (1,))
+    if v_next is not None:
+        v_next.take(work["rows"][..., None], out=work["gathered"], mode="clip")
+        np.matmul(tables.joint_channel, work["gathered"], out=work["future"])
+    future = 0.0 if v_next is None else work["future"][..., 0].T
+    gain = np.add(tables.expected_playbuf_by_action, future,
+                  out=work["gathered"].reshape(work["rows"].shape[::-1]))
+    return _best(gain, tables, carry=carry, work=work)
 
 
 def backward_induction(
@@ -384,10 +414,10 @@ def backward_induction(
 ) -> PolicyTable:
     """Solve the finite-horizon adaptation problem by backward induction.
 
-    Terminal values are zero.  Each sweep computes epoch t from epoch t+1
-    only, then the buffers swap.  Ties between equally valued actions
-    resolve to the smallest aggregate rate and then the lexicographically
-    smallest rate vector, so solves are fully deterministic.
+    Terminal values are zero.  Each sweep computes epoch t from the table's
+    row t + 1 only, in one workspace per solve.  Ties between equally valued
+    actions resolve to the smallest aggregate rate and then the
+    lexicographically smallest rate vector, so solves are fully deterministic.
 
     A sweep's working memory is bounded; the returned table grows with
     states x horizon, so one over ``DEFAULT_MEMORY_CAP_BYTES`` is refused up front.
@@ -406,16 +436,15 @@ def backward_induction(
     tables = _action_tables(ladder, channel, params, consts, n)
     values = np.zeros((horizon + 1, size))
     ids = np.empty((horizon, size), dtype=id_dtype)
-
-    # Split per user and interleaved, a sweep's block is in canonical order (r0, c0, r1, ...).
-    split, axes = (m,) * n + (k,) * n, [a for u in range(n) for a in (u, n + u)]
-    v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
-    carry = {} if v_next.size * len(tables.action_digits) > _BLOCK_FLOATS else None
+    work = {"rows": state_index(tables.action_digits[:, None], _digit_grid(k, n), m, k)}
+    # A sweep's (rate vector, channel vector) entry of each canonical state (r0, c0, r1, ...).
+    order = np.arange(size).reshape((m,) * n + (k,) * n)
+    order = order.transpose([a for u in range(n) for a in (u, n + u)]).ravel()
+    carry = {} if size * len(tables.action_digits) > _BLOCK_FLOATS else None
     for t in range(horizon - 1, -1, -1):
-        v_now, choice = _backup(tables, v_next, carry)
-        np.copyto(values[t].reshape((m, k) * n), v_now.reshape(split).transpose(axes))
-        np.copyto(ids[t].reshape((m, k) * n), choice.reshape(split).transpose(axes), casting="unsafe")
-        v_next = v_now
+        v_now, choice = _backup(tables, values[t + 1] if t + 1 < horizon else None, carry, work)
+        v_now.take(order, out=values[t], mode="clip")
+        ids[t] = choice.take(order)
 
     values.setflags(write=False)
     ids.setflags(write=False)

@@ -102,12 +102,15 @@ def solve_ideal(
                        for c in np.array(np.unravel_index(codes, (k,) * n)).T])
     where = where.reshape(runs, horizon)
 
-    # A plan stands at the initial rate vector at epoch 0 (row 0), at an action's after it.
+    # A plan stands at the initial rate vector at epoch 0 (row 0), at an action's after it;
+    # every epoch reuses one gain buffer, and those after 0 one scan workspace.
     plan = np.empty((horizon, num_actions, runs), dtype=id_dtype)
-    v_next = np.zeros((num_actions, runs))
+    v_next, gain, work = np.zeros((num_actions, runs)), np.empty((runs, num_actions)), {}
     for t in range(horizon - 1, -1, -1):
         vectors = tables.action_multi if t else np.array([multi])
-        v_next, plan[t, :len(vectors)] = mdp._best(pay_of[where[:, t]] + v_next.T, tables, vectors)
+        pay_of.take(where[:, t], axis=0, out=gain, mode="clip")
+        gain += v_next.T
+        v_next, plan[t, :len(vectors)] = mdp._best(gain, tables, vectors, work if t else None)
     chosen = np.empty((runs, horizon), dtype=np.int64)
     at = np.zeros(runs, dtype=np.int64)
     for t in range(horizon):

@@ -1,13 +1,17 @@
 """End-to-end command line checks on a small scenario."""
 
 import csv
+import math
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpstream import cli, mdp, sim
 from mdpstream.cli import (
@@ -276,6 +280,43 @@ def test_stationary_flag_runs(workspace):
     ])
     assert rc == 0
     assert (tmp / "s" / "summary.csv").exists()
+
+
+def test_parser_built_once_gives_independent_namespaces(workspace, monkeypatch, capsys):
+    # one parser serves every main() call of a process: a run with
+    # --stationary must leave nothing behind in a later solve's namespace
+    tmp, scenario_path, spec_path, tables = workspace
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parse, seen = parser.parse_args, []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(parse(argv)) or seen[-1])
+    assert main(["run", "--spec", str(spec_path), "--tables-dir", str(tables),
+                 "--out-dir", str(tmp / "s"), "--stationary"]) == 0
+    assert main(["solve", "--config", str(scenario_path), "--out", str(tmp / "t.ptab"),
+                 "--horizon", "2"]) == 0
+    assert main(["run", "--spec", str(spec_path), "--tables-dir", str(tables),
+                 "--out-dir", str(tmp / "n")]) == 0
+    run, solve, plain = (vars(args) for args in seen)
+    assert run == {"command": "run", "spec": str(spec_path), "out_dir": str(tmp / "s"),
+                   "seed": None, "stationary": True, "tables_dir": str(tables),
+                   "func": cli.cmd_run}
+    assert solve == {"command": "solve", "config": str(scenario_path),
+                     "out": str(tmp / "t.ptab"), "rate_cap": None, "horizon": 2,
+                     "func": cli.cmd_solve}
+    assert plain == {**run, "out_dir": str(tmp / "n"), "stationary": False}
+    assert PolicyTable.load(str(tmp / "t.ptab")).horizon == 2
+    # the help text is the one a freshly built parser prints
+    fresh = cli.build_parser.__wrapped__()
+    monkeypatch.undo()
+    for command in ([], ["solve"], ["run"], ["validate"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            main([*command, "--help"])
+        assert done.value.code == 0
+        with pytest.raises(SystemExit):
+            fresh.parse_args([*command, "--help"])
+        printed, again = capsys.readouterr().out.split("usage:")[1:]
+        assert printed == again and printed.startswith(" ".join([" mdpstream", *command, "[-h]"]))
 
 
 def test_missing_table_names_the_fix(workspace, capsys):
@@ -576,6 +617,38 @@ def test_non_finite_model_numbers_refused(tmp_path, capsys, field, value, where,
         assert f"{field} must be {need}, got {value!r}" in capsys.readouterr().err, argv
     assert not (tmp_path / "t.ptab").exists()
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def _leaves(node, path=()):
+    """The path of every scalar in a YAML tree, through mappings and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return [leaf for key, child in items for leaf in _leaves(child, (*path, key))] or [path]
+
+
+BUNDLED_LEAVES = [(name, path) for name in ("fair.cfg", "diff.cfg") for path in
+                  _leaves(yaml.safe_load((BUNDLED / name).read_text(encoding="utf-8")))]
+BAD_VALUES = [None, "x", -1, 0, 0.5, math.inf, -math.inf, math.nan, [], {}, [1], 1e308, True,
+              10 ** 6]
+
+
+@given(leaf=st.sampled_from(BUNDLED_LEAVES), bad=st.sampled_from(BAD_VALUES))
+@settings(max_examples=200, deadline=None)
+def test_any_bad_leaf_gives_an_exit_code(leaf, bad):
+    # one leaf of a bundled scenario replaced by a bad value: validate and a
+    # short solve must each end in an exit code, never an escaping exception
+    name, path = leaf
+    data = yaml.safe_load((BUNDLED / name).read_text(encoding="utf-8"))
+    container = data
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "bad.cfg"
+        scenario.write_text(yaml.safe_dump(data), encoding="utf-8")
+        for argv in (["validate", "--config", str(scenario)],
+                     ["solve", "--config", str(scenario), "--out", f"{tmp}/t.ptab",
+                      "--horizon", "2"]):
+            assert type(main(argv)) is int, argv
 
 
 def test_unknown_arm_rejected(tmp_path, capsys):

@@ -875,7 +875,9 @@ def test_table_load_rejects_foreign_files(tmp_path):
 # Each damage replaces (values, action digits, action ids) by these arrays
 # and must be refused with this reason.
 BODY_DAMAGE = {
-    "values_float32": (lambda v, d, i: (v.astype(np.float32), d, i), "arrays hold float32"),
+    "values_float32": (lambda v, d, i: (v.astype(np.float32), d, i),
+                       r"arrays hold float32 \(3, 16\), int64 \(4, 2\), uint8 \(2, 16\); "
+                       r"expected float64 \(3, 16\), int64 \(actions, 2\), unsigned \(2, 16\); "),
     "ids_signed": (lambda v, d, i: (v, d, i.astype(np.int8)), r"int8 \(2, 16\); expected"),
     "ids_float64": (lambda v, d, i: (v, d, i.astype(float)), r"float64 \(2, 16\); expected"),
     "id_past_last_action": (lambda v, d, i: (v, d, np.where(i == i.max(), 4, i).astype(i.dtype)),
