@@ -3,12 +3,10 @@ filtering under an infinite congestion price, per-action profit tables,
 the one q reduction shared with the hindsight planner, and backward
 induction producing a time-indexed policy table.
 
-The q reduction (``_best``) scans q exactly, or on large instances takes
-a separable max-plus transform whose every choice is certified against
-its rounding error, falling back to the scan where it cannot be; both
-give the same decisions and value bits.  A solve's sweeps reuse one
-workspace, the scan reads its values from q at the choices, and the
-terminal sweep, where every next value is zero, skips the future term.
+The q reduction (``_best``) scans q, reading values off it, or on large
+instances takes a separable max-plus transform whose every choice is
+certified against rounding, else scanned: the same decisions and bits.
+Sweeps reuse one workspace per solve; the terminal one skips v = 0.
 """
 
 from __future__ import annotations
@@ -200,19 +198,17 @@ _action_tables = lru_cache(maxsize=1)(_ActionTables)
 _BLOCK_FLOATS = 1 << 17
 
 
-def _scan(gain, variation, tables: _ActionTables, q, out, margin=None, best=None, at=None) -> None:
-    """The exact kernel: q = ``(gain - variation) - bottleneck`` into the
-    buffer ``q`` (shaped as gain and variation broadcast), then the first
-    maximizer over actions into ``out``, its q into ``best`` and its q minus
-    the runner-up's into ``margin``, if given (``at``: each row's offset in q).
-    An all-+0.0 charge is skipped: ``x - 0.0`` is ``x``."""
+def _scan(gain, variation, tables: _ActionTables, q, out, at, best, margin=None) -> None:
+    """The exact kernel: q = ``(gain - variation) - bottleneck`` into ``q``
+    (broadcast; ``at``: its rows' offsets), its first maximizer into ``out``,
+    that q into ``best`` and, if given, that q minus the runner-up's into
+    ``margin`` (may be ``best``).  An all-+0.0 charge is skipped: x - 0.0 is x."""
     np.subtract(gain, variation, out=q)
     if tables.charged:
         q -= tables.bottleneck
     q.argmax(axis=-1, out=out)
-    if margin is not None or best is not None:
-        at = (np.arange(0, q.size, q.shape[-1]).reshape(out.shape) if at is None else at) + out
-        best = q.take(at, out=best, mode="clip")
+    at = at + out
+    q.take(at, out=best, mode="clip")
     if margin is not None:  # the runner-up is the maximum once the best is -inf
         q.put(at, -np.inf)
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, never certified
@@ -223,12 +219,12 @@ def _scan_pairs(gain, tables: _ActionTables, vec, row, choice, margin) -> None:
     """``_scan`` at the (rate vector, row) pairs (``vec``, ``row``), gathered into reused buffers."""
     step = max(1, _BLOCK_FLOATS // gain.shape[1])
     q, variation = np.empty((2, min(step, len(vec)), gain.shape[1]))
-    pick, gap = np.empty(len(q), dtype=np.int64), np.empty(len(q))
+    pick, gap, at = np.empty(len(q), dtype=np.int64), np.empty(len(q)), np.arange(0, q.size, gain.shape[1])
     for p in range(0, len(vec), step):
         v, r, k = vec[p:p + step], row[p:p + step], min(step, len(vec) - p)
         gain.take(r, axis=0, out=q[:k], mode="clip")  # indices are in range
         tables.variation_by_action.take(v, axis=0, out=variation[:k], mode="clip")
-        _scan(q[:k], variation[:k], tables, q[:k], pick[:k], gap[:k])
+        _scan(q[:k], variation[:k], tables, q[:k], pick[:k], at[:k], gap[:k], gap[:k])
         choice[v, r], margin[v, r] = pick[:k], gap[:k]
 
 
@@ -317,11 +313,10 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     q is ``(gain - variation) - bottleneck`` and the first maximizer wins:
     actions are in tie-break order.  Large instances (``_use_separable``)
     take the certified transform of ``_separable`` over the full grid; the
-    rest scan q block by block of rate vectors in one buffer, kept in the
-    dict ``work`` for later calls with the same shapes and ``vectors``, and
-    take each block's values from q at the choices before the buffer is
-    reused.  The transform and certified pairs take them at the choices by
-    the same expression as q: the same bits.
+    rest scan q by blocks of rate vectors in one buffer and read the values
+    off q; the other paths take them by q's own expression.  ``work``, a dict
+    a solve or plan keeps, holds the q block, its rows' offsets and the
+    variation laid out for it, rebuilt for other tables, vectors or rows.
 
     ``carry``, a dict a solve keeps once q outgrows one scan block (its fixed
     cost is some 2^14 scanned q elements), certifies pairs instead.  It
@@ -357,19 +352,20 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
         values = np.empty((len(variation), len(gain)))
         choice = np.empty(values.shape, dtype=np.int64)
         work = {} if work is None else work
-        if "scan" not in work:  # the q block, its rows' offsets, the variation (in full if q fits)
-            q = np.empty((min(max(1, _BLOCK_FLOATS // gain.size), len(variation)),) + gain.shape)
-            grid = variation[:, None] if len(q) < len(variation) else np.broadcast_to(
-                variation[:, None], q.shape).copy()
-            work["scan"] = q, np.arange(0, q.size, gain.shape[1]).reshape(q.shape[:2]), grid
-        buf, at, grid = work["scan"]
+        tabs, vecs, buf, at, grid = work.get("scan", (None,) * 5)
+        if tabs is not tables or vecs is not vectors or buf.shape[1:] != gain.shape:
+            buf = np.empty((min(max(1, _BLOCK_FLOATS // gain.size), len(variation)),) + gain.shape)
+            grid = variation[:, None]  # when one block holds q, laid over its rows
+            grid = grid if len(buf) < len(variation) else grid.repeat(len(gain), 1)
+            at = np.arange(0, buf.size, gain.shape[1]).reshape(buf.shape[:2])
+            work["scan"] = tables, vectors, buf, at, grid
         for lo in range(0, len(choice), len(buf)):
             block, rows = slice(lo, lo + len(buf)), min(len(buf), len(choice) - lo)
-            _scan(gain, grid[block], tables, buf[:rows], choice[block],
-                  None if margin is None else margin[block], values[block], at[:rows])
+            _scan(gain, grid[block], tables, buf[:rows], choice[block], at[:rows], values[block],
+                  None if margin is None else margin[block])
     if carry is not None:
         choice = choice.astype(np.min_scalar_type(len(tables.action_digits) - 1), copy=False)
-        carry.update(gain=gain.copy(), margin=margin, choice=choice, scale=scale)
+        carry.update(gain=gain, margin=margin, choice=choice, scale=scale)
     if values is None:
         values = gain.take(choice + np.arange(0, gain.size, gain.shape[1]))
         values -= variation.take(choice + np.arange(0, variation.size, gain.shape[1])[:, None])
@@ -379,29 +375,23 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
 
 def _backup(tables: _ActionTables, v_next, carry=None, work=None) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep: epoch-t values and chosen actions from epoch-t+1
-    values ``v_next`` (``carry``: see ``_best``).  ``work``, a dict a solve
-    keeps, holds ``rows``, v_next's flat index at each (action, channel
-    vector), by default for a v_next shaped (rate vectors, channel vectors),
-    and the buffers every sweep reuses: the values gathered there, the future
-    term and, in the gathered values' place, the gain.
+    values ``v_next`` (rate vectors, channel vectors; None at the terminal sweep,
+    whose gain ``playbuf + 0.0`` has the bits of a zero future); ``carry``: see
+    ``_best``; ``work`` rotates the gathered values (then gain), future, carried gain.
 
     Every q element is ``((playbuf + future) - variation) - bottleneck``,
     its future term from one stacked matmul per sweep, which numpy runs as
     one gemv per action (never one gemm, which rounds differently), so values
-    and choices match ``tests/support.full_tensor_backup`` bit for bit.  The
-    terminal sweep (``v_next`` None) has v = 0 and skips the matmul: its
-    gain ``playbuf + 0.0`` has the same bits.
+    and choices match ``tests/support.full_tensor_backup`` bit for bit.
     """
-    chans = tables.num_chan_vectors
-    work = {"rows": tables.action_multi[:, None] * chans + np.arange(chans)} if work is None else work
-    if "future" not in work:
-        work["gathered"], work["future"] = np.empty((2,) + work["rows"].shape + (1,))
+    work = {} if work is None else work
+    gathered, future, spare = work.get("sweep") or np.empty(
+        (3, len(tables.action_multi), tables.num_chan_vectors, 1))
+    work["sweep"] = future, spare, gathered
     if v_next is not None:
-        v_next.take(work["rows"][..., None], out=work["gathered"], mode="clip")
-        np.matmul(tables.joint_channel, work["gathered"], out=work["future"])
-    future = 0.0 if v_next is None else work["future"][..., 0].T
-    gain = np.add(tables.expected_playbuf_by_action, future,
-                  out=work["gathered"].reshape(work["rows"].shape[::-1]))
+        v_next.take(tables.action_multi, axis=0, out=gathered[..., 0], mode="clip")
+    future = 0.0 if v_next is None else np.matmul(tables.joint_channel, gathered, out=future)[..., 0].T
+    gain = np.add(tables.expected_playbuf_by_action, future, out=gathered.reshape(gathered.shape[1::-1]))
     return _best(gain, tables, carry=carry, work=work)
 
 
@@ -414,8 +404,8 @@ def backward_induction(
 ) -> PolicyTable:
     """Solve the finite-horizon adaptation problem by backward induction.
 
-    Terminal values are zero.  Each sweep computes epoch t from the table's
-    row t + 1 only, in one workspace per solve.  Ties between equally valued
+    Terminal values are zero.  Each sweep computes epoch t from epoch t+1
+    only, in buffers reused across the solve.  Ties between equally valued
     actions resolve to the smallest aggregate rate and then the
     lexicographically smallest rate vector, so solves are fully deterministic.
 
@@ -436,15 +426,15 @@ def backward_induction(
     tables = _action_tables(ladder, channel, params, consts, n)
     values = np.zeros((horizon + 1, size))
     ids = np.empty((horizon, size), dtype=id_dtype)
-    work = {"rows": state_index(tables.action_digits[:, None], _digit_grid(k, n), m, k)}
-    # A sweep's (rate vector, channel vector) entry of each canonical state (r0, c0, r1, ...).
-    order = np.arange(size).reshape((m,) * n + (k,) * n)
-    order = order.transpose([a for u in range(n) for a in (u, n + u)]).ravel()
+
+    # Split per user and interleaved, a sweep's block is in canonical order (r0, c0, r1, ...).
+    split, axes = (m,) * n + (k,) * n, [a for u in range(n) for a in (u, n + u)]
     carry = {} if size * len(tables.action_digits) > _BLOCK_FLOATS else None
+    v_next, work = None, {}
     for t in range(horizon - 1, -1, -1):
-        v_now, choice = _backup(tables, values[t + 1] if t + 1 < horizon else None, carry, work)
-        v_now.take(order, out=values[t], mode="clip")
-        ids[t] = choice.take(order)
+        v_next, choice = _backup(tables, v_next, carry, work)
+        np.copyto(values[t].reshape((m, k) * n), v_next.reshape(split).transpose(axes))
+        np.copyto(ids[t].reshape((m, k) * n), choice.reshape(split).transpose(axes), casting="unsafe")
 
     values.setflags(write=False)
     ids.setflags(write=False)

@@ -102,15 +102,13 @@ def solve_ideal(
                        for c in np.array(np.unravel_index(codes, (k,) * n)).T])
     where = where.reshape(runs, horizon)
 
-    # A plan stands at the initial rate vector at epoch 0 (row 0), at an action's after it;
-    # every epoch reuses one gain buffer, and those after 0 one scan workspace.
+    # A plan stands at the initial rate vector at epoch 0 (row 0), at an action's after it.
     plan = np.empty((horizon, num_actions, runs), dtype=id_dtype)
     v_next, gain, work = np.zeros((num_actions, runs)), np.empty((runs, num_actions)), {}
     for t in range(horizon - 1, -1, -1):
         vectors = tables.action_multi if t else np.array([multi])
-        pay_of.take(where[:, t], axis=0, out=gain, mode="clip")
-        gain += v_next.T
-        v_next, plan[t, :len(vectors)] = mdp._best(gain, tables, vectors, work if t else None)
+        gain = np.add(pay_of.take(where[:, t], axis=0, out=gain, mode="clip"), v_next.T, out=gain)
+        v_next, plan[t, :len(vectors)] = mdp._best(gain, tables, vectors, work)
     chosen = np.empty((runs, horizon), dtype=np.int64)
     at = np.zeros(runs, dtype=np.int64)
     for t in range(horizon):

@@ -552,6 +552,27 @@ def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
     assert sum(scanned) == tables.num_rate_vectors * len(gain)
 
 
+def test_best_rebuilds_a_workspace_kept_for_other_vectors_rows_or_tables():
+    # one workspace through calls whose rate vectors (another array of the
+    # same length), row count or tables change: each call must give the bits
+    # of a call without one.  A finite price keeps every action feasible, so
+    # the reversed priorities give other tables of the same shapes
+    ladder, channel, params, consts = _finite_price_instance()
+    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    flipped = dataclasses.replace(params, user_priorities=params.user_priorities[::-1])
+    other = mdp._ActionTables(ladder, channel, flipped, consts, params.num_users)
+    assert other.variation_by_action.shape == tables.variation_by_action.shape
+    assert not np.array_equal(other.variation_by_action, tables.variation_by_action)
+    gain, work, later = tables.expected_playbuf_by_action, {}, tables.action_multi[4:8]
+    for tabs, vectors, rows in [(tables, slice(None), 5), (tables, tables.action_multi[:4], 5),
+                                (tables, later, 5), (tables, later, 3), (other, later, 3)]:
+        values, choice = mdp._best(gain[:rows], tabs, vectors, work)
+        want_values, want_choice = mdp._best(gain[:rows], tabs, vectors)
+        assert work["scan"][:2] == (tabs, vectors)
+        assert np.array_equal(choice, want_choice)
+        assert values.tobytes() == want_values.tobytes()
+
+
 @pytest.mark.parametrize("priorities, fallbacks", [
     ((0.25,) * 4, 13532), ((0.4, 0.3, 0.2, 0.1), 0),
 ])
