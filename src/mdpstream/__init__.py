@@ -13,9 +13,9 @@ The pieces:
 - ``model``: bitrate ladders, Markov channel models, bandwidth-to-state mapping
 - ``economics``: the profit terms and their normalization constants
 - ``mdp``: the canonical state index, feasibility filtering, backward
-  induction and the policy table
-- ``policies``: solved-table lookup, the client throughput rule, and a
-  hindsight planner used as a non-causal upper bound
+  induction, the policy table and a hindsight planner (an upper bound)
+- ``policies``: the policy arms: solved-table lookup, the client
+  throughput rule, and the hindsight marker
 - ``sim``: seeded multi-user session simulator with proportional
   bottleneck sharing and fluid playback buffers
 - ``metrics``: per-session summaries and cross-run aggregation
@@ -49,10 +49,11 @@ from .mdp import (
     PolicyTable,
     backward_induction,
     feasible_actions,
+    solve_ideal,
 )
 from .metrics import SessionSummary, aggregate_runs, summarize
 from .model import ChannelModel, ConfigurationError, QualityLadder, map_bandwidth_to_state
-from .policies import IdealOracle, Myopic, Proposed, solve_ideal
+from .policies import IdealOracle, Myopic, Proposed
 from .sim import ScenarioConfig, SegmentRecord, run_session
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Finite-horizon solver: the canonical joint-state index, feasibility
 filtering under an infinite congestion price, per-action profit tables,
-the one q reduction shared with the hindsight planner, and backward
-induction producing a time-indexed policy table.
+the one q reduction, and the two recursions sharing it: backward induction
+producing a time-indexed policy table, and the hindsight planner.
 
 The q reduction (``_best``) scans q, reading values off it, or on large
 instances takes a separable max-plus transform whose every choice is
@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -118,15 +119,9 @@ class _ActionTables:
     this order implements the deterministic tie-break.
     """
 
-    def __init__(
-        self,
-        ladder: QualityLadder,
-        channel: ChannelModel,
-        params: ProfitParams,
-        consts: DerivedConstants,
-        num_users: int,
-    ) -> None:
-        m, k, n = len(ladder), channel.num_states, num_users
+    def __init__(self, ladder: QualityLadder, channel: ChannelModel, params: ProfitParams) -> None:
+        consts = economics.derive_constants(ladder, channel, params)
+        m, k, n = len(ladder), channel.num_states, params.num_users
         self.num_rate_vectors = m ** n
         self.num_chan_vectors = k ** n
 
@@ -304,7 +299,7 @@ def _separable(gain: np.ndarray, tables: _ActionTables, choice: np.ndarray, marg
 
 
 def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
-          work=None, carry=None) -> tuple[np.ndarray, np.ndarray]:
+          work=None) -> tuple[np.ndarray, np.ndarray]:
     """Best value and action for every (rate vector, row of ``gain``), where
     ``gain`` is (rows, actions) of everything in q but the variation
     penalty and the bottleneck charge; both results are (rate vectors, rows),
@@ -318,9 +313,9 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     a solve or plan keeps, holds the q block, its rows' offsets and the
     variation laid out for it, rebuilt for other tables, vectors or rows.
 
-    ``carry``, a dict a solve keeps once q outgrows one scan block (its fixed
-    cost is some 2^14 scanned q elements), certifies pairs instead.  It
-    holds the last gain, its scale M = max |gain| + ``error_scale``, the
+    ``work["carry"]``, set by a solve once q outgrows one scan block (its
+    fixed cost is some 2^14 scanned q elements), certifies pairs instead.
+    It holds the last gain, its scale M = max |gain| + ``error_scale``, the
     choices (narrowest type, updated in place) and ``margin``, a lower bound
     L on each pair's q minus its runner-up's.  Exact q moves by the change
     in gain, so L falls by at most its spread S over the row, and rounding by
@@ -333,6 +328,8 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     """
     variation = (tables.reachable_variation if vectors is tables.action_multi
                  else tables.variation_by_action[vectors])
+    work = {} if work is None else work
+    carry = work.get("carry")
     scale = None if carry is None else np.abs(gain).max() + tables.error_scale
     margin = (None if carry is None else carry["margin"] if carry
               else np.empty((len(variation), len(gain))))
@@ -351,7 +348,6 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     else:
         values = np.empty((len(variation), len(gain)))
         choice = np.empty(values.shape, dtype=np.int64)
-        work = {} if work is None else work
         tabs, vecs, buf, at, grid = work.get("scan", (None,) * 5)
         if tabs is not tables or vecs is not vectors or buf.shape[1:] != gain.shape:
             buf = np.empty((min(max(1, _BLOCK_FLOATS // gain.size), len(variation)),) + gain.shape)
@@ -373,11 +369,11 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     return values, choice
 
 
-def _backup(tables: _ActionTables, v_next, carry=None, work=None) -> tuple[np.ndarray, np.ndarray]:
+def _backup(tables: _ActionTables, v_next, work=None) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep: epoch-t values and chosen actions from epoch-t+1
     values ``v_next`` (rate vectors, channel vectors; None at the terminal sweep,
-    whose gain ``playbuf + 0.0`` has the bits of a zero future); ``carry``: see
-    ``_best``; ``work`` rotates the gathered values (then gain), future, carried gain.
+    whose gain ``playbuf + 0.0`` has the bits of a zero future); ``work``: see
+    ``_best``; it also rotates the gathered values (then gain), future, carried gain.
 
     Every q element is ``((playbuf + future) - variation) - bottleneck``,
     its future term from one stacked matmul per sweep, which numpy runs as
@@ -392,7 +388,7 @@ def _backup(tables: _ActionTables, v_next, carry=None, work=None) -> tuple[np.nd
         v_next.take(tables.action_multi, axis=0, out=gathered[..., 0], mode="clip")
     future = 0.0 if v_next is None else np.matmul(tables.joint_channel, gathered, out=future)[..., 0].T
     gain = np.add(tables.expected_playbuf_by_action, future, out=gathered.reshape(gathered.shape[1::-1]))
-    return _best(gain, tables, carry=carry, work=work)
+    return _best(gain, tables, work=work)
 
 
 def backward_induction(
@@ -410,10 +406,13 @@ def backward_induction(
     lexicographically smallest rate vector, so solves are fully deterministic.
 
     A sweep's working memory is bounded; the returned table grows with
-    states x horizon, so one over ``DEFAULT_MEMORY_CAP_BYTES`` is refused up front.
+    states x horizon, so one over ``DEFAULT_MEMORY_CAP_BYTES`` is refused up
+    front, as are ``consts`` other than ``derive_constants(ladder, channel, params)``.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be at least 1, got {horizon}")
+    if consts != economics.derive_constants(ladder, channel, params):
+        raise ConfigurationError(f"{consts} differs from derive_constants(ladder, channel, params)")
     n, m, k = params.num_users, len(ladder), channel.num_states
     size = state_space_size(ladder, channel, n)
     num_actions = len(feasible_actions(n, ladder, params))
@@ -423,16 +422,16 @@ def backward_induction(
     require_memory(f"a policy table of {size} states x horizon {horizon}", needed,
                    "use fewer users or a shorter horizon")
 
-    tables = _action_tables(ladder, channel, params, consts, n)
+    tables = _action_tables(ladder, channel, params)
     values = np.zeros((horizon + 1, size))
     ids = np.empty((horizon, size), dtype=id_dtype)
 
     # Split per user and interleaved, a sweep's block is in canonical order (r0, c0, r1, ...).
     split, axes = (m,) * n + (k,) * n, [a for u in range(n) for a in (u, n + u)]
-    carry = {} if size * len(tables.action_digits) > _BLOCK_FLOATS else None
-    v_next, work = None, {}
+    work = {"carry": {}} if size * len(tables.action_digits) > _BLOCK_FLOATS else {}
+    v_next = None
     for t in range(horizon - 1, -1, -1):
-        v_next, choice = _backup(tables, v_next, carry, work)
+        v_next, choice = _backup(tables, v_next, work)
         np.copyto(values[t].reshape((m, k) * n), v_next.reshape(split).transpose(axes))
         np.copyto(ids[t].reshape((m, k) * n), choice.reshape(split).transpose(axes), casting="unsafe")
 
@@ -448,6 +447,67 @@ def backward_induction(
         action_digits=tables.action_digits,
         action_ids=ids,
     )
+
+
+def check_indices(kind: str, indices: np.ndarray, count: int) -> None:
+    """Refuse ``kind`` indices outside [0, count); numpy would wrap -1."""
+    bad = indices[(indices < 0) | (indices >= count)]
+    if bad.size:
+        raise ValueError(f"{kind} index {bad[0]} outside [0, {count})")
+
+
+def solve_ideal(channel_paths: np.ndarray, initial_rate_indices: Sequence[int],
+                ladder: QualityLadder, channel: ChannelModel, params: ProfitParams) -> np.ndarray:
+    """Plan every run against its fully known bandwidth path; returns the
+    planned rate indices, shaped (runs, horizon, users).
+
+    ``channel_paths`` holds each run's realized channel state indices with
+    shape (runs, horizon + 1, users), as ``sim.channel_paths`` returns
+    them; entry t is the state during segment t, so the decision at epoch
+    t is scored against entry t + 1.  With the path fixed the only state
+    left is the rate vector, and one backward recursion over (runs, rate
+    vectors a plan can reach) is exact.  Each epoch reduces q for every run
+    at once with the solver's own ``_best``, so ties break the same way.
+    """
+    paths = np.asarray(channel_paths, dtype=np.int64)
+    n = params.num_users
+    if paths.ndim != 3 or paths.shape[2] != n:
+        raise ValueError(f"paths shaped {paths.shape}, expected (runs, horizon + 1, {n})")
+    runs, horizon = paths.shape[0], paths.shape[1] - 1
+    if horizon < 1:
+        raise ValueError("need at least one decision epoch")
+    check_indices("channel", paths, channel.num_states)
+    digits = tuple(int(i) for i in initial_rate_indices)
+    if len(digits) != n or not all(0 <= d < len(ladder) for d in digits):
+        raise ValueError(f"initial rate indices {digits}: need one per user, each on the ladder")
+    multi = int(np.ravel_multi_index(digits, (len(ladder),) * n))
+
+    tables = _action_tables(ladder, channel, params)
+    num_actions = len(tables.action_digits)
+    id_dtype = np.min_scalar_type(num_actions - 1)
+    needed = horizon * num_actions * runs * id_dtype.itemsize
+    require_memory(f"the hindsight plan for {runs} runs x horizon {horizon}", needed,
+                   "use fewer runs or a shorter horizon")
+    # Priority-weighted pay once per joint channel vector the paths visit, by base-k code.
+    k = channel.num_states
+    codes, where = np.unique(paths[:, 1:] @ k ** np.arange(n - 1, -1, -1), return_inverse=True)
+    prio = np.array(params.user_priorities)
+    pay_of = np.array([tables.playbuf[tables.action_digits, c] @ prio
+                       for c in np.array(np.unravel_index(codes, (k,) * n)).T])
+    where = where.reshape(runs, horizon)
+
+    # A plan stands at the initial rate vector at epoch 0 (row 0), at an action's after it.
+    plan = np.empty((horizon, num_actions, runs), dtype=id_dtype)
+    v_next, gain, work = np.zeros((num_actions, runs)), np.empty((runs, num_actions)), {}
+    for t in range(horizon - 1, -1, -1):
+        vectors = tables.action_multi if t else np.array([multi])
+        gain = np.add(pay_of.take(where[:, t], axis=0, out=gain, mode="clip"), v_next.T, out=gain)
+        v_next, plan[t, :len(vectors)] = _best(gain, tables, vectors, work)
+    chosen = np.empty((runs, horizon), dtype=np.int64)
+    at = np.zeros(runs, dtype=np.int64)
+    for t in range(horizon):
+        chosen[:, t] = at = plan[t, at, np.arange(runs)]
+    return tables.action_digits[chosen]
 
 
 # ----------------------------- policy table -----------------------------

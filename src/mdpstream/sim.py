@@ -16,7 +16,8 @@ from . import economics, mdp
 from .economics import DerivedConstants, ProfitParams, derive_constants
 from .model import (ChannelModel, ConfigurationError, QualityLadder, _require, _require_finite,
                     left_sum)
-from .policies import IdealOracle, Myopic, Proposed, check_indices, solve_ideal
+from .mdp import check_indices, solve_ideal
+from .policies import IdealOracle, Myopic, Proposed
 
 SHARING_PROPORTIONAL = "proportional"
 SHARING_NONE = "none"
@@ -254,7 +255,7 @@ def decide(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
     check_indices("channel", paths, config.channel.num_states)
     if isinstance(policy, IdealOracle):
         return solve_ideal(paths, (config.initial_rate_index,) * n, config.ladder, config.channel,
-                           config.profit, config.derived_constants())
+                           config.profit)
     if isinstance(policy, Proposed):
         start = np.full((runs, n), config.initial_rate_index)
         return policy.table.walk(start, paths[:, :-1], policy.stationary)

@@ -19,10 +19,10 @@ from mdpstream.economics import (
     smoothness_cost,
     bottleneck_cost,
 )
-from mdpstream.mdp import _ActionTables, feasible_actions, variation_table
+from mdpstream.mdp import _ActionTables, feasible_actions, solve_ideal, variation_table
 from mdpstream.metrics import SessionSummary
 from mdpstream.model import ChannelModel, QualityLadder, left_sum
-from mdpstream.policies import IdealOracle, Proposed, solve_ideal
+from mdpstream.policies import IdealOracle, Proposed
 from mdpstream.sim import Trace, effective_bandwidth, step_buffer
 
 
@@ -278,15 +278,15 @@ def per_action_future(tables, v_next):
 # --------------------- reference hindsight planner ---------------------
 
 
-def reference_solve_ideal(paths, initial_rate_indices, ladder, channel, params, consts):
+def reference_solve_ideal(paths, initial_rate_indices, ladder, channel, params):
     """One run's hindsight plan, (horizon, users), from its channel path
     shaped (users, horizon + 1): a backward recursion over the rate vectors
-    alone, one epoch at a time.  The batched ``policies.solve_ideal`` must
+    alone, one epoch at a time.  The batched ``mdp.solve_ideal`` must
     match it bit for bit on every run."""
     paths = np.asarray(paths, dtype=np.int64)
     n = params.num_users
     horizon = paths.shape[1] - 1
-    tables = _ActionTables(ladder, channel, params, consts, n)
+    tables = _ActionTables(ladder, channel, params)
     plan = np.empty((horizon, tables.num_rate_vectors), dtype=np.int64)
     v_next = np.zeros(tables.num_rate_vectors)
     prio = np.array(params.user_priorities)
@@ -399,7 +399,7 @@ def reference_simulate(config, policy, paths):
     cap = params.total_rate_cap_kbps
     if isinstance(policy, IdealOracle):
         chosen = solve_ideal(paths, (config.initial_rate_index,) * n,
-                             ladder, channel, params, consts)
+                             ladder, channel, params)
     else:
         chosen = np.empty((runs, horizon, n), dtype=np.int64)
         prev = np.full((runs, n), config.initial_rate_index)

@@ -185,8 +185,7 @@ def test_transition_probabilities_close(fair_config):
     # the joint channel matrix the solver takes expectations with: each row
     # is a distribution, each entry the product of the per-user moves
     n, k = fair_config.num_users, fair_config.channel.num_states
-    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, fair_config.profit,
-                               fair_config.derived_constants(), n)
+    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, fair_config.profit)
     joint = tables.joint_channel
     assert joint.shape == (k ** n, k ** n)
     np.testing.assert_allclose(joint.sum(axis=1), 1.0, rtol=0, atol=1e-9)

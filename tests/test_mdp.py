@@ -47,8 +47,7 @@ def small_model():
 
 
 def solver_tables(ladder, channel, params):
-    consts = derive_constants(ladder, channel, params)
-    return mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    return mdp._ActionTables(ladder, channel, params)
 
 
 def test_channel_transition_product():
@@ -286,6 +285,22 @@ def test_solver_rejects_bad_horizon_and_cap(monkeypatch):
         )
 
 
+def test_solver_refuses_constants_of_another_scenario(fair_config):
+    # the table's fingerprint hashes the ladder, channel, params and horizon,
+    # not the constants: a solve from other constants would carry the right
+    # fingerprint over other decisions
+    ladder, channel, params = fair_config.ladder, fair_config.channel, fair_config.profit
+    consts = fair_config.derived_constants()
+    other = dataclasses.replace(params, variation_threshold_kbps=300.0)
+    for wrong in (dataclasses.replace(consts, income_norm=2 * consts.income_norm),
+                  derive_constants(ladder, channel, other)):
+        assert wrong != consts
+        with pytest.raises(ConfigurationError, match="differs from derive_constants"):
+            backward_induction(ladder, channel, params, wrong, 5)
+    assert backward_induction(ladder, channel, params, consts, 5).fingerprint == (
+        scenario_fingerprint(ladder, channel, params, 5))
+
+
 def test_memory_cap_refuses_five_users_before_allocating(monkeypatch):
     ladder, channel = make_ladder(), make_channel()
     five = make_params(cap=5000.0, priorities=(0.2,) * 5)
@@ -361,7 +376,7 @@ def test_blocked_backup_matches_full_tensor_bit_for_bit(
     monkeypatch, instance, rate_vectors_per_block
 ):
     ladder, channel, params, consts = instance()
-    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params)
     if rate_vectors_per_block:
         monkeypatch.setattr(
             mdp, "_BLOCK_FLOATS",
@@ -405,7 +420,7 @@ def _check_certified_sweeps(tables, sweeps):
     v_next = np.zeros((tables.num_rate_vectors, tables.num_chan_vectors))
     carry = {}
     for _ in range(sweeps):
-        values, choice = mdp._backup(tables, v_next, carry)
+        values, choice = mdp._backup(tables, v_next, {"carry": carry})
         q = full_tensor_q(tables, v_next)
         assert values.tobytes() == q.max(axis=0).tobytes()  # signed zeros too
         assert np.array_equal(choice, q.argmax(axis=0))
@@ -423,7 +438,7 @@ def test_certified_sweeps_match_full_tensor_bit_for_bit(monkeypatch, instance, s
     # forced scan and forced transform for the whole sweeps and the margins
     # they report, then the size rule (which scans these small instances)
     ladder, channel, params, consts = instance()
-    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params)
     if separable is not None:
         monkeypatch.setattr(mdp, "_use_separable", lambda *args: separable)
     recorded = _record_sweeps(monkeypatch)
@@ -439,7 +454,7 @@ def test_certified_sweeps_match_full_tensor_bit_for_bit(monkeypatch, instance, s
 def test_certified_sweeps_match_full_tensor_on_random_instances(seed, users, finite_price):
     ladder, channel, params, consts = random_instance(np.random.default_rng(seed), 3, 3, users,
                                                       finite_price)
-    tables = mdp._ActionTables(ladder, channel, params, consts, users)
+    tables = mdp._ActionTables(ladder, channel, params)
     _check_certified_sweeps(tables, 20)
 
 
@@ -450,7 +465,7 @@ def test_non_finite_gain_is_never_certified(monkeypatch, bad):
     # so the slack of that sweep and the next, non-finite, so both reduce
     # every pair, and the results are still the full tensor's
     ladder, channel, params, consts = _finite_price_instance()
-    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params)
     monkeypatch.setattr(mdp, "_use_separable", lambda *args: False)
     sweeps = _record_sweeps(monkeypatch)
     good = tables.expected_playbuf_by_action
@@ -460,7 +475,7 @@ def test_non_finite_gain_is_never_certified(monkeypatch, bad):
     carry = {}
     every_pair = tables.num_rate_vectors * len(good)
     for step, gain in enumerate([good, good + 0.5, bad_gain, good + 1.5]):
-        values, choice = mdp._best(gain, tables, carry=carry)
+        values, choice = mdp._best(gain, tables, work={"carry": carry})
         want_values, want_choice = _full_tensor_best(gain, tables)
         assert np.array_equal(choice, want_choice)
         assert values.tobytes() == want_values.tobytes()
@@ -476,9 +491,9 @@ def test_stacked_future_term_equals_per_action_matvecs(fair_config, monkeypatch,
     gains = []
     best = mdp._best
 
-    def recording(gain, tables, **carry):
+    def recording(gain, tables, **work):
         gains.append(gain)
-        return best(gain, tables, **carry)
+        return best(gain, tables, **work)
 
     monkeypatch.setattr(mdp, "_best", recording)
     rng = np.random.default_rng(18)
@@ -515,8 +530,7 @@ def _full_tensor_best(gain, tables):
 def _workload_tables(config, num_users, priorities, cap):
     params = dataclasses.replace(config.profit, user_priorities=priorities,
                                  total_rate_cap_kbps=cap)
-    consts = derive_constants(config.ladder, config.channel, params)
-    return mdp._ActionTables(config.ladder, config.channel, params, consts, num_users)
+    return mdp._ActionTables(config.ladder, config.channel, params)
 
 
 def test_separable_best_on_one_row_at_four_users(fair_config, monkeypatch):
@@ -539,7 +553,7 @@ def test_separable_best_sends_non_finite_gain_to_the_scan(monkeypatch, bad):
     # one bad row and one bad entry: nothing can be certified, so every
     # pair falls back and the result is still the full tensor's
     ladder, channel, params, consts = _finite_price_instance()
-    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params)
     gain = tables.expected_playbuf_by_action[:5].copy()
     gain[2] = bad
     gain[4, 3] = bad
@@ -558,9 +572,9 @@ def test_best_rebuilds_a_workspace_kept_for_other_vectors_rows_or_tables():
     # of a call without one.  A finite price keeps every action feasible, so
     # the reversed priorities give other tables of the same shapes
     ladder, channel, params, consts = _finite_price_instance()
-    tables = mdp._ActionTables(ladder, channel, params, consts, params.num_users)
+    tables = mdp._ActionTables(ladder, channel, params)
     flipped = dataclasses.replace(params, user_priorities=params.user_priorities[::-1])
-    other = mdp._ActionTables(ladder, channel, flipped, consts, params.num_users)
+    other = mdp._ActionTables(ladder, channel, flipped)
     assert other.variation_by_action.shape == tables.variation_by_action.shape
     assert not np.array_equal(other.variation_by_action, tables.variation_by_action)
     gain, work, later = tables.expected_playbuf_by_action, {}, tables.action_multi[4:8]
@@ -629,9 +643,9 @@ def _record_sweeps(monkeypatch):
     sweeps = []
     best, separable, scan = mdp._best, mdp._separable, mdp._scan
 
-    def recording_best(*args, **carry):
+    def recording_best(*args, **work):
         sweeps.append([False, 0])
-        return best(*args, **carry)
+        return best(*args, **work)
 
     def recording_separable(*args):
         sweeps[-1][0] = True
@@ -732,8 +746,7 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
     params = dataclasses.replace(
         fair_config.profit, user_priorities=(1 / users,) * users, total_rate_cap_kbps=cap
     )
-    consts = derive_constants(fair_config.ladder, fair_config.channel, params)
-    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, params, consts, users)
+    tables = mdp._ActionTables(fair_config.ladder, fair_config.channel, params)
     rates, chans = tables.num_rate_vectors, tables.num_chan_vectors
     actions = len(tables.action_digits)
     assert (actions, rates * chans) == size
@@ -743,11 +756,11 @@ def test_backup_memory_stays_below_half_the_full_tensor(fair_config, monkeypatch
     v_next = np.zeros((rates, chans))
     carry = {} if certified else None
     for _ in range(2 if certified else 0):
-        v_next = mdp._backup(tables, v_next, carry)[0]
+        v_next = mdp._backup(tables, v_next, {"carry": carry})[0]
     sweeps = _record_sweeps(monkeypatch)
     tracemalloc.start()
     try:
-        mdp._backup(tables, v_next, carry)
+        mdp._backup(tables, v_next, {"carry": carry})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

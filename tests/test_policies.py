@@ -9,8 +9,8 @@ import pytest
 
 from mdpstream import mdp
 from mdpstream.economics import derive_constants
-from mdpstream.mdp import backward_induction
-from mdpstream.policies import Myopic, solve_ideal
+from mdpstream.mdp import backward_induction, solve_ideal
+from mdpstream.policies import Myopic
 from mdpstream.sim import channel_paths
 from support import (
     all_states, feasible_tuples, make_channel, make_ladder, make_params, reference_solve_ideal,
@@ -112,7 +112,7 @@ def test_ideal_matches_brute_force_on_short_paths():
     rng = np.random.default_rng(19)
     for _ in range(3):
         paths = rng.integers(0, 4, size=(2, 4))  # horizon 3
-        plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
+        plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params)[0]
         got = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         best = max(
             ideal_score(seq, paths, ladder, channel, params, consts, (0, 0))
@@ -130,7 +130,7 @@ def test_ideal_dominates_solved_policy_per_path(fair_config, fair_table):
     for _ in range(3):
         horizon = 40
         paths = rng.integers(0, 4, size=(2, horizon + 1))
-        plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
+        plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params)[0]
         ideal_total = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
         prev, total = (0, 0), 0.0
         for t in range(horizon):
@@ -152,7 +152,7 @@ def test_ideal_equals_solved_policy_when_channel_is_deterministic():
     horizon = 12
     table = backward_induction(ladder, channel, params, consts, horizon)
     paths = np.zeros((2, horizon + 1), dtype=np.int64)
-    plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params, consts)[0]
+    plan = solve_ideal(paths.T[None], (0, 0), ladder, channel, params)[0]
     ideal_total = ideal_score(plan, paths, ladder, channel, params, consts, (0, 0))
     assert table.value(0, (0, 0), (0, 0)) == pytest.approx(
         ideal_total, abs=1e-9
@@ -162,22 +162,21 @@ def test_ideal_equals_solved_policy_when_channel_is_deterministic():
 def test_ideal_plan_bounds():
     ladder, channel = make_ladder(), make_channel()
     params = make_params()
-    consts = derive_constants(ladder, channel, params)
     paths = np.random.default_rng(3).integers(0, 4, size=(3, 8, 2))  # 3 runs, horizon 7
-    plan = solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+    plan = solve_ideal(paths, (0, 0), ladder, channel, params)
     assert plan.shape == (3, 7, 2) and plan.dtype == np.int64
     feasible = set(feasible_tuples(ladder, params))
     assert {tuple(row) for row in plan.reshape(-1, 2).tolist()} <= feasible
     with pytest.raises(IndexError):
         plan[:, 7]
     with pytest.raises(ValueError):
-        solve_ideal(paths[:, :1], (0, 0), ladder, channel, params, consts)  # no epoch
+        solve_ideal(paths[:, :1], (0, 0), ladder, channel, params)  # no epoch
     with pytest.raises(ValueError):
-        solve_ideal(paths, (0, 5), ladder, channel, params, consts)  # off the ladder
+        solve_ideal(paths, (0, 5), ladder, channel, params)  # off the ladder
     with pytest.raises(ValueError):
-        solve_ideal(paths, (0,), ladder, channel, params, consts)  # one index, two users
+        solve_ideal(paths, (0,), ladder, channel, params)  # one index, two users
     with pytest.raises(ValueError):
-        solve_ideal(paths[0].T, (0, 0), ladder, channel, params, consts)  # one run's (users, horizon + 1)
+        solve_ideal(paths[0].T, (0, 0), ladder, channel, params)  # one run's (users, horizon + 1)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -185,11 +184,10 @@ def test_ideal_refuses_channel_index_out_of_range(bad):
     # numpy would wrap -1 to the last state and reject 4 without naming it
     ladder, channel = make_ladder(), make_channel()
     params = make_params()
-    consts = derive_constants(ladder, channel, params)
     paths = np.zeros((2, 6, 2), dtype=np.int64)
     paths[1, 3, 0] = bad
     with pytest.raises(ValueError, match=rf"channel index {bad} outside \[0, 4\)"):
-        solve_ideal(paths, (0, 0), ladder, channel, params, consts)
+        solve_ideal(paths, (0, 0), ladder, channel, params)
 
 
 def planner_instances(fair_config, diff_config):
@@ -217,13 +215,12 @@ def test_batched_plan_equals_per_run_reference(fair_config, diff_config, monkeyp
     monkeypatch.setattr(mdp, "_best", recording)
     for name, config in planner_instances(fair_config, diff_config):
         params, n = config.profit, config.num_users
-        args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params,
-                config.derived_constants())
+        args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params)
         paths = channel_paths(config, range(config.num_runs))
         want = np.array([reference_solve_ideal(path.T, *args) for path in paths])
         if math.isfinite(params.congestion_price):  # the charge must bite somewhere
             assert np.any(np.array(config.ladder.rates)[want].sum(axis=2) > params.total_rate_cap_kbps)
-        tables = mdp._action_tables(*args[1:], n)
+        tables = mdp._action_tables(*args[1:])
         gain_floats = config.num_runs * len(tables.action_digits)
         for block_floats in (default, gain_floats, 3 * gain_floats):
             # default, then 1 and 3 rate vectors per scanned q block.  Every
@@ -251,9 +248,8 @@ def test_plan_reduces_only_reachable_rate_vectors(fair_config, monkeypatch):
         scan(gain, variation, tables, q, out, *margin)
 
     monkeypatch.setattr(mdp, "_scan", recording)
-    args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params,
-            config.derived_constants())
-    num_actions = len(mdp._action_tables(*args[1:], n).action_digits)
+    args = ((config.initial_rate_index,) * n, config.ladder, config.channel, params)
+    num_actions = len(mdp._action_tables(*args[1:]).action_digits)
     assert num_actions < len(config.ladder) ** n
     solve_ideal(channel_paths(config, range(runs)), *args)
     # one scan per epoch, from the last epoch back to epoch 0

@@ -594,7 +594,7 @@ def test_oversized_ideal_plan_refused_before_allocating(fair_config, monkeypatch
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
     paths = channel_paths(config, range(3))
     # build the cached 4-user tables first, so the peak is what this cell allocates
-    mdp._action_tables(config.ladder, config.channel, four, config.derived_constants(), 4)
+    mdp._action_tables(config.ladder, config.channel, four)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError, match=(
