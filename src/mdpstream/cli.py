@@ -24,6 +24,7 @@ from .mdp import (
     backward_induction,
     feasible_actions,
     scenario_fingerprint,
+    table_fingerprint,
 )
 from .metrics import PER_USER_METRICS, SessionSummary, aggregate_runs, summarize_runs
 from .metrics import summarize  # noqa: F401  (perfbench wraps this name)
@@ -36,6 +37,7 @@ ARMS = ("proposed", "myopic", "ideal", "client_centric")
 SWEEP_AXES = ("none", "rate_cap", "horizon")
 
 _EXPERIMENT_KEYS = {"scenario", "arms", "sweep"}
+_SWEEP_KEYS = {"axis", "values"}
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     sweep_form = "write the sweep as sweep: {axis: rate_cap, values: [600, 850]}"
     if not isinstance(sweep, dict):
         raise ConfigurationError(f"{path}: {sweep_form}")
+    check_keys(sweep, _SWEEP_KEYS, "sweep")
     axis = sweep.get("axis", "none")
     try:
         values = _floats(sweep.get("values", []), "values")
@@ -120,6 +123,22 @@ def _fmt(x: float) -> str:
 
 def table_filename(scenario_name: str, cap_kbps: float, horizon: int) -> str:
     return f"policy_{scenario_name}_cap{cap_kbps:g}_T{horizon}.ptab"
+
+
+def _table_path(spec: ExperimentSpec, scenario: ScenarioConfig, tables_dir: str) -> str:
+    """The path of ``scenario``'s policy table, refused unless the file is
+    there and its header carries ``scenario``'s fingerprint."""
+    cap = scenario.profit.total_rate_cap_kbps
+    table_path = os.path.join(tables_dir, table_filename(scenario.name, cap, scenario.horizon))
+    fix = (f"create it with: mdpstream solve --config {spec.scenario_path} --rate-cap {cap:g} "
+           f"--horizon {scenario.horizon} --out {table_path}")
+    if not os.path.exists(table_path):
+        raise ConfigurationError(f"missing policy table {table_path}; {fix}")
+    if table_fingerprint(table_path) != scenario_fingerprint(
+        scenario.ladder, scenario.channel, scenario.profit, scenario.horizon
+    ):
+        raise ConfigurationError(f"policy table {table_path} was solved for another scenario; {fix}")
+    return table_path
 
 
 def _sweep_configs(config: ScenarioConfig, spec: ExperimentSpec):
@@ -213,13 +232,16 @@ def run_experiment(
     """Execute every (arm, sweep value, run) cell and write the CSV outputs.
 
     Returns the summary CSV path.  Proposed arms require their policy
-    tables to exist already (see ``table_filename``); everything is written
-    atomically and depends only on the inputs and the seed, so repeated
-    calls produce byte-identical files.
+    tables to exist already (see ``table_filename``), every sweep value's
+    checked before anything is computed; everything is written atomically
+    and depends only on the inputs and the seed, so repeated calls produce
+    byte-identical files.
     """
     if seed is not None:
         config = replace(config, rng_seed=seed)
     tables_dir = tables_dir or os.path.join(out_dir, "tables")
+    table_paths = {value: _table_path(spec, scenario, tables_dir)
+                   for value, scenario in _sweep_configs(config, spec) if "proposed" in spec.arms}
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
@@ -235,26 +257,8 @@ def run_experiment(
     # every sweep value faces the same paths, a shorter horizon a prefix of them
     all_paths = channel_paths(config.with_horizon(longest), runs, arms=len(spec.arms))
     for value, scenario in _sweep_configs(config, spec):
-        table: PolicyTable | None = None
-        if "proposed" in spec.arms:
-            table_path = os.path.join(tables_dir, table_filename(
-                config.name, scenario.profit.total_rate_cap_kbps, scenario.horizon
-            ))
-            fix = (
-                f"create it with: mdpstream solve --config {spec.scenario_path} "
-                f"--rate-cap {scenario.profit.total_rate_cap_kbps:g} "
-                f"--horizon {scenario.horizon} --out {table_path}"
-            )
-            if not os.path.exists(table_path):
-                raise ConfigurationError(f"missing policy table {table_path}; {fix}")
-            table = PolicyTable.load(table_path)
-            if table.fingerprint != scenario_fingerprint(
-                scenario.ladder, scenario.channel, scenario.profit, scenario.horizon
-            ):
-                raise ConfigurationError(
-                    f"policy table {table_path} was solved for another scenario; {fix}"
-                )
-
+        # each table's arrays are read once, when its cell runs
+        table = PolicyTable.load(table_paths[value]) if value in table_paths else None
         paths = all_paths[:, :scenario.horizon + 1]
         rules = ["myopic" if arm == "client_centric" else arm for arm in spec.arms]  # one client rule
         decisions = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
@@ -620,24 +621,12 @@ class PolicyTable:
     def load(cls, path: str) -> "PolicyTable":
         """Read a table written by ``save``.  Anything else, truncated or
         extended files included, raises ``ConfigurationError``."""
-        try:
-            with open(path, "rb") as fh:
-                header = fh.readline().decode("ascii").split()
-                if header[:1] != [POLICY_TABLE_FORMAT]:
-                    raise ValueError("not a policy table file")
-                if header[1:] != POLICY_TABLE_VERSIONS.split():
-                    raise ValueError(f"unsupported version {' '.join(header[1:])!r}, "
-                                     f"need {POLICY_TABLE_VERSIONS!r}")
-                fields = dict(
-                    item.split("=")
-                    for line in (fh.readline(), fh.readline())
-                    for item in line.decode("ascii").split()
-                )
-                # read_array takes only the .npy format that save writes;
-                # np.load would also open a zip archive here.
-                arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3)]
-                if fh.read(1):
-                    raise ValueError("trailing bytes after the action ids")
+        with _table_file(path) as (fh, fields):
+            # read_array takes only the .npy format that save writes;
+            # np.load would also open a zip archive here.
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3)]
+            if fh.read(1):
+                raise ValueError("trailing bytes after the action ids")
             for array in arrays:
                 array.setflags(write=False)
             return cls(
@@ -650,8 +639,33 @@ class PolicyTable:
                 action_digits=arrays[1],
                 action_ids=arrays[2],
             )
-        except KeyError as missing:
-            why = f"header missing {missing}"
-        except (ValueError, EOFError) as err:  # UnicodeDecodeError is a ValueError
-            why = str(err)
-        raise ConfigurationError(f"{path}: {why}; solve it again with mdpstream solve")
+
+
+def table_fingerprint(path: str) -> str:
+    """The fingerprint a table file at ``path`` was saved with, read from
+    its header alone; a malformed header raises ``ConfigurationError``."""
+    with _table_file(path) as (_, fields):
+        return fields["fingerprint"]
+
+
+@contextmanager
+def _table_file(path: str):
+    """The open table file at ``path`` and its header's fields, read past
+    the header.  A malformed file, found in the header or in the body, raises
+    ``ConfigurationError``."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii").split()
+            if header[:1] != [POLICY_TABLE_FORMAT]:
+                raise ValueError("not a policy table file")
+            if header[1:] != POLICY_TABLE_VERSIONS.split():
+                raise ValueError(f"unsupported version {' '.join(header[1:])!r}, "
+                                 f"need {POLICY_TABLE_VERSIONS!r}")
+            yield fh, dict(item.split("=") for line in (fh.readline(), fh.readline())
+                           for item in line.decode("ascii").split())
+            return
+    except KeyError as missing:
+        why = f"header missing {missing}"
+    except (ValueError, EOFError) as err:  # UnicodeDecodeError is a ValueError
+        why = str(err)
+    raise ConfigurationError(f"{path}: {why}; solve it again with mdpstream solve")

@@ -122,3 +122,20 @@ def test_every_import_is_used():
                     name = alias.asname or alias.name.split(".")[0]
                     marked = "# noqa: F401" in lines[alias.lineno - 1]
                     assert name in used or marked, f"{path.name}:{alias.lineno}: {name} unused"
+
+
+def test_only_mdp_names_its_private_names():
+    # the solver, the hindsight planner, their shared tables and the q
+    # reduction live in mdp; no other module reaches into its private names
+    for path in sorted(Path(mdpstream.__file__).parent.glob("*.py")):
+        if path.name == "mdp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "mdp" else []
+            elif isinstance(node, ast.ImportFrom) and node.module in ("mdp", "mdpstream.mdp"):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_")]
+            assert not private, f"{path.name}:{node.lineno}: mdp.{private[0]}"

@@ -349,6 +349,28 @@ def test_table_for_another_scenario_is_refused(workspace, capsys):
     ) in err
 
 
+@pytest.mark.parametrize("second", ["missing", "mismatched"])
+def test_bad_second_table_is_refused_before_any_output(workspace, capsys, second):
+    # a rate_cap sweep whose first cap has its table: the second's table is
+    # checked before the first cap's traces are computed or written
+    tmp, scenario_path, spec_path, tables = workspace
+    spec_path.write_text(yaml.safe_dump({
+        "scenario": "small.cfg", "arms": ["proposed", "myopic"],
+        "sweep": {"axis": "rate_cap", "values": [850, 600]},
+    }), encoding="utf-8")
+    if second != "missing":  # the cap-850 table under the cap-600 name
+        (tables / table_filename("small", 600.0, 6)).write_bytes(
+            (tables / table_filename("small", 850.0, 6)).read_bytes())
+    rc = main(["run", "--spec", str(spec_path), "--out-dir", str(tmp / "out"),
+               "--tables-dir", str(tables)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("missing policy table" if second == "missing" else "solved for another scenario") in err
+    assert (f"mdpstream solve --config {scenario_path} --rate-cap 600 --horizon 6 "
+            f"--out {tables / table_filename('small', 600.0, 6)}") in err
+    assert not list((tmp / "out").rglob("*.csv"))
+
+
 def test_corrupt_table_is_a_configuration_error(workspace, capsys):
     tmp, _, spec_path, tables = workspace
     (tables / table_filename("small", 850.0, 6)).write_bytes(bytes(range(256)))
@@ -709,6 +731,8 @@ def test_experiment_file_parsing(tmp_path):
      "must be a number, got True"),
     ({"arms": ["myopic"], "sweep": {"axis": "horizon", "values": [True]}},
      "must be a number, got True"),
+    ({"arms": ["myopic"], "sweep": {"axis": "rate_cap", "values": [600], "runs": 3}},
+     "unknown sweep keys: runs"),
 ])
 def test_malformed_experiment_file_names_the_form(tmp_path, capsys, fields, form):
     save_scenario(fair_scenario(), str(tmp_path / "s.cfg"))

@@ -632,6 +632,36 @@ def test_score_refuses_rate_index_out_of_range(fair_config, bad):
             score(config, chosen, paths)
 
 
+def test_decide_refuses_paths_of_another_shape(fair_config, fair_table):
+    # another horizon, another user count, or one run's (horizon + 1, users)
+    config = fair_config.with_horizon(5)
+    paths = channel_paths(config, range(2))
+    for bad in (paths[:, :-1], paths[..., :1], paths[0]):
+        for policy in (Proposed(fair_table), Myopic(config.ladder), IdealOracle()):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"paths shaped {bad.shape}, expected (runs, 6, 2)")):
+                decide(config, policy, bad)
+
+
+def test_decide_refuses_an_unknown_policy(fair_config):
+    config = fair_config.with_horizon(3)
+    with pytest.raises(TypeError, match="unknown policy 'greedy'"):
+        decide(config, "greedy", channel_paths(config, range(2)))
+
+
+def test_score_refuses_decisions_or_paths_of_another_shape(fair_config):
+    # a short horizon, fewer path rows than decision rows, one user too few
+    config = fair_config.with_horizon(3)
+    paths = channel_paths(config, range(2))
+    chosen = np.zeros((2, 3, 2), dtype=np.int64)
+    for bad_chosen, bad_paths in [(chosen[:, :2], paths), (chosen, paths[:1]),
+                                  (chosen[..., :1], paths)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"decisions shaped {bad_chosen.shape} and paths {bad_paths.shape}, expected "
+                "(rows, 3, 2) and (rows, 4, 2)")):
+            score(config, bad_chosen, bad_paths)
+
+
 def test_buffer_column_comes_from_step_buffer(fair_config, fair_table, monkeypatch):
     # the benchmark's smoke test corrupts step_buffer to credit 1% too much
     # content; every arm's buffer levels must show it, so the buffer
