@@ -311,54 +311,63 @@ def _best(gain: np.ndarray, tables: _ActionTables, vectors=slice(None),
     take the certified transform of ``_separable`` over the full grid; the
     rest scan q by blocks of rate vectors in one buffer and read the values
     off q; the other paths take them by q's own expression.  ``work``, a dict
-    a solve or plan keeps, holds the q block, its rows' offsets and the
-    variation laid out for it, rebuilt for other tables, vectors or rows.
+    a solve or plan keeps, holds the variation, the size rule's verdict and
+    the scan's block views, rebuilt for other tables, vectors or rows.
 
     ``work["carry"]``, set by a solve once q outgrows one scan block (its
-    fixed cost is some 2^14 scanned q elements), certifies pairs instead.
-    It holds the last gain, its scale M = max |gain| + ``error_scale``, the
-    choices (narrowest type, updated in place) and ``margin``, a lower bound
-    L on each pair's q minus its runner-up's.  Exact q moves by the change
-    in gain, so L falls by at most its spread S over the row, and rounding by
-    less than 2^-49 (M + M_last): 2^-53 (M + M_last) times 4 through q and 6
-    through S + slack, and 4 M_last 2^-53 through L <= 2 M_last.  A pair
-    whose L - (S + slack) stays positive, for a slack four times that, keeps
-    its choice, the unique maximizer, and carries that L; the rest (ties,
-    near ties, NaN, infinities) are rescanned, pair by pair or, where the
-    size rule prices that (3 q elements a pair) above it, with the sweep.
+    fixed cost is some 2^14 scanned q elements), certifies pairs instead.  It
+    holds the last gain, its scale M = max |gain| + ``error_scale``, the
+    choices (narrowest type, updated in place) and ``margin``, a lower bound L
+    on each pair's q minus its runner-up's.  Exact q moves by the change D in
+    gain, so L falls by at most T = max D - D[a*] at the pair's choice a*, and
+    rounding by less than 2^-49 (M + M_last): 2^-53 (M + M_last) times 4
+    through q and 6 through T + slack (T is a difference of two gain
+    differences), and 4 M_last 2^-53 through L <= 2 M_last.  A pair whose
+    L - (T + slack) stays positive, for a slack four times that, keeps its
+    choice, the unique maximizer, and carries that L; the rest (ties, near
+    ties, NaN, infinities) are rescanned, pair by pair or, where the size rule
+    prices that (3 q elements a pair) above it, with the sweep.
     """
-    variation = (tables.reachable_variation if vectors is tables.action_multi
-                 else tables.variation_by_action[vectors])
     work = {} if work is None else work
+    tabs, vecs, shape, variation, blocks = work.get("scan", (None,) * 5)
+    if tabs is not tables or vecs is not vectors or shape != gain.shape:
+        variation = (tables.reachable_variation if vectors is tables.action_multi
+                     else tables.variation_by_action[vectors])
+        blocks = None if _use_separable(len(gain), tables, len(variation) * len(gain)) else []
+        work["scan"] = tables, vectors, gain.shape, variation, blocks
     carry = work.get("carry")
     scale = None if carry is None else np.abs(gain).max() + tables.error_scale
     margin = (None if carry is None else carry["margin"] if carry
               else np.empty((len(variation), len(gain))))
     if carry:
         with np.errstate(invalid="ignore"):
-            margin -= np.ptp(gain - carry["gain"], axis=1) + 2.0 ** -47 * (scale + carry["scale"])
-        stale = 3 * (margin.size - np.count_nonzero(margin > 0))  # priced as blocked-scan pairs
+            change = gain - carry["gain"]  # T + slack for each action, taken at each pair's a*
+            lift = np.subtract(change.max(axis=1)[:, None], change, out=change)
+            lift += 2.0 ** -47 * (scale + carry["scale"])
+            margin -= lift.take(carry["choice"] + np.arange(0, lift.size, lift.shape[1]))
+        stale = ~(margin > 0)
+        priced = 3 * np.count_nonzero(stale)  # as blocked-scan pairs
     values = None
-    if carry and stale < margin.size and not _use_separable(len(gain), tables, stale):
+    if carry and priced < margin.size and not _use_separable(len(gain), tables, priced):
         choice = carry["choice"]
-        _scan_pairs(gain, tables, *np.nonzero(~(margin > 0)), choice, margin)
-    elif _use_separable(len(gain), tables, len(variation) * len(gain)):
+        _scan_pairs(gain, tables, *np.nonzero(stale), choice, margin)
+    elif blocks is None:
         choice = np.empty((tables.num_rate_vectors, len(gain)), dtype=np.int64)
         _separable(gain, tables, choice, margin)
         choice = choice[vectors]
     else:
-        values = np.empty((len(variation), len(gain)))
-        choice = np.empty(values.shape, dtype=np.int64)
-        tabs, vecs, buf, at, grid = work.get("scan", (None,) * 5)
-        if tabs is not tables or vecs is not vectors or buf.shape[1:] != gain.shape:
+        if not blocks:  # laid out at the first scan
             buf = np.empty((min(max(1, _BLOCK_FLOATS // gain.size), len(variation)),) + gain.shape)
             grid = variation[:, None]  # when one block holds q, laid over its rows
             grid = grid if len(buf) < len(variation) else grid.repeat(len(gain), 1)
             at = np.arange(0, buf.size, gain.shape[1]).reshape(buf.shape[:2])
-            work["scan"] = tables, vectors, buf, at, grid
-        for lo in range(0, len(choice), len(buf)):
-            block, rows = slice(lo, lo + len(buf)), min(len(buf), len(choice) - lo)
-            _scan(gain, grid[block], tables, buf[:rows], choice[block], at[:rows], values[block],
+            for lo in range(0, len(variation), len(buf)):  # the last block may hold fewer rows
+                block = slice(lo, lo + len(buf))
+                blocks.append((block, grid[block], buf[:len(variation) - lo], at[:len(variation) - lo]))
+        values = np.empty((len(variation), len(gain)))
+        choice = np.empty(values.shape, dtype=np.int64)
+        for block, grid, buf, at in blocks:
+            _scan(gain, grid, tables, buf, choice[block], at, values[block],
                   None if margin is None else margin[block])
     if carry is not None:
         choice = choice.astype(np.min_scalar_type(len(tables.action_digits) - 1), copy=False)
@@ -436,8 +445,6 @@ def backward_induction(
         np.copyto(values[t].reshape((m, k) * n), v_next.reshape(split).transpose(axes))
         np.copyto(ids[t].reshape((m, k) * n), choice.reshape(split).transpose(axes), casting="unsafe")
 
-    values.setflags(write=False)
-    ids.setflags(write=False)
     return PolicyTable(
         ladder_size=len(ladder),
         num_channel_states=channel.num_states,
@@ -540,6 +547,8 @@ class PolicyTable:
             raise ValueError(f"action digits outside the {self.ladder_size}-rung ladder")
         if ids.max() >= len(digits):
             raise ValueError(f"action id {ids.max()} names none of the {len(digits)} actions")
+        for array in (self.values, digits, ids):  # a frozen table's arrays are read-only
+            array.setflags(write=False)
 
     @property
     def action_rate_indices(self) -> np.ndarray:
@@ -619,26 +628,25 @@ class PolicyTable:
 
     @classmethod
     def load(cls, path: str) -> "PolicyTable":
-        """Read a table written by ``save``.  Anything else, truncated or
-        extended files included, raises ``ConfigurationError``."""
+        """Read a table written by ``save``, mapping ``values`` read-only
+        (``run`` reads only the ids, so it never pages them in).  Anything
+        else, truncated or extended files included, raises ``ConfigurationError``."""
         with _table_file(path) as (fh, fields):
-            # read_array takes only the .npy format that save writes;
-            # np.load would also open a zip archive here.
-            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3)]
+            # save's .npy blocks, read as such (np.load also opens zip archives); the
+            # values are mapped once the blocks behind them are read, never past EOF
+            if np.lib.format.read_magic(fh) != (1, 0):  # np.save's version for these headers
+                raise ValueError("values block is not in .npy format 1.0")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype.hasobject or min(shape, default=0) < 0:
+                raise ValueError(f"values block holds {dtype} {shape}")
+            offset = fh.tell()
+            fh.seek(offset + math.prod(shape) * dtype.itemsize)
+            digits, ids = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(2))
             if fh.read(1):
                 raise ValueError("trailing bytes after the action ids")
-            for array in arrays:
-                array.setflags(write=False)
-            return cls(
-                ladder_size=int(fields["ladder_size"]),
-                num_channel_states=int(fields["channel_states"]),
-                num_users=int(fields["users"]),
-                horizon=int(fields["horizon"]),
-                fingerprint=fields["fingerprint"],
-                values=arrays[0],
-                action_digits=arrays[1],
-                action_ids=arrays[2],
-            )
+            dims = (int(fields[key]) for key in ("ladder_size", "channel_states", "users", "horizon"))
+            return cls(*dims, fields["fingerprint"],
+                       np.memmap(fh, dtype, "r", offset, shape, "F" if fortran else "C"), digits, ids)
 
 
 def table_fingerprint(path: str) -> str:

@@ -5,6 +5,7 @@ client-side last-sample rule, and a marker for the hindsight planner
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +33,13 @@ class Myopic:
     serves when no rate fits and at session start, with nothing delivered."""
 
     ladder: QualityLadder
+    _upper_rungs = cached_property(lambda self: np.array(self.ladder.rates[1:]))  # not a field
 
     def decide(self, estimates_kbps) -> np.ndarray:
         """Rate indices for (..., users) delivered bandwidths, where None
-        (or NaN) means nothing delivered yet."""
-        estimates = np.asarray(estimates_kbps, dtype=float)
-        idx = np.searchsorted(self.ladder.rates, estimates, side="right") - 1
-        return np.where(np.isnan(estimates) | (idx < 0), 0, idx)
+        (or NaN, taken as -inf) means nothing delivered yet."""
+        estimates = np.fmax(np.asarray(estimates_kbps, dtype=float), -np.inf)
+        return np.searchsorted(self._upper_rungs, estimates, side="right")
 
 
 @dataclass(frozen=True)

@@ -206,11 +206,17 @@ def effective_bandwidth(
     rates = np.asarray(chosen_rates_kbps, dtype=float)
     if rates.shape != raw.shape:
         raise ValueError("need one chosen rate per user")
+    return _proportional_share(rates, raw, rate_cap_kbps)
+
+
+def _proportional_share(rates: np.ndarray, raw: np.ndarray, cap: float) -> np.ndarray:
+    """``effective_bandwidth``'s proportional mode on float arrays of one shape.  Rates and
+    links are positive, so ``np.minimum`` picks what the test ``a < b`` would."""
     # left_sum(x.T).T sums over the last (user) axis; .T is cheaper than np.moveaxis
-    demand = left_sum(np.where(rates < raw, rates, raw).T).T
-    share = rate_cap_kbps * rates / left_sum(rates.T).T[..., None]
-    squeezed = np.where(share < raw, share, raw)
-    return np.where((demand <= rate_cap_kbps)[..., None], raw, squeezed)
+    demand = left_sum(np.minimum(rates, raw).T).T
+    squeezed = np.minimum(cap * rates / left_sum(rates.T).T[..., None], raw)
+    np.copyto(squeezed, raw, where=(demand <= cap)[..., None])
+    return squeezed
 
 
 def step_buffer(buffer_s, segment_s: float, download_s):
@@ -223,11 +229,11 @@ def step_buffer(buffer_s, segment_s: float, download_s):
     """
     buffer_s = np.asarray(buffer_s, dtype=float)
     download_s = np.asarray(download_s, dtype=float)
-    if np.any(buffer_s < 0) or segment_s <= 0 or np.any(download_s < 0):
+    if segment_s <= 0 or (np.fmin(buffer_s, download_s) < 0).any():  # fmin skips NaN
         raise ValueError("buffer and download times must be nonnegative, segment positive")
-    # max(0.0, x) exactly, +0.0 at equality
-    rebuffer = np.where(download_s > buffer_s, download_s - buffer_s, 0.0)
-    remaining = np.where(buffer_s > download_s, buffer_s - download_s, 0.0)
+    # max(0.0, x) exactly, NaN to 0.0; adding 0.0 (segment_s below) makes a zero +0.0
+    rebuffer = np.fmax(download_s - buffer_s, 0.0) + 0.0
+    remaining = np.fmax(buffer_s - download_s, 0.0)
     return remaining + segment_s, rebuffer
 
 
@@ -261,14 +267,14 @@ def decide(config: ScenarioConfig, policy: Proposed | Myopic | IdealOracle,
         return policy.table.walk(start, paths[:, :-1], policy.stationary)
     if not isinstance(policy, Myopic):
         raise TypeError(f"unknown policy {policy!r}")
-    rate_of = np.array(config.ladder.rates)
+    rate_of = np.array(config.ladder.rates)  # effective_bandwidth's inputs, converted once
     raw = np.array(config.channel.state_bandwidth)[paths[:, 1:-1]]
+    cap, shared = config.profit.total_rate_cap_kbps, config.sharing_mode == SHARING_PROPORTIONAL
     chosen = np.empty((runs, horizon, n), dtype=np.int64)
     chosen[:, 0] = policy.decide(None)
     for t in range(1, horizon):
-        chosen[:, t] = policy.decide(effective_bandwidth(
-            rate_of[chosen[:, t - 1]], raw[:, t - 1], config.profit.total_rate_cap_kbps,
-            config.sharing_mode))
+        chosen[:, t] = policy.decide(_proportional_share(rate_of[chosen[:, t - 1]], raw[:, t - 1],
+                                                         cap) if shared else raw[:, t - 1])
     return chosen
 
 

@@ -259,6 +259,31 @@ def test_repeated_runs_are_byte_identical(workspace):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
 
 
+def test_run_does_not_read_the_stored_values(workspace):
+    # a table whose values block holds NaN bits, header and length kept:
+    # run reads only the action ids, so every file it writes is unchanged,
+    # and load maps the values as they are on disk
+    tmp, _, spec_path, tables = workspace
+    args = ["run", "--spec", str(spec_path), "--tables-dir", str(tables)]
+    assert main(args + ["--out-dir", str(tmp / "a")]) == 0
+    path = tables / table_filename("small", 850.0, 6)
+    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        fh.seek(data.index(b"\x93NUMPY"))
+        np.lib.format.read_magic(fh)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        at = fh.tell()
+    nan = np.full(shape, np.nan, dtype).tobytes()
+    path.write_bytes(data[:at] + nan + data[at + len(nan):])
+    assert main(args + ["--out-dir", str(tmp / "b")]) == 0
+    written = sorted(p.relative_to(tmp / "a") for p in (tmp / "a").rglob("*") if p.is_file())
+    assert len(written) == 2 + 3 * 2  # summary, aggregate, three arms x two runs
+    for name in written:
+        assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes(), name
+    loaded = PolicyTable.load(str(path))
+    assert loaded.values.shape == shape and np.isnan(loaded.values).all()
+
+
 def test_seed_override_changes_results(workspace, capsys):
     tmp, _, spec_path, tables = workspace
     args = ["run", "--spec", str(spec_path), "--tables-dir", str(tables)]

@@ -662,8 +662,8 @@ def _record_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("priorities, sweeps", [
-    ((0.25,) * 4, [[True, 3383], [True, 3383], [False, 13383], [False, 8105]]),
-    ((0.4, 0.3, 0.2, 0.1), [[True, 0], [True, 0], [True, 0], [False, 2633]]),
+    ((0.25,) * 4, [[True, 3383], [True, 3383], [False, 10503], [False, 3383]]),
+    ((0.4, 0.3, 0.2, 0.1), [[True, 0], [True, 0], [True, 0], [False, 0]]),
 ])
 def test_certified_sweeps_on_the_4_user_solve(fair_config, monkeypatch, priorities, sweeps):
     # the same solve through backward_induction, whose sweeps certify the
@@ -689,16 +689,17 @@ def test_paper_solve_scans_every_sweep(fair_config, monkeypatch):
 
 
 def test_table_3u_solve_certifies_95_percent_from_the_third_sweep(fair_config, monkeypatch):
-    # the benchmark's table-3u solve: 3 users, cap 1275, H60; each sweep
-    # from the third scans at most 5% of its 8,000 pairs (the exact ties
-    # between users, which never certify, are 156)
+    # the benchmark's table-3u solve: 3 users, cap 1275, H60; the second
+    # sweep certifies most pairs, and each from the third scans at most 5%
+    # of its 8,000 pairs (the exact ties between users, which never
+    # certify, are 156)
     params = dataclasses.replace(fair_config.profit, user_priorities=(1 / 3,) * 3,
                                  total_rate_cap_kbps=1275.0)
     consts = derive_constants(fair_config.ladder, fair_config.channel, params)
     recorded = _record_sweeps(monkeypatch)
     backward_induction(fair_config.ladder, fair_config.channel, params, consts, 60)
     pairs = 8000
-    assert recorded[:2] == [[False, pairs]] * 2  # full scans: nothing certified yet
+    assert recorded[:2] == [[False, pairs], [False, 2343]]  # a full scan: nothing certified yet
     assert len(recorded) == 60
     assert all(not transform and 0 < scanned <= 0.05 * pairs for transform, scanned in recorded[2:])
 
@@ -976,3 +977,30 @@ def test_table_load_rejects_truncation(tmp_path, cut):
     }[cut]
     path.write_bytes(data)
     assert_refused(path)
+
+
+@pytest.mark.parametrize("rows", [4, 400, "version 2.0"])
+def test_table_load_refuses_values_longer_than_the_file(tmp_path, monkeypatch, rows):
+    # the values header declares more rows than the body holds (3 at horizon
+    # 2): one more, whose bytes would run into the later blocks, or far past
+    # the end.  Mapping past the end and reading there kills the process
+    # (SIGBUS), so the table must be refused before anything is mapped; so is
+    # a values block in a .npy version that save never writes
+    path = saved_small_table(tmp_path)
+    data = path.read_bytes()
+    if rows == "version 2.0":
+        values_at = data.index(b"\x93NUMPY")
+        digits_at = data.index(b"\x93NUMPY", values_at + 1)
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.lib.format.read_array(io.BytesIO(data[values_at:])),
+                                  version=(2, 0))
+        path.write_bytes(data[:values_at] + buf.getvalue() + data[digits_at:])
+    else:
+        shape, longer = b"'shape': (3, 16), }", b"'shape': (%d, 16), }" % rows
+        padded = shape + b" " * (len(longer) - len(shape))  # the header keeps its length
+        assert data.count(padded) == 1
+        path.write_bytes(data.replace(padded, longer))
+    mapped = []
+    monkeypatch.setattr(np, "memmap", lambda *args, **kwargs: mapped.append(args))
+    assert_refused(path)
+    assert mapped == []

@@ -203,6 +203,61 @@ def test_step_buffer_elementwise():
         step_buffer(1.0, 0.0, 0.5)
 
 
+def _where_step_buffer(buffer_s, segment_s, download_s):
+    """step_buffer's arithmetic as np.where expressions, the reference for its bits."""
+    rebuffer = np.where(download_s > buffer_s, download_s - buffer_s, 0.0)
+    remaining = np.where(buffer_s > download_s, buffer_s - download_s, 0.0)
+    return remaining + segment_s, rebuffer
+
+
+def _where_share(rates, raw, cap):
+    """The proportional share as np.where expressions, the reference for its bits."""
+    demand = np.where(rates < raw, rates, raw).sum(axis=-1)  # two users: one addition
+    share = cap * rates / rates.sum(axis=-1)[..., None]
+    squeezed = np.where(share < raw, share, raw)
+    return np.where((demand <= cap)[..., None], raw, squeezed)
+
+
+def test_per_epoch_steps_keep_the_bits_at_their_boundaries():
+    # buffer equal to the download (the stall is +0.0, never -0.0), a zero or
+    # -0.0 download, a NaN buffer (no stall), an infinite download; each
+    # result bit for bit as the np.where expressions give it, for the whole
+    # array and for each element alone (numpy's SIMD and scalar loops may
+    # treat the sign of a zero differently)
+    buffer = np.array([2.5, 0.0, 0.0, 1.25, 0.0, np.nan, 3.0, 1.0])
+    download = np.array([2.5, 0.0, -0.0, 0.0, 0.75, 0.5, np.inf, 1.5])
+    for cut in [slice(None), *(slice(i, i + 1) for i in range(len(buffer)))]:
+        got = step_buffer(buffer[cut], 1.0, download[cut])
+        for mine, theirs in zip(got, _where_step_buffer(buffer[cut], 1.0, download[cut])):
+            assert mine.view(np.int64).tolist() == theirs.view(np.int64).tolist(), cut
+    level, stall = step_buffer(buffer, 1.0, download)
+    assert stall[:3].view(np.int64).tolist() == [0, 0, 0]  # +0.0
+    assert level[:3].tolist() == [1.0] * 3 and level[3] == 2.25
+    for bad_buffer, segment, bad_download in [(-0.5, 1.0, 0.5), (0.5, 1.0, -1e-300),
+                                              (0.5, 0.0, 0.5), (0.5, -1.0, 0.5),
+                                              (np.array([np.nan, 1.0]), 1.0, np.array([-1.0, 0.0])),
+                                              (np.array([-1.0, 1.0]), 1.0, np.array([np.nan, 0.0]))]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            step_buffer(bad_buffer, segment, bad_download)
+    # the proportional share: demand exactly at the cap (nobody is squeezed),
+    # just over it, a rate over its own link (its demand is the link), a rate
+    # equal to its link, and the links as the binding limit under a squeeze
+    rates = np.array([[425.0, 425.0], [425.0, 425.5], [493.02, 183.53], [200.0, 183.53],
+                      [493.02, 493.02]])
+    raw = np.array([[5000.0, 5000.0], [5000.0, 5000.0], [200.0, 5000.0], [200.0, 5000.0],
+                    [200.0, 5000.0]])
+    for cap in (850.0, 383.53, 600.0):
+        got = effective_bandwidth(rates, raw, cap, "proportional")
+        assert got.view(np.int64).tolist() == _where_share(rates, raw, cap).view(np.int64).tolist()
+    got = effective_bandwidth(rates, raw, 850.0, "proportional")
+    assert got[0].tolist() == [5000.0, 5000.0] and got[1].sum() == pytest.approx(850.0)
+    assert got[2].tolist() == [200.0, 5000.0]  # demand 383.53 fits under the cap
+    # the client rule at its edges: nothing delivered, below, at and above the ladder
+    rule = Myopic(make_ladder())
+    estimates = [np.nan, -np.inf, 0.0, 95.11, 95.10, 10_000.0, np.inf]
+    assert rule.decide(estimates).tolist() == [0, 0, 0, 0, 0, 4, 4]
+
+
 # -------------------------------- sessions ---------------------------------
 
 
