@@ -7,6 +7,7 @@ greedily) spreads both bitrate and stalls evenly across the users."""
 
 import numpy as np
 
+from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream.metrics import aggregate_runs, summarize
 from mdpstream.policies import Myopic, Proposed
@@ -18,7 +19,7 @@ def main():
     config = differentiated_scenario()
     table = backward_induction(
         config.ladder, config.channel, config.profit,
-        config.derived_constants(), config.horizon,
+        derive_constants(config.ladder, config.channel, config.profit), config.horizon,
     )
     arms = {
         "proposed": Proposed(table),

@@ -5,6 +5,7 @@ The solved controller should land between the two baselines: clearly
 above the client-side myopic rule, below the hindsight planner that sees
 each second's bandwidth before choosing."""
 
+from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream.metrics import aggregate_runs, summarize
 from mdpstream.policies import IdealOracle, Myopic, Proposed
@@ -22,7 +23,7 @@ def main():
     config = fair_scenario()
     table = backward_induction(
         config.ladder, config.channel, config.profit,
-        config.derived_constants(), config.horizon,
+        derive_constants(config.ladder, config.channel, config.profit), config.horizon,
     )
     arms = {
         "proposed": Proposed(table),

@@ -2,6 +2,7 @@
 table: which joint rates survive the cap, what the controller does in a
 few telling states, and how the horizon changes the last decisions."""
 
+from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction, feasible_actions
 from mdpstream.presets import fair_scenario
 
@@ -24,7 +25,7 @@ def main():
 
     table = backward_induction(
         config.ladder, config.channel, config.profit,
-        config.derived_constants(), config.horizon,
+        derive_constants(config.ladder, config.channel, config.profit), config.horizon,
     )
     print(f"\nsolved {table.num_states} states x {table.horizon} epochs")
 

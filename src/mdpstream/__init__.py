@@ -25,10 +25,10 @@ The pieces:
 
 Typical library use::
 
-    from mdpstream import presets, mdp, policies, sim, metrics
+    from mdpstream import derive_constants, presets, mdp, policies, sim, metrics
 
     config = presets.fair_scenario()
-    consts = config.derived_constants()
+    consts = derive_constants(config.ladder, config.channel, config.profit)
     table = mdp.backward_induction(
         config.ladder, config.channel, config.profit, consts, config.horizon
     )

@@ -95,12 +95,21 @@ def feasible_actions(num_users: int, ladder: QualityLadder, params: ProfitParams
 # ----------------------------- solver internals -----------------------------
 
 
-def variation_table(
-    ladder: QualityLadder, params: ProfitParams, consts: DerivedConstants
-) -> np.ndarray:
-    """``smoothness_cost`` for every (previous rung, next rung) pair."""
-    rates = ladder.rates
-    return np.array([[economics.smoothness_cost(p, q, params, consts) for q in rates] for p in rates])
+@lru_cache(maxsize=1)  # keyed like _action_tables: a run's sweep values share ladder and channel
+def profit_terms(ladder: QualityLadder, channel: ChannelModel, params: ProfitParams) -> tuple:
+    """The profit terms per rung, for the solver, the planner and ``sim.score``:
+    the derived constants, then read-only arrays of each rung's income when
+    carried (rungs,), income minus buffering at each channel state's bandwidth
+    (rungs, channel states) and ``smoothness_cost`` (previous rung, next rung)."""
+    consts, rates = economics.derive_constants(ladder, channel, params), ladder.rates
+    arrays = (np.array([economics.playback_income(r, r, params, consts) for r in rates]),
+              np.array([[economics.playback_income(r, b, params, consts)
+                         - economics.buffering_cost(r, b, params, consts)
+                         for b in channel.state_bandwidth] for r in rates]),
+              np.array([[economics.smoothness_cost(p, q, params, consts) for q in rates] for p in rates]))
+    for array in arrays:
+        array.flags.writeable = False
+    return (consts, *arrays)
 
 
 def _by_action(per_user, vector_digits, action_digits, params) -> np.ndarray:
@@ -121,27 +130,22 @@ class _ActionTables:
     """
 
     def __init__(self, ladder: QualityLadder, channel: ChannelModel, params: ProfitParams) -> None:
-        consts = economics.derive_constants(ladder, channel, params)
         m, k, n = len(ladder), channel.num_states, params.num_users
         self.num_rate_vectors = m ** n
         self.num_chan_vectors = k ** n
+        _, _, self.playbuf, self.variation = profit_terms(ladder, channel, params)
 
-        # Per-user scalar tables, built through the economics functions.
-        self.playbuf = np.array([
-            [
-                economics.playback_income(r, b, params, consts)
-                - economics.buffering_cost(r, b, params, consts)
-                for b in channel.state_bandwidth
-            ]
-            for r in ladder.rates
-        ])
-        self.variation = variation_table(ladder, params, consts)
-
+        acts = feasible_actions(n, ladder, params)
+        # float64 joint channel matrix and three (vectors, actions) arrays while _by_action
+        # sums each table (covers reachable_variation); int64 digit grids, grid_action; lists
+        rows, cols = self.num_rate_vectors + self.num_chan_vectors, len(acts)
+        needed = 8 * (3 * rows * cols + k ** (2 * n) + (n + 1) * rows) + (1 << 16)
+        require_memory(f"the solver tables of {cols} actions x {n} users", needed,
+                       "use fewer users or a lower rate cap")
         self.rate_digits = _digit_grid(m, n)
         chan_digits = _digit_grid(k, n)
 
         # Tie order: a stable sort of the lexicographic list by aggregate rate.
-        acts = feasible_actions(n, ladder, params)
         rates = np.array(ladder.rates)[acts].tolist()
         order = np.argsort([left_sum(r) for r in rates], kind="stable")
         self.action_digits = acts[order]
@@ -421,7 +425,7 @@ def backward_induction(
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be at least 1, got {horizon}")
-    if consts != economics.derive_constants(ladder, channel, params):
+    if consts != profit_terms(ladder, channel, params)[0]:
         raise ConfigurationError(f"{consts} differs from derive_constants(ladder, channel, params)")
     n, m, k = params.num_users, len(ladder), channel.num_states
     size = state_space_size(ladder, channel, n)

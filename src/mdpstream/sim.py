@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import economics, mdp
-from .economics import DerivedConstants, ProfitParams, derive_constants
+from .economics import ProfitParams, derive_constants  # noqa: F401  (perfbench wraps this name)
 from .model import (ChannelModel, ConfigurationError, QualityLadder, _require, _require_finite,
                     left_sum)
 from .mdp import check_indices, solve_ideal
@@ -69,9 +69,6 @@ class ScenarioConfig:
     @property
     def initial_buffer_seconds(self) -> float:
         return self.initial_buffer_frames / self.frames_per_second
-
-    def derived_constants(self) -> DerivedConstants:
-        return derive_constants(self.ladder, self.channel, self.profit)
 
     def with_rate_cap(self, cap_kbps: float) -> "ScenarioConfig":
         return replace(self, profit=replace(self.profit, total_rate_cap_kbps=cap_kbps))
@@ -285,13 +282,13 @@ def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trac
     buffer recurrence one ``step_buffer`` per epoch.
 
     Profit is scored against the delivered bandwidth.  Sums over users run
-    left to right from 0.0 and costs come from the scalar economics
+    left to right from 0.0; income and variation come from the solver's
+    ``mdp.profit_terms``, buffering and the charge from the scalar economics
     functions, so a row's numbers do not depend on which other rows (other
     runs, or other arms' decisions stacked on the same runs) step with it.
     Whole-cell temporaries are freed before the buffer loop, so the pass
     holds no more than ``channel_paths`` counts for its rows.
     """
-    consts = config.derived_constants()
     params, ladder, n = config.profit, config.ladder, config.num_users
     rows, horizon = len(chosen), config.horizon
     if chosen.shape != (rows, horizon, n) or paths.shape != (rows, horizon + 1, n):
@@ -305,8 +302,7 @@ def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trac
                                     params.total_rate_cap_kbps, config.sharing_mode)
     download = rates * config.segment_seconds / effective
     short = rates > effective
-    # playback_income depends on the rate alone once the rate is carried
-    income_of = np.array([economics.playback_income(r, r, params, consts) for r in ladder.rates])
+    consts, income_of, _, variation = mdp.profit_terms(ladder, config.channel, params)
     income = np.where(short, 0.0, income_of[chosen])
     # one scalar buffering_cost per distinct shortfall (positive, so distinct
     # values are distinct bits), which is all it reads of the rate and the
@@ -316,7 +312,6 @@ def score(config: ScenarioConfig, chosen: np.ndarray, paths: np.ndarray) -> Trac
         lambda gap: economics.buffering_cost(gap, 0.0, params, consts), (rates - effective)[short])
     del short
     var_cost = np.empty((rows, horizon, n))
-    variation = mdp.variation_table(ladder, params, consts)
     var_cost[:, 0] = variation[config.initial_rate_index, chosen[:, 0]]
     var_cost[:, 1:] = variation[chosen[:, :-1], chosen[:, 1:]]
     charge = np.zeros((rows, horizon))  # an infinite price rations the cap, never bills it

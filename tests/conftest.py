@@ -1,6 +1,7 @@
 import pytest
 
 from mdpstream import mdp, presets
+from mdpstream.economics import derive_constants
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +20,7 @@ def fair_table(fair_config):
         fair_config.ladder,
         fair_config.channel,
         fair_config.profit,
-        fair_config.derived_constants(),
+        derive_constants(fair_config.ladder, fair_config.channel, fair_config.profit),
         fair_config.horizon,
     )
 
@@ -30,6 +31,6 @@ def diff_table(diff_config):
         diff_config.ladder,
         diff_config.channel,
         diff_config.profit,
-        diff_config.derived_constants(),
+        derive_constants(diff_config.ladder, diff_config.channel, diff_config.profit),
         diff_config.horizon,
     )

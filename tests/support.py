@@ -19,7 +19,7 @@ from mdpstream.economics import (
     smoothness_cost,
     bottleneck_cost,
 )
-from mdpstream.mdp import _ActionTables, feasible_actions, solve_ideal, variation_table
+from mdpstream.mdp import _ActionTables, feasible_actions, solve_ideal
 from mdpstream.metrics import SessionSummary
 from mdpstream.model import ChannelModel, QualityLadder, left_sum
 from mdpstream.policies import IdealOracle, Proposed
@@ -390,7 +390,7 @@ def reference_simulate(config, policy, paths):
     stepped per epoch: the proposed arm through ``PolicyTable.actions``,
     then the buffers one ``step_buffer`` per epoch.  The stacked scoring
     pass and the proposed arm's index walk must match it bit for bit."""
-    consts = config.derived_constants()
+    consts = derive_constants(config.ladder, config.channel, config.profit)
     params, ladder, channel = config.profit, config.ladder, config.channel
     runs, horizon, n = len(paths), config.horizon, config.num_users
 
@@ -425,7 +425,9 @@ def reference_simulate(config, policy, paths):
     buffering[short] = np.array(costs)[which.reshape(-1)]
     prev = np.concatenate([np.full((runs, 1, n), config.initial_rate_index), chosen[:, :-1]],
                           axis=1)
-    var_cost = variation_table(ladder, params, consts)[prev, chosen]
+    variation = np.array([[smoothness_cost(p, q, params, consts) for q in ladder.rates]
+                          for p in ladder.rates])
+    var_cost = variation[prev, chosen]
     charge = np.zeros((runs, horizon))
     if np.isfinite(params.congestion_price):
         vectors, which = np.unique(rates.reshape(-1, n), axis=0, return_inverse=True)

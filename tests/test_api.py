@@ -16,6 +16,7 @@ import pytest
 import mdpstream
 from mdpstream import cli, configfile, economics, mdp, metrics, model, policies, sim
 from mdpstream.configfile import save_scenario
+from mdpstream.economics import derive_constants
 from mdpstream.presets import fair_scenario
 
 
@@ -52,7 +53,8 @@ def test_benchmark_entry_points_exist():
     # perfbench/child.py builds each arm's policy by keyword
     config = fair_scenario(horizon=1)
     table = mdp.backward_induction(config.ladder, config.channel, config.profit,
-                                   config.derived_constants(), config.horizon)
+                                   derive_constants(config.ladder, config.channel, config.profit),
+                                   config.horizon)
     assert policies.Myopic(ladder=config.ladder).decide([None]).tolist() == [0]
     assert policies.Proposed(table=table).table is table
     assert isinstance(policies.IdealOracle(), policies.IdealOracle)
@@ -139,3 +141,16 @@ def test_only_mdp_names_its_private_names():
                 continue
             private = [name for name in names if name.startswith("_")]
             assert not private, f"{path.name}:{node.lineno}: mdp.{private[0]}"
+
+
+def test_only_mdp_tabulates_income_and_variation():
+    # the solver, the planner and the simulator read income and variation
+    # from mdp.profit_terms; no other module computes them itself
+    for path in sorted(Path(mdpstream.__file__).parent.glob("*.py")):
+        if path.name in ("mdp.py", "economics.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert name not in ("playback_income", "smoothness_cost"), (
+                    f"{path.name}:{node.lineno}: {name}")

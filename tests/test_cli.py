@@ -470,6 +470,26 @@ def test_one_scoring_pass_per_sweep_value(workspace, monkeypatch):
         assert calls == {"step_buffer": epochs, "channel_paths": 1}, axis
 
 
+def test_run_builds_only_the_tables_it_reads(workspace):
+    # each sweep value's scoring reads the per-rung profit terms, and only the
+    # hindsight planner reads the per-action tables, whose 4-user build takes
+    # milliseconds that a run without the ideal arm must not pay
+    tmp, scenario_path, _, tables = workspace
+    assert main(["solve", "--config", str(scenario_path), "--rate-cap", "600",
+                 "--out", str(tables / table_filename("small", 600.0, 6))]) == 0
+    for arms, action_builds in ((["proposed", "myopic", "ideal"], 2), (["proposed", "myopic"], 0)):
+        spec_path = tmp / "sweep.yaml"
+        spec_path.write_text(yaml.safe_dump({
+            "scenario": "small.cfg", "arms": arms, "sweep": {"axis": "rate_cap", "values": [850, 600]},
+        }), encoding="utf-8")
+        mdp.profit_terms.cache_clear()
+        mdp._action_tables.cache_clear()
+        assert main(["run", "--spec", str(spec_path), "--out-dir", str(tmp / "out"),
+                     "--tables-dir", str(tables)]) == 0
+        builds = mdp.profit_terms.cache_info().misses, mdp._action_tables.cache_info().misses
+        assert builds == (2, action_builds), arms
+
+
 def test_client_rule_decided_once_for_both_client_arms(workspace, monkeypatch):
     # myopic and client_centric share one rule and one set of paths: it is
     # decided once per sweep value, and the two arms' files are twins

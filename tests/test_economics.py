@@ -182,7 +182,8 @@ POSITIVE = st.one_of(st.floats(min_value=50.0, max_value=900.0),  # the ladder a
 @settings(max_examples=300)
 def test_buffering_reads_only_the_shortfall(scenario, rate, bandwidth):
     # sim.score prices each distinct shortfall once, as buffering_cost(gap, 0.0, ...)
-    params, consts = scenario.profit, scenario.derived_constants()
+    params = scenario.profit
+    consts = derive_constants(scenario.ladder, scenario.channel, params)
     got = buffering_cost(rate, bandwidth, params, consts)
     assert got.hex() == buffering_cost(rate - bandwidth, 0.0, params, consts).hex()
 

@@ -271,8 +271,10 @@ def test_solver_rejects_bad_horizon_and_cap(monkeypatch):
     with pytest.raises(ConfigurationError):
         backward_induction(ladder, channel, params, consts, 0)
     # 16 states x horizon 2: 3 value rows of 8 bytes and 2 uint8 action ids,
-    # plus the digit list of 4 actions x 2 users at 8 bytes
+    # plus the digit list of 4 actions x 2 users at 8 bytes; the solver
+    # tables, guarded on their own, are built first under the default cap
     needed = 16 * (3 * 8 + 2 * 1) + 4 * 2 * 8
+    mdp._action_tables(ladder, channel, params)
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", needed - 1)
     with pytest.raises(ConfigurationError, match=f"needs {needed} bytes"):
         backward_induction(ladder, channel, params, consts, 2)
@@ -290,7 +292,7 @@ def test_solver_refuses_constants_of_another_scenario(fair_config):
     # not the constants: a solve from other constants would carry the right
     # fingerprint over other decisions
     ladder, channel, params = fair_config.ladder, fair_config.channel, fair_config.profit
-    consts = fair_config.derived_constants()
+    consts = derive_constants(ladder, channel, params)
     other = dataclasses.replace(params, variation_threshold_kbps=300.0)
     for wrong in (dataclasses.replace(consts, income_norm=2 * consts.income_norm),
                   derive_constants(ladder, channel, other)):
@@ -333,6 +335,48 @@ def test_memory_cap_refuses_five_users_before_allocating(monkeypatch):
     four = make_params(cap=5000.0, priorities=(0.25,) * 4)
     with pytest.raises(PassedGuard):
         backward_induction(ladder, channel, four, derive_constants(ladder, channel, four), 200)
+
+
+def test_solver_tables_refused_before_allocating(fair_config, monkeypatch):
+    # 4 users at cap 1700: 385 actions over 625 rate and 256 channel vectors,
+    # some 8.7 MB counted; under a 1 MiB cap the build stops before any
+    # (vectors, actions) array or the joint channel matrix exists
+    four = dataclasses.replace(fair_config.profit, user_priorities=(0.25,) * 4,
+                               total_rate_cap_kbps=1700.0)
+    monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=(
+                r"the solver tables of 385 actions x 4 users needs \d+ bytes, over the memory "
+                f"cap of {1 << 20} bytes; use fewer users or a lower rate cap")):
+            mdp._ActionTables(fair_config.ladder, fair_config.channel, four)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("users, cap", [(3, 1275.0), (4, 1700.0)])
+def test_solver_tables_count_covers_their_build(fair_config, monkeypatch, users, cap):
+    # the bytes the guard counts bound what the build holds at its peak, the
+    # planner's reachable rows included
+    params = dataclasses.replace(fair_config.profit, user_priorities=(1 / users,) * users,
+                                 total_rate_cap_kbps=cap)
+    counted, guard = [], mdp.require_memory
+
+    def recording(what, needed, fix):
+        counted.append(needed)
+        guard(what, needed, fix)
+
+    monkeypatch.setattr(mdp, "require_memory", recording)
+    tracemalloc.start()
+    try:
+        mdp._ActionTables(fair_config.ladder, fair_config.channel, params).reachable_variation
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert counted[0] >= peak
 
 
 def _symmetric_instance():
@@ -684,7 +728,8 @@ def test_paper_solve_scans_every_sweep(fair_config, monkeypatch):
     # fits one scan block, which scans faster than a certificate costs
     recorded = _record_sweeps(monkeypatch)
     backward_induction(fair_config.ladder, fair_config.channel, fair_config.profit,
-                       fair_config.derived_constants(), 6)
+                       derive_constants(fair_config.ladder, fair_config.channel, fair_config.profit),
+                       6)
     assert recorded == [[False, 400]] * 6
 
 
@@ -979,16 +1024,21 @@ def test_table_load_rejects_truncation(tmp_path, cut):
     assert_refused(path)
 
 
-@pytest.mark.parametrize("rows", [4, 400, "version 2.0"])
+@pytest.mark.parametrize("rows", [4, 400, "version 2.0", "object dtype", -3])
 def test_table_load_refuses_values_longer_than_the_file(tmp_path, monkeypatch, rows):
     # the values header declares more rows than the body holds (3 at horizon
     # 2): one more, whose bytes would run into the later blocks, or far past
     # the end.  Mapping past the end and reading there kills the process
     # (SIGBUS), so the table must be refused before anything is mapped; so is
-    # a values block in a .npy version that save never writes
+    # a values block in a .npy version that save never writes, and a header
+    # declaring Python objects or a negative row count, which no map can hold
     path = saved_small_table(tmp_path)
     data = path.read_bytes()
-    if rows == "version 2.0":
+    if rows == "object dtype":
+        floats, objects = b"'descr': '<f8', ", b"'descr': '|O',  "  # the header keeps its length
+        assert data.count(floats) == 1
+        path.write_bytes(data.replace(floats, objects))
+    elif rows == "version 2.0":
         values_at = data.index(b"\x93NUMPY")
         digits_at = data.index(b"\x93NUMPY", values_at + 1)
         buf = io.BytesIO()
@@ -1002,5 +1052,6 @@ def test_table_load_refuses_values_longer_than_the_file(tmp_path, monkeypatch, r
         path.write_bytes(data.replace(padded, longer))
     mapped = []
     monkeypatch.setattr(np, "memmap", lambda *args, **kwargs: mapped.append(args))
-    assert_refused(path)
+    why = "values block holds .*solve it again" if rows in ("object dtype", -3) else None
+    assert_refused(path, why)
     assert mapped == []

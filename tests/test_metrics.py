@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mdpstream.economics import derive_constants
 from mdpstream.mdp import backward_induction
 from mdpstream.metrics import SessionSummary, aggregate_runs, summarize, summarize_runs
 from mdpstream.policies import IdealOracle, Myopic, Proposed
@@ -214,7 +215,8 @@ def test_batched_summaries_equal_the_per_run_reference(request, scenario):
     for cap in (600.0, 850.0):
         config = base.with_rate_cap(cap)
         table = backward_induction(config.ladder, config.channel, config.profit,
-                                   config.derived_constants(), config.horizon)
+                                   derive_constants(config.ladder, config.channel, config.profit),
+                                   config.horizon)
         arms = {"proposed": Proposed(table), "myopic": Myopic(config.ladder),
                 "ideal": IdealOracle()}
         paths = channel_paths(config, range(15), arms=3)

@@ -125,7 +125,8 @@ def test_ideal_dominates_solved_policy_per_path(fair_config, fair_table):
     # hindsight beats (or ties) the expectation-optimal policy on any
     # single realization, since it optimizes that very path
     ladder, channel = fair_config.ladder, fair_config.channel
-    params, consts = fair_config.profit, fair_config.derived_constants()
+    params = fair_config.profit
+    consts = derive_constants(fair_config.ladder, fair_config.channel, params)
     rng = np.random.default_rng(5)
     for _ in range(3):
         horizon = 40

@@ -354,7 +354,7 @@ def test_every_stage_profit_is_the_model_reward(request, scenario):
     base = request.getfixturevalue(f"{scenario}_config")
     config = replace(base, horizon=20, sharing_mode="none",
                      profit=replace(base.profit, congestion_price=0.001))
-    consts = config.derived_constants()
+    consts = derive_constants(config.ladder, config.channel, config.profit)
     table = backward_induction(config.ladder, config.channel, config.profit, consts, 20)
     paths = channel_paths(config, range(15))
     index_of = {rate: i for i, rate in enumerate(config.ladder.rates)}
@@ -445,7 +445,8 @@ def test_single_run_equals_its_batched_run(fair_config, branch, arm):
                      congestion_price=changes.pop("congestion_price", math.inf))
     config = replace(fair_config, profit=profit, horizon=30, **changes)
     table = backward_induction(config.ladder, config.channel, profit,
-                               config.derived_constants(), config.horizon)
+                               derive_constants(config.ladder, config.channel, config.profit),
+                               config.horizon)
     policy = {
         "proposed": Proposed(table),
         "stationary": Proposed(table, stationary=True),
@@ -495,7 +496,8 @@ def test_stacked_pass_and_walk_match_the_per_arm_reference(request, case):
     # stacked into one scoring pass, and of simulate, has the same bytes
     config, stationary = _reference_case(request, case)
     table = backward_induction(config.ladder, config.channel, config.profit,
-                               config.derived_constants(), config.horizon)
+                               derive_constants(config.ladder, config.channel, config.profit),
+                               config.horizon)
     arms = (Proposed(table, stationary=stationary), Myopic(config.ladder), IdealOracle())
     runs = 4
     paths = channel_paths(config, range(runs), arms=len(arms))
@@ -522,7 +524,8 @@ def test_table_walk_matches_stepping_actions(fair_config, stationary, users):
                      total_rate_cap_kbps=425.0 * users)
     config = replace(fair_config, profit=profit, num_users=users, horizon=12)
     table = backward_induction(config.ladder, config.channel, profit,
-                               config.derived_constants(), config.horizon)
+                               derive_constants(config.ladder, config.channel, config.profit),
+                               config.horizon)
     chans = channel_paths(config, range(6))[:, :-1]
     start = np.random.default_rng(3).integers(0, len(config.ladder), size=(6, users))
     walked = table.walk(start, chans, stationary)
@@ -646,10 +649,11 @@ def test_oversized_ideal_plan_refused_before_allocating(fair_config, monkeypatch
     # channel_paths counts stay under the 1 MiB cap
     four = replace(fair_config.profit, user_priorities=(0.25,) * 4, total_rate_cap_kbps=1700.0)
     config = replace(fair_config, profit=four, num_users=4, horizon=500, num_runs=3)
+    # build the cached 4-user tables first, under the default cap (they are
+    # guarded on their own), so the peak is what this cell allocates
+    mdp._action_tables(config.ladder, config.channel, four)
     monkeypatch.setattr(mdp, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
     paths = channel_paths(config, range(3))
-    # build the cached 4-user tables first, so the peak is what this cell allocates
-    mdp._action_tables(config.ladder, config.channel, four)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError, match=(
@@ -767,7 +771,8 @@ def test_priced_proposed_profit_matches_solved_value(request, scenario):
     config = replace(base, profit=replace(base.profit, congestion_price=0.001),
                      sharing_mode=sim.SHARING_NONE)
     table = backward_induction(config.ladder, config.channel, config.profit,
-                               config.derived_constants(), config.horizon)
+                               derive_constants(config.ladder, config.channel, config.profit),
+                               config.horizon)
     trace = simulate(config, Proposed(table), channel_paths(config, range(400)))
     assert (trace.bottleneck_cost > 0.0).mean() > 0.25  # the charge is exercised
     z, detail = _z_against_solved_value(config, table, trace)
